@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -21,6 +22,7 @@ import numpy as np
 
 from .covariance import build_pair
 from .evaluation import (
+    MAX_DIAGNOSTIC_P,
     curve_from_path,
     irrepresentability_alpha,
     support_metrics,
@@ -50,28 +52,71 @@ class InputError(Exception):
     """Bad user input: malformed file, inconsistent shapes, invalid flags."""
 
 
+# Line boundaries of str.splitlines() in ASCII that a text-mode file read
+# keeps inside a line.
+_ASCII_LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+
+
 def _parse_numeric_line(line: str):
+    """(delimiter, values) of a numeric line, or None.
+
+    The delimiter is the first of comma, tab and whitespace (``None``) that
+    splits the line into floats; comma and tab must give at least two.
+    """
     for delim in (",", "\t", None):
-        parts = line.split(delim) if delim else line.split()
-        parts = [item.strip() for item in parts if item.strip() != ""]
+        parts = [item.strip() for item in line.split(delim) if item.strip() != ""]
         if len(parts) > 1 or delim is None:
             try:
-                return [float(item) for item in parts]
+                return delim, [float(item) for item in parts]
             except ValueError:
-                if delim is None:
-                    return None
+                pass
     return None
 
 
-def read_matrix_csv(path, allow_header: bool = False) -> np.ndarray:
-    """Parse a numeric CSV/TSV file into a 2-d array.
+def _checked_lines(lines):
+    # A line that str.splitlines() would split is left to the line-by-line
+    # reader, so that both readers see the same rows. ASCII lines, the
+    # common case, skip the slower exact test.
+    for line in lines:
+        if line.isascii():
+            split = any(ch in line for ch in _ASCII_LINE_BREAKS)
+        else:
+            split = len(line.splitlines()) > 1
+        if split:
+            raise ValueError("line break inside a line")
+        yield line
 
-    Matrices are headerless; observation files may carry a header row, which
-    is detected by a non-numeric first line when ``allow_header`` is set.
-    Raises InputError naming the offending line on ragged or non-numeric
-    input.
+
+def _load_numeric(fh, allow_header: bool) -> np.ndarray:
+    """Parse a well-formed file in one ``np.loadtxt`` call.
+
+    Skips blank lines (and, when allowed, non-numeric lines) up to the first
+    numeric line, takes the delimiter from it, and parses it together with
+    the rest of the handle. Raises ValueError on anything this one call does
+    not cover, a width mismatch included.
     """
-    path = Path(path)
+    lines = _checked_lines(fh)
+    for line in lines:
+        if not line.strip():
+            continue
+        parsed = _parse_numeric_line(line)
+        if parsed is None:
+            if allow_header:
+                continue
+            raise ValueError("non-numeric line")
+        return np.loadtxt(
+            itertools.chain([line], lines),
+            dtype=float,
+            delimiter=parsed[0],
+            comments=None,
+            ndmin=2,
+        )
+    raise ValueError("no numeric line")
+
+
+def _read_rows(path: Path, allow_header: bool) -> np.ndarray:
+    # Line-by-line parse: accepts ragged spacing, mixed delimiters, empty
+    # fields and "1_0" literals, and names the first bad line.
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as err:
@@ -81,11 +126,12 @@ def read_matrix_csv(path, allow_header: bool = False) -> np.ndarray:
     for lineno, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
-        values = _parse_numeric_line(raw)
-        if values is None:
+        parsed = _parse_numeric_line(raw)
+        if parsed is None:
             if allow_header and not rows:
                 continue
             raise InputError(f"{path}: line {lineno} is not numeric")
+        values = parsed[1]
         if width is None:
             width = len(values)
         elif len(values) != width:
@@ -96,6 +142,27 @@ def read_matrix_csv(path, allow_header: bool = False) -> np.ndarray:
     if not rows:
         raise InputError(f"{path}: no numeric rows found")
     return np.asarray(rows, dtype=float)
+
+
+def read_matrix_csv(path, allow_header: bool = False) -> np.ndarray:
+    """Parse a numeric CSV/TSV file into a 2-d array.
+
+    Matrices are headerless; observation files may carry a header row, which
+    is detected by a non-numeric first line when ``allow_header`` is set.
+    Raises InputError naming the offending line on ragged or non-numeric
+    input.
+
+    A well-formed file streams through numpy's parser; any file it rejects
+    is re-read line by line, which gives the same array for every file it
+    accepts and the error message for every file it rejects.
+    """
+    path = Path(path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _load_numeric(fh, allow_header)
+    except (OSError, ValueError):
+        pass
+    return _read_rows(path, allow_header)
 
 
 def read_support_csv(path, p: int) -> set:
@@ -111,11 +178,14 @@ def read_support_csv(path, p: int) -> set:
             continue
         parts = [item.strip() for item in raw.split(",")]
         try:
-            i, j = int(float(parts[0])), int(float(parts[1]))
+            i, j = float(parts[0]), float(parts[1])
         except (ValueError, IndexError):
             if lineno == 1:
                 continue
             raise InputError(f"{path}: line {lineno} is not an 'i,j[,value]' row")
+        if not (i.is_integer() and j.is_integer()):
+            raise InputError(f"{path}: line {lineno} has a non-integer index")
+        i, j = int(i), int(j)
         if not (1 <= i <= p and 1 <= j <= p):
             raise InputError(f"{path}: line {lineno} index out of range for p={p}")
         support.add((i - 1, j - 1))
@@ -243,6 +313,8 @@ def cmd_simulate(args) -> int:
     try:
         spec = SimulationSpec(args.scenario, args.p, args.n, args.n, args.seed)
         _solver_config(args)
+        if args.reps < 1:
+            raise ValueError(f"--reps must be at least 1, got {args.reps}")
         if args.grid_count < 2:
             raise ValueError(f"grid needs at least 2 points, got {args.grid_count}")
         if not 0.0 < args.grid_ratio < 1.0:
@@ -360,10 +432,10 @@ def cmd_diagnose(args) -> int:
     if omega_x.shape != omega_y.shape or omega_x.ndim != 2:
         raise InputError("precision matrices must share one square shape")
     p = omega_x.shape[0]
-    if p > 40:
+    if p > MAX_DIAGNOSTIC_P:
         raise InputError(
-            f"p={p} exceeds the diagnostic limit of 40: the check builds an "
-            f"explicit p^2 x p^2 operator, an O(p^4) cost"
+            f"p={p} exceeds the diagnostic limit of {MAX_DIAGNOSTIC_P}: the check "
+            f"builds an explicit p^2 x p^2 operator, an O(p^4) cost"
         )
     try:
         sigma_x = np.linalg.inv(omega_x)

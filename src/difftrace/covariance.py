@@ -75,19 +75,20 @@ def build_pair(x, y, ddof: int = 0) -> CovariancePair:
         )
     sigma_x = sample_covariance(x, ddof=ddof, name="group X")
     sigma_y = sample_covariance(y, ddof=ddof, name="group Y")
-    for name, sigma in (("sigma_x", sigma_x), ("sigma_y", sigma_y)):
-        min_eig = float(np.linalg.eigvalsh(sigma)[0])
-        if min_eig < -PSD_TOL:
-            raise ValueError(f"{name} is not PSD: min eigenvalue {min_eig:.3e}")
-    return CovariancePair(sigma_x, sigma_y, x.shape[0], y.shape[0])
+    return _psd_pair(sigma_x, sigma_y, x.shape[0], y.shape[0])
 
 
 def pair_from_covariances(sigma_x, sigma_y, n_x: int, n_y: int) -> CovariancePair:
     """Covariance pair from precomputed matrices (symmetrized, PSD-checked)."""
     sigma_x = as_symmetric(sigma_x, "sigma_x")
     sigma_y = as_symmetric(sigma_y, "sigma_y")
-    pair = CovariancePair(sigma_x, sigma_y, int(n_x), int(n_y))
-    for name, sigma in (("sigma_x", sigma_x), ("sigma_y", sigma_y)):
+    return _psd_pair(sigma_x, sigma_y, int(n_x), int(n_y))
+
+
+def _psd_pair(sigma_x, sigma_y, n_x: int, n_y: int) -> CovariancePair:
+    # Shapes are checked by the pair, then PSD-ness up to -PSD_TOL.
+    pair = CovariancePair(sigma_x, sigma_y, n_x, n_y)
+    for name, sigma in (("sigma_x", pair.sigma_x), ("sigma_y", pair.sigma_y)):
         min_eig = float(np.linalg.eigvalsh(sigma)[0])
         if min_eig < -PSD_TOL:
             raise ValueError(f"{name} is not PSD: min eigenvalue {min_eig:.3e}")

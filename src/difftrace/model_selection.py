@@ -10,7 +10,7 @@ import numpy as np
 
 from .covariance import CovariancePair
 from .linalg import SolverError, norm_entrywise_linf, norm_frobenius
-from .solver import DeltaEstimate, SolverConfig, admm_solve
+from .solver import DeltaEstimate, SolverConfig, admm_solve, factor_pair
 
 # Residual norm used inside the information criterion: Frobenius or max-abs.
 BIC_NORMS = ("frobenius", "max")
@@ -82,7 +82,8 @@ def solve_path(
     cfg: Optional[SolverConfig] = None,
 ) -> RegPath:
     """Solve at every penalty in descending order, warm-starting each solve
-    from the previous one's state. Records both BIC variants per entry."""
+    from the previous one's state and sharing one factorization of the pair.
+    Records both BIC variants per entry."""
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.size == 0:
         raise ValueError("empty penalty grid")
@@ -92,10 +93,13 @@ def solve_path(
     bic_f = np.empty(lambdas.size)
     bic_inf = np.empty(lambdas.size)
     nnz = np.empty(lambdas.size, dtype=int)
-    state = None
+    state = factors = None
     for i, lam in enumerate(lambdas):
         try:
-            est, state = admm_solve(pair, float(lam), cfg, warm=state)
+            # Factor once, at the first penalty not answered by zero.
+            if factors is None and lam < lambda_max(pair):
+                factors = factor_pair(pair)
+            est, state = admm_solve(pair, float(lam), cfg, warm=state, factors=factors)
         except (SolverError, ValueError) as err:
             raise SolverError(f"path solve failed at lambda={lam:g}: {err}") from err
         estimates.append(est)

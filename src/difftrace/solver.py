@@ -20,6 +20,7 @@ import numpy as np
 
 from .covariance import CovariancePair
 from .linalg import (
+    EigenPair,
     SolverError,
     norm_entrywise_l1,
     norm_entrywise_linf,
@@ -136,11 +137,18 @@ def _zero_state(pair: CovariancePair) -> SolverState:
     )
 
 
+def factor_pair(pair: CovariancePair) -> Tuple[EigenPair, EigenPair]:
+    """Eigendecompositions of (sigma_x, sigma_y), shared by every solve on
+    the pair."""
+    return psd_eig(pair.sigma_x, "sigma_x"), psd_eig(pair.sigma_y, "sigma_y")
+
+
 def admm_solve(
     pair: CovariancePair,
     lam: float,
     cfg: Optional[SolverConfig] = None,
     warm: Optional[SolverState] = None,
+    factors: Optional[Tuple[EigenPair, EigenPair]] = None,
 ) -> Tuple[DeltaEstimate, SolverState]:
     """Minimize the penalized trace loss for one penalty value.
 
@@ -154,6 +162,9 @@ def admm_solve(
     zero matrix is certified optimal by the stationarity condition (the
     loss gradient at zero is sigma_y - sigma_x), and is returned directly
     with its fixed-point dual state.
+
+    ``factors`` is ``factor_pair(pair)``, passed by callers that solve
+    the same pair at several penalties; it is computed here otherwise.
 
     Returns the estimate (final third block, symmetrized when configured)
     together with the final state for warm-starting nearby penalties.
@@ -172,8 +183,7 @@ def admm_solve(
             state,
         )
 
-    eig_x = psd_eig(sx, "sigma_x")
-    eig_y = psd_eig(sy, "sigma_y")
+    eig_x, eig_y = factors if factors is not None else factor_pair(pair)
     rho = cfg.rho
     state = warm if warm is not None else _initial_state(pair)
     d1, d2, d3 = state.delta1, state.delta2, state.delta3

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from difftrace.cli import main, read_matrix_csv, read_support_csv
+from difftrace.cli import InputError, _read_rows, main, read_matrix_csv, read_support_csv
 from difftrace.simulation import gen_sim1, sample_gaussian
 
 
@@ -37,8 +37,6 @@ class TestReadMatrixCsv:
         assert data.shape == (2, 2)
 
     def test_ragged_line_is_named(self, tmp_path):
-        from difftrace.cli import InputError
-
         f = tmp_path / "bad.csv"
         f.write_text("1,2\n3,4,5\n")
         with pytest.raises(InputError, match="line 2"):
@@ -48,6 +46,98 @@ class TestReadMatrixCsv:
         f = tmp_path / "support.csv"
         f.write_text("i,j,value\n1,2,0.5\n2,1,0.5\n")
         assert read_support_csv(f, p=4) == {(0, 1), (1, 0)}
+
+    def test_support_accepts_integral_floats(self, tmp_path):
+        f = tmp_path / "support.csv"
+        f.write_text("1.0,2.0\n")
+        assert read_support_csv(f, p=4) == {(0, 1)}
+
+    def test_support_rejects_fractional_index(self, tmp_path):
+        f = tmp_path / "support.csv"
+        f.write_text("i,j\n1,2\n1.7,2.9\n")
+        with pytest.raises(InputError, match="line 3 has a non-integer index"):
+            read_support_csv(f, p=4)
+
+    @pytest.mark.parametrize(
+        "text, allow_header, expected",
+        [
+            ("1,2\n3,4\n", False, [[1.0, 2.0], [3.0, 4.0]]),
+            ("1\t2\n3\t4\n", False, [[1.0, 2.0], [3.0, 4.0]]),
+            ("1 2\n 3   4 \n", False, [[1.0, 2.0], [3.0, 4.0]]),
+            ("g1,g2\n\n  \n1,2\n3,4\n", True, [[1.0, 2.0], [3.0, 4.0]]),
+            ("1,2\r\n3,4\r\n", False, [[1.0, 2.0], [3.0, 4.0]]),
+            ("1.5,-2e-3,7\n", False, [[1.5, -0.002, 7.0]]),
+            ("1\n2\n3\n", False, [[1.0], [2.0], [3.0]]),
+            ("1,2,\n3,4,\n", False, [[1.0, 2.0], [3.0, 4.0]]),
+            ("1,2\n3\t4\n5 6\n", False, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+            ("1_0,2\n3,4\n", False, [[10.0, 2.0], [3.0, 4.0]]),
+            ("# comment\n1,2\n", True, [[1.0, 2.0]]),
+            ("1 2\x0c3 4\n", False, [[1.0, 2.0], [3.0, 4.0]]),
+            ("\u00b5g,ng\n1,2\n", True, [[1.0, 2.0]]),
+            ("1,2\n# note\n3,4\n", True, "line 2 is not numeric"),
+            ("g1,g2\n\n1,2\n3,4,5\n", True, "line 4 has 3 fields, expected 2"),
+            ("g1,g2\n\n1,2\nfoo,bar\n", True, "line 4 is not numeric"),
+            ("g1,g2\n1,2\n", False, "line 1 is not numeric"),
+            ("", False, "no numeric rows found"),
+        ],
+        ids=[
+            "comma", "tab", "whitespace", "header-then-blank-lines", "crlf",
+            "single-row", "single-column", "trailing-delimiter", "mixed-delimiters",
+            "underscore-literal", "hash-line-as-header", "form-feed-line-break",
+            "non-ascii-header", "hash-line-after-data",
+            "ragged-after-header", "non-numeric-after-header", "header-refused",
+            "empty",
+        ],
+    )
+    def test_reader_table(self, tmp_path, text, allow_header, expected):
+        f = tmp_path / "m.csv"
+        f.write_text(text, encoding="utf-8", newline="")
+        if isinstance(expected, str):
+            with pytest.raises(InputError) as err:
+                read_matrix_csv(f, allow_header=allow_header)
+            assert str(err.value) == f"{f}: {expected}"
+        else:
+            data = read_matrix_csv(f, allow_header=allow_header)
+            assert data.dtype == np.float64
+            np.testing.assert_array_equal(data, expected)
+            assert data.shape == np.shape(expected)
+
+    def test_savetxt_round_trip_is_bitwise(self, tmp_path):
+        matrix = np.random.default_rng(3).standard_normal((200, 7))
+        f = tmp_path / "m.csv"
+        np.savetxt(f, matrix, delimiter=",")
+        assert read_matrix_csv(f).tobytes() == matrix.tobytes()
+        # The line-by-line reader stays the reference for the streamed parse.
+        assert _read_rows(f, allow_header=False).tobytes() == matrix.tobytes()
+
+    def test_streamed_parse_matches_line_reader(self, tmp_path):
+        # Random near-well-formed files: same array, or same error, as the
+        # line-by-line reader.
+        rng = np.random.default_rng(0)
+        fields = ["1", "-2.5e3", "0", "-0", "nan", "1_0", "x", "#", "\uff11"]
+        seps = [",", "\t", " ", ", ", "\x0c", "\xa0", "\x85", "\u2028", ",,"]
+        ends = ["\n", "\r\n", "\r", ",\n", "\n  \n", "\x0b"]
+        f = tmp_path / "m.csv"
+
+        def outcome(read, allow_header):
+            try:
+                data = read(f, allow_header=allow_header)
+            except InputError as err:
+                return str(err)
+            return data.shape, data.tobytes()
+
+        for _ in range(400):
+            width = rng.integers(1, 4)
+            sep = seps[rng.integers(0, 4)]
+            lines = ["g1,g2\n"] if rng.random() < 0.3 else []
+            for _ in range(rng.integers(0, 5)):
+                row = [fields[rng.integers(0, 4 if rng.random() < 0.9 else 9)]
+                       for _ in range(width + (rng.random() < 0.1))]
+                line = (sep if rng.random() < 0.9 else seps[rng.integers(0, 9)]).join(row)
+                lines.append(line + ("\n" if rng.random() < 0.8 else ends[rng.integers(0, 6)]))
+            f.write_text("".join(lines), encoding="utf-8", newline="")
+            for allow_header in (False, True):
+                assert outcome(read_matrix_csv, allow_header) == outcome(_read_rows, allow_header)
 
 
 class TestEstimate:
@@ -126,6 +216,17 @@ class TestSimulate:
         )
         assert code == 2
         assert "multiple of 50" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reps", ["0", "-2"])
+    def test_nonpositive_reps_exit_code_2_before_writing(self, tmp_path, capsys, reps):
+        out = tmp_path / "sim"
+        code = main(
+            ["simulate", "--scenario", "sim1", "--p", "12", "--n", "60",
+             "--reps", reps, "--out", str(out)]
+        )
+        assert code == 2
+        assert f"--reps must be at least 1, got {reps}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_lambda_exit_code_2(self, tmp_path, capsys):
         f = tmp_path / "d.csv"

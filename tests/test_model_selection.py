@@ -14,6 +14,7 @@ from difftrace.model_selection import (
     solve_path,
     write_path_csv,
 )
+from difftrace import solver
 from difftrace.simulation import gen_sim1, sample_gaussian
 from difftrace.solver import SolverConfig, admm_solve, kkt_check
 from conftest import random_spd
@@ -146,6 +147,26 @@ class TestSolvePath:
         for lam, est in zip(lams, path.estimates):
             cold, _ = admm_solve(pair, float(lam), cfg)
             np.testing.assert_allclose(est.delta, cold.delta, atol=1e-3)
+
+    def test_path_factors_the_pair_once(self, monkeypatch):
+        pair = sampled_pair(12, 80, 12)
+        lams = lambda_grid(pair, count=10)
+        calls = []
+        psd_eig = solver.psd_eig
+
+        def counting(a, name):
+            calls.append(name)
+            return psd_eig(a, name)
+
+        monkeypatch.setattr(solver, "psd_eig", counting)
+        path = solve_path(pair, lams)
+        assert calls == ["sigma_x", "sigma_y"]
+        # Bitwise the same as refactoring the pair in every solve.
+        state = None
+        for lam, est in zip(lams, path.estimates):
+            alone, state = admm_solve(pair, float(lam), warm=state)
+            assert alone.delta.tobytes() == est.delta.tobytes()
+        assert len(calls) == 2 + 2 * (len(lams) - 1)
 
     def test_rejects_ascending_grid(self):
         pair = sampled_pair(10, 50, 12)
