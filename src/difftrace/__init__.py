@@ -15,11 +15,9 @@ from .evaluation import (
 from .linalg import (
     EigenPair,
     SolverError,
-    hadamard,
     norm_entrywise_l1,
     norm_entrywise_linf,
     norm_frobenius,
-    norm_l1_inf,
     soft_threshold,
     solve_axb_plus_gx,
     sym_eig,
@@ -76,7 +74,6 @@ __all__ = [
     "gen_sim2",
     "gen_sim3",
     "generate",
-    "hadamard",
     "irrepresentability_alpha",
     "kkt_check",
     "lambda_grid",
@@ -85,7 +82,6 @@ __all__ = [
     "norm_entrywise_l1",
     "norm_entrywise_linf",
     "norm_frobenius",
-    "norm_l1_inf",
     "pair_from_covariances",
     "penalized_objective",
     "sample_covariance",

@@ -16,7 +16,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .linalg import SolverError
 from .model_selection import (
     BIC_NORMS,
     bic_score,
+    check_grid,
     lambda_grid,
     select_by_bic,
     solve_path,
@@ -87,13 +88,25 @@ def _checked_lines(lines):
         yield line
 
 
+def _trimmed_lines(lines, delim):
+    # Blank lines and trailing delimiters are ignored by the line-by-line
+    # reader but read as empty fields by np.loadtxt. A line of delimiters
+    # alone is kept whole, so that it is still refused.
+    for line in lines:
+        if not line.strip():
+            continue
+        trimmed = line.rstrip().rstrip(delim)
+        yield trimmed if trimmed else line
+
+
 def _load_numeric(fh, allow_header: bool) -> np.ndarray:
     """Parse a well-formed file in one ``np.loadtxt`` call.
 
     Skips blank lines (and, when allowed, non-numeric lines) up to the first
     numeric line, takes the delimiter from it, and parses it together with
-    the rest of the handle. Raises ValueError on anything this one call does
-    not cover, a width mismatch included.
+    the rest of the handle, less blank lines and trailing delimiters. Raises
+    ValueError on anything this one call does not cover, a width mismatch
+    included.
     """
     lines = _checked_lines(fh)
     for line in lines:
@@ -105,7 +118,7 @@ def _load_numeric(fh, allow_header: bool) -> np.ndarray:
                 continue
             raise ValueError("non-numeric line")
         return np.loadtxt(
-            itertools.chain([line], lines),
+            _trimmed_lines(itertools.chain([line], lines), parsed[0]),
             dtype=float,
             delimiter=parsed[0],
             comments=None,
@@ -301,12 +314,14 @@ def _simulate_replicate(spec: SimulationSpec, truth, rep: int, args):
     return row
 
 
-def _format_mean_sd(values: Sequence[float], reps: int) -> str:
-    mean = 100.0 * float(np.mean(values))
+def _format_mean_sd(values: Sequence[float], reps: int) -> Tuple[str, str, str]:
+    """Mean and replicate SD in percent, then "mean(sd)"; the SD is empty
+    and the last text is the mean alone for a single replicate."""
+    mean = f"{100.0 * float(np.mean(values)):.1f}"
     if reps < 2:
-        return f"{mean:.1f}"
-    sd = 100.0 * float(np.std(values, ddof=1))
-    return f"{mean:.1f}({sd:.1f})"
+        return mean, "", mean
+    sd = f"{100.0 * float(np.std(values, ddof=1)):.1f}"
+    return mean, sd, f"{mean}({sd})"
 
 
 def cmd_simulate(args) -> int:
@@ -315,10 +330,7 @@ def cmd_simulate(args) -> int:
         _solver_config(args)
         if args.reps < 1:
             raise ValueError(f"--reps must be at least 1, got {args.reps}")
-        if args.grid_count < 2:
-            raise ValueError(f"grid needs at least 2 points, got {args.grid_count}")
-        if not 0.0 < args.grid_ratio < 1.0:
-            raise ValueError(f"grid ratio must lie in (0, 1), got {args.grid_ratio}")
+        check_grid(args.grid_count, args.grid_ratio)
     except ValueError as err:
         raise InputError(str(err)) from err
     truth = generate(spec)
@@ -371,12 +383,7 @@ def cmd_simulate(args) -> int:
         for norm, tag in (("frobenius", "f"), ("max", "inf")):
             for metric in ("tp", "tn", "td"):
                 values = [row[f"{metric}_{tag}"] for row in rows]
-                mean = 100.0 * float(np.mean(values))
-                sd = 100.0 * float(np.std(values, ddof=1)) if args.reps > 1 else ""
-                sd_text = f"{sd:.1f}" if sd != "" else ""
-                writer.writerow(
-                    (norm, metric, f"{mean:.1f}", sd_text, _format_mean_sd(values, args.reps))
-                )
+                writer.writerow((norm, metric, *_format_mean_sd(values, args.reps)))
 
     for row in rows:
         with open(out / f"curve_{row['replicate']:03d}.csv", "w", newline="") as fh:

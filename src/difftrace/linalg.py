@@ -102,9 +102,12 @@ def solve_axb_plus_gx(
     if eig_b is None:
         eig_b = psd_eig(b, "B")
     c = np.asarray(c, dtype=float)
-    denom = eig_a.values[:, None] * eig_b.values[None, :] + gamma
+    denom = np.multiply.outer(eig_a.values, eig_b.values)
+    denom += gamma
     ua, ub = eig_a.vectors, eig_b.vectors
-    x = ua @ ((ua.T @ c @ ub) / denom) @ ub.T
+    y = ua.T @ c @ ub
+    y /= denom
+    x = ua @ y @ ub.T
     if check or CHECK_SOLVES:
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
@@ -118,20 +121,15 @@ def solve_axb_plus_gx(
 
 
 def soft_threshold(a, lam: float) -> np.ndarray:
-    """Entrywise soft threshold: shrink toward zero by lam, exact zeros inside."""
+    """Entrywise soft threshold: shrink toward zero by lam, exact zeros inside.
+
+    Computed as a - clip(a, -lam, lam): entries beyond lam come out exactly
+    as sign(a) * (|a| - lam), and every zero is +0.0.
+    """
     if lam < 0:
         raise ValueError(f"threshold must be nonnegative, got {lam}")
     a = np.asarray(a, dtype=float)
-    return np.sign(a) * np.maximum(np.abs(a) - lam, 0.0)
-
-
-def hadamard(a, b) -> np.ndarray:
-    """Entrywise product of two equal-shape matrices."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
+    return a - np.clip(a, -lam, lam)
 
 
 def norm_entrywise_l1(a) -> float:
@@ -148,9 +146,3 @@ def norm_entrywise_linf(a) -> float:
 def norm_frobenius(a) -> float:
     """Root of the sum of squared entries."""
     return float(np.linalg.norm(np.asarray(a, dtype=float)))
-
-
-def norm_l1_inf(a) -> float:
-    """Maximum absolute row sum."""
-    a = np.asarray(a, dtype=float)
-    return float(np.abs(a).sum(axis=1).max()) if a.size else 0.0

@@ -28,12 +28,17 @@ def lambda_max(pair: CovariancePair) -> float:
     return norm_entrywise_linf(pair.sigma_x - pair.sigma_y)
 
 
-def lambda_grid(pair: CovariancePair, count: int = 50, ratio: float = 0.01) -> np.ndarray:
-    """Log-spaced descending penalties from lambda_max down to ratio * lambda_max."""
+def check_grid(count: int, ratio: float) -> None:
+    """Validate a penalty grid's point count and end-to-start ratio."""
     if count < 2:
         raise ValueError(f"grid needs at least 2 points, got {count}")
     if not 0.0 < ratio < 1.0:
-        raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
+        raise ValueError(f"grid ratio must lie in (0, 1), got {ratio}")
+
+
+def lambda_grid(pair: CovariancePair, count: int = 50, ratio: float = 0.01) -> np.ndarray:
+    """Log-spaced descending penalties from lambda_max down to ratio * lambda_max."""
+    check_grid(count, ratio)
     top = lambda_max(pair)
     if top == 0.0:
         raise ValueError("groups indistinguishable: lambda_max is zero")

@@ -116,6 +116,11 @@ def _check_dims(delta, sigma_x, sigma_y):
     return delta, sigma_x, sigma_y
 
 
+def _sq_norm(a: np.ndarray) -> float:
+    flat = a.ravel()
+    return float(flat.dot(flat))
+
+
 def _initial_state(pair: CovariancePair) -> SolverState:
     # Cold start: diagonal proxy (diag(Sy)+I)^-1 - (diag(Sx)+I)^-1, zero duals.
     p = pair.p
@@ -187,35 +192,62 @@ def admm_solve(
     rho = cfg.rho
     state = warm if warm is not None else _initial_state(pair)
     d1, d2, d3 = state.delta1, state.delta2, state.delta3
-    l1, l2, l3 = state.lambda1, state.lambda2, state.lambda3
+    # Scaled duals u_i = lambda_i / rho. Each block equation divided by
+    # 2 rho reads (S/2rho) X S' + 2 X = rhs; the scale is folded into the
+    # first factor and its eigenvalues once per call.
+    two_rho = 2.0 * rho
+    u1, u2, u3 = state.lambda1 / rho, state.lambda2 / rho, state.lambda3 / rho
+    ax, ay = sx / two_rho, sy / two_rho
+    eig_ax = EigenPair(eig_x.values / two_rho, eig_x.vectors)
+    eig_ay = EigenPair(eig_y.values / two_rho, eig_y.vectors)
+    shift = diff / two_rho
+    kappa = lam / two_rho
+    tol_sq = cfg.tol**2
+    limit_sq = DIVERGENCE_LIMIT**2
+    shared, work = np.empty_like(diff), np.empty_like(diff)
+    sq = [_sq_norm(d1), _sq_norm(d2), _sq_norm(d3)]
 
     converged = False
     iterations = 0
     for k in range(cfg.max_iter):
         iterations = k + 1
-        c1 = 2 * rho * d3 + 2 * rho * d2 + diff + 2 * l1 - 2 * l3
-        d1_new = solve_axb_plus_gx(sx, sy, c1, 4 * rho, eig_a=eig_x, eig_b=eig_y)
-        c2 = 2 * rho * d3 + 2 * rho * d1_new + diff + 2 * l3 - 2 * l2
-        d2_new = solve_axb_plus_gx(sy, sx, c2, 4 * rho, eig_a=eig_y, eig_b=eig_x)
-        d3_new = soft_threshold(
-            (rho * d1_new + rho * d2_new - l1 + l2) / (2 * rho), lam / (2 * rho)
-        )
-        l1 = l1 + rho * (d3_new - d1_new)
-        l2 = l2 + rho * (d2_new - d3_new)
-        l3 = l3 + rho * (d1_new - d2_new)
+        # Both right-hand sides start from d3 + (sx - sy) / 2rho.
+        np.add(d3, shift, out=shared)
+        np.add(shared, d2, out=work)
+        work += u1
+        work -= u3
+        d1_new = solve_axb_plus_gx(ax, sy, work, 2.0, eig_a=eig_ax, eig_b=eig_y)
+        np.add(shared, d1_new, out=work)
+        work += u3
+        work -= u2
+        d2_new = solve_axb_plus_gx(ay, sx, work, 2.0, eig_a=eig_ay, eig_b=eig_x)
+        np.add(d1_new, d2_new, out=work)
+        work -= u1
+        work += u2
+        work *= 0.5
+        d3_new = soft_threshold(work, kappa)
+        np.subtract(d3_new, d1_new, out=work)
+        u1 += work
+        np.subtract(d2_new, d3_new, out=work)
+        u2 += work
+        np.subtract(d1_new, d2_new, out=work)
+        u3 += work
 
+        # Relative-step test and divergence guard, both in squared norms;
+        # once one block fails the test the other steps are not needed.
         converged = True
-        largest = float(np.linalg.norm(l1))
-        for old, new in ((d1, d1_new), (d2, d2_new), (d3, d3_new)):
-            old_norm = float(np.linalg.norm(old))
-            new_norm = float(np.linalg.norm(new))
-            largest = max(largest, new_norm)
-            step = float(np.linalg.norm(new - old))
-            if step >= cfg.tol * max(1.0, old_norm, new_norm):
-                converged = False
+        largest_sq = rho * rho * _sq_norm(u1)
+        for i, (old, new) in enumerate(((d1, d1_new), (d2, d2_new), (d3, d3_new))):
+            new_sq = _sq_norm(new)
+            largest_sq = max(largest_sq, new_sq)
+            if converged:
+                np.subtract(new, old, out=work)
+                if _sq_norm(work) >= tol_sq * max(1.0, sq[i], new_sq):
+                    converged = False
+            sq[i] = new_sq
         d1, d2, d3 = d1_new, d2_new, d3_new
 
-        if not np.isfinite(largest) or largest > DIVERGENCE_LIMIT:
+        if not np.isfinite(largest_sq) or largest_sq > limit_sq:
             raise SolverError(f"iterates diverged at iteration {iterations}")
         if converged:
             break
@@ -224,7 +256,9 @@ def admm_solve(
     objective = penalized_objective(delta, sx, sy, lam)
     if not np.isfinite(objective):
         raise SolverError(f"non-finite objective after {iterations} iterations")
-    out_state = SolverState(d1, d2, d3, l1, l2, l3, state.iterations + iterations)
+    out_state = SolverState(
+        d1, d2, d3, rho * u1, rho * u2, rho * u3, state.iterations + iterations
+    )
     return DeltaEstimate(delta, float(lam), iterations, converged, objective), out_state
 
 

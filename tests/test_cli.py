@@ -1,8 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from difftrace import cli
 from difftrace.cli import InputError, _read_rows, main, read_matrix_csv, read_support_csv
 from difftrace.simulation import gen_sim1, sample_gaussian
 
@@ -79,6 +81,7 @@ class TestReadMatrixCsv:
             ("g1,g2\n\n1,2\nfoo,bar\n", True, "line 4 is not numeric"),
             ("g1,g2\n1,2\n", False, "line 1 is not numeric"),
             ("", False, "no numeric rows found"),
+            ("1,2\n,\n3,4\n", False, "line 2 is not numeric"),
         ],
         ids=[
             "comma", "tab", "whitespace", "header-then-blank-lines", "crlf",
@@ -86,7 +89,7 @@ class TestReadMatrixCsv:
             "underscore-literal", "hash-line-as-header", "form-feed-line-break",
             "non-ascii-header", "hash-line-after-data",
             "ragged-after-header", "non-numeric-after-header", "header-refused",
-            "empty",
+            "empty", "delimiter-only-line",
         ],
     )
     def test_reader_table(self, tmp_path, text, allow_header, expected):
@@ -109,6 +112,26 @@ class TestReadMatrixCsv:
         assert read_matrix_csv(f).tobytes() == matrix.tobytes()
         # The line-by-line reader stays the reference for the streamed parse.
         assert _read_rows(f, allow_header=False).tobytes() == matrix.tobytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1,2\n   \n3,4\n", "1,2,\n", "1\t2\t\n\n3\t4\t\n"],
+        ids=["whitespace-only-line", "trailing-comma", "trailing-tab"],
+    )
+    def test_blank_lines_and_trailing_delimiters_stay_streamed(
+        self, tmp_path, monkeypatch, text
+    ):
+        f = tmp_path / "m.csv"
+        f.write_text(text, encoding="utf-8", newline="")
+        expected = _read_rows(f, allow_header=False)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fell back to the line-by-line reader")
+
+        monkeypatch.setattr(cli, "_read_rows", refuse)
+        data = read_matrix_csv(f)
+        assert data.tobytes() == expected.tobytes()
+        assert data.shape == expected.shape
 
     def test_streamed_parse_matches_line_reader(self, tmp_path):
         # Random near-well-formed files: same array, or same error, as the
@@ -227,6 +250,45 @@ class TestSimulate:
         assert code == 2
         assert f"--reps must be at least 1, got {reps}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--grid-count", "1"], "grid needs at least 2 points, got 1"),
+            (["--grid-ratio", "1.5"], "grid ratio must lie in (0, 1), got 1.5"),
+        ],
+        ids=["count", "ratio"],
+    )
+    def test_bad_grid_exit_code_2_before_writing(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "sim"
+        code = main(
+            ["simulate", "--scenario", "sim1", "--p", "12", "--n", "60",
+             "--reps", "1", "--out", str(out)] + flags
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_summary_rows(self, tmp_path):
+        out = tmp_path / "sim"
+        code = main(
+            ["simulate", "--scenario", "sim1", "--p", "12", "--n", "60",
+             "--reps", "3", "--seed", "5", "--grid-count", "5", "--out", str(out)]
+        )
+        assert code == 0
+        with open(out / "replicates.csv", newline="") as fh:
+            reps = list(csv.DictReader(fh))
+        with open(out / "summary.csv", newline="") as fh:
+            summary = list(csv.reader(fh))
+        assert summary[0] == ["norm", "metric", "mean_pct", "sd_pct", "formatted"]
+        rows = iter(summary[1:])
+        for norm, tag in (("frobenius", "f"), ("max", "inf")):
+            for metric in ("tp", "tn", "td"):
+                values = [float(rep[f"{metric}_{tag}"]) for rep in reps]
+                mean = f"{100.0 * float(np.mean(values)):.1f}"
+                sd = f"{100.0 * float(np.std(values, ddof=1)):.1f}"
+                assert next(rows) == [norm, metric, mean, sd, f"{mean}({sd})"]
+        assert next(rows, None) is None
 
     def test_negative_lambda_exit_code_2(self, tmp_path, capsys):
         f = tmp_path / "d.csv"

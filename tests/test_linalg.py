@@ -3,11 +3,9 @@ import pytest
 
 from difftrace.linalg import (
     as_symmetric,
-    hadamard,
     norm_entrywise_l1,
     norm_entrywise_linf,
     norm_frobenius,
-    norm_l1_inf,
     psd_eig,
     soft_threshold,
     solve_axb_plus_gx,
@@ -156,6 +154,19 @@ class TestSoftThreshold:
         with pytest.raises(ValueError):
             soft_threshold(np.eye(2), -0.1)
 
+    def test_matches_sign_formula_without_negative_zeros(self):
+        rng = np.random.default_rng(29)
+        a = rng.standard_normal((40, 40))
+        a[:5] = np.round(a[:5], 1)  # entries exactly at the threshold
+        a[5, :4] = (-0.0, 0.0, 0.5, -0.5)
+        for lam in (0.0, 0.1, 0.5, 1.0, 3.0):
+            out = soft_threshold(a, lam)
+            old = np.sign(a) * np.maximum(np.abs(a) - lam, 0.0)
+            nonzero = old != 0
+            np.testing.assert_array_equal(out[nonzero], old[nonzero])
+            np.testing.assert_array_equal(out[~nonzero], 0.0)
+            assert not np.any(np.signbit(out[out == 0]))
+
     def test_is_prox_minimizer(self):
         # The output must minimize 0.5||D||_F^2 - <D, A> + lam ||D||_1,
         # which separates per entry; compare against a per-entry grid search.
@@ -180,25 +191,22 @@ class TestNorms:
         assert norm_entrywise_l1(a) == 6.0
         assert norm_entrywise_linf(a) == 3.0
         assert norm_frobenius(a) == pytest.approx(np.sqrt(14.0))
-        assert norm_l1_inf(a) == 3.0
 
     def test_zero_matrix(self):
         z = np.zeros((3, 3))
         assert norm_entrywise_l1(z) == 0.0
         assert norm_entrywise_linf(z) == 0.0
         assert norm_frobenius(z) == 0.0
-        assert norm_l1_inf(z) == 0.0
 
     def test_identity(self):
         eye = np.eye(5)
         assert norm_entrywise_l1(eye) == 5.0
         assert norm_entrywise_linf(eye) == 1.0
         assert norm_frobenius(eye) == pytest.approx(np.sqrt(5.0))
-        assert norm_l1_inf(eye) == 1.0
 
     def test_homogeneity_and_definiteness(self):
         rng = np.random.default_rng(23)
-        norms = (norm_entrywise_l1, norm_entrywise_linf, norm_frobenius, norm_l1_inf)
+        norms = (norm_entrywise_l1, norm_entrywise_linf, norm_frobenius)
         for _ in range(20):
             a = rng.standard_normal((4, 4))
             scale = float(rng.uniform(0.1, 10))
@@ -207,21 +215,3 @@ class TestNorms:
                 assert norm(scale * a) == pytest.approx(scale * norm(a), rel=1e-12)
                 assert norm(-a) == pytest.approx(norm(a))
 
-
-class TestHadamard:
-    def test_identity_mask(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(hadamard(a, np.eye(2)), np.diag([1.0, 4.0]))
-
-    def test_zero_annihilates(self):
-        a = np.arange(4.0).reshape(2, 2)
-        np.testing.assert_array_equal(hadamard(a, np.zeros((2, 2))), np.zeros((2, 2)))
-
-    def test_hand_example(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[2.0, 0.0], [0.0, 2.0]])
-        np.testing.assert_array_equal(hadamard(a, b), [[2.0, 0.0], [0.0, 8.0]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            hadamard(np.eye(2), np.eye(3))

@@ -1,12 +1,24 @@
 import numpy as np
 import pytest
 
-from difftrace.covariance import CovariancePair, pair_from_covariances
-from difftrace.linalg import SolverError, soft_threshold
+from difftrace.covariance import CovariancePair, build_pair, pair_from_covariances
+from difftrace.linalg import (
+    SolverError,
+    norm_entrywise_linf,
+    soft_threshold,
+    solve_axb_plus_gx,
+)
+from difftrace.model_selection import lambda_grid, solve_path
+from difftrace.simulation import gen_sim1, sample_gaussian
 from difftrace.solver import (
+    DIVERGENCE_LIMIT,
+    DeltaEstimate,
     SolverConfig,
     SolverState,
+    _initial_state,
+    _zero_state,
     admm_solve,
+    factor_pair,
     dtrace_gradient,
     dtrace_loss,
     kkt_check,
@@ -40,6 +52,82 @@ def prox_grad_oracle(pair, lam, tol=1e-10, max_iter=200_000):
             break
         prev = cur
     return delta
+
+
+def reference_soft_threshold(a, lam):
+    return np.sign(a) * np.maximum(np.abs(a) - lam, 0.0)
+
+
+def reference_admm_solve(pair, lam, cfg=None, warm=None):
+    """The unscaled, allocating sweep loop ``admm_solve`` used to run, with
+    the old soft-threshold formula: the oracle for the scaled-dual loop."""
+    cfg = cfg or SolverConfig()
+    sx, sy = pair.sigma_x, pair.sigma_y
+    diff = sx - sy
+
+    if lam >= norm_entrywise_linf(diff):
+        state = _zero_state(pair)
+        delta = state.delta3.copy()
+        return (
+            DeltaEstimate(delta, float(lam), 0, True, 0.0),
+            state,
+        )
+
+    eig_x, eig_y = factor_pair(pair)
+    rho = cfg.rho
+    state = warm if warm is not None else _initial_state(pair)
+    d1, d2, d3 = state.delta1, state.delta2, state.delta3
+    l1, l2, l3 = state.lambda1, state.lambda2, state.lambda3
+
+    converged = False
+    iterations = 0
+    for k in range(cfg.max_iter):
+        iterations = k + 1
+        c1 = 2 * rho * d3 + 2 * rho * d2 + diff + 2 * l1 - 2 * l3
+        d1_new = solve_axb_plus_gx(sx, sy, c1, 4 * rho, eig_a=eig_x, eig_b=eig_y)
+        c2 = 2 * rho * d3 + 2 * rho * d1_new + diff + 2 * l3 - 2 * l2
+        d2_new = solve_axb_plus_gx(sy, sx, c2, 4 * rho, eig_a=eig_y, eig_b=eig_x)
+        d3_new = reference_soft_threshold(
+            (rho * d1_new + rho * d2_new - l1 + l2) / (2 * rho), lam / (2 * rho)
+        )
+        l1 = l1 + rho * (d3_new - d1_new)
+        l2 = l2 + rho * (d2_new - d3_new)
+        l3 = l3 + rho * (d1_new - d2_new)
+
+        converged = True
+        largest = float(np.linalg.norm(l1))
+        for old, new in ((d1, d1_new), (d2, d2_new), (d3, d3_new)):
+            old_norm = float(np.linalg.norm(old))
+            new_norm = float(np.linalg.norm(new))
+            largest = max(largest, new_norm)
+            step = float(np.linalg.norm(new - old))
+            if step >= cfg.tol * max(1.0, old_norm, new_norm):
+                converged = False
+        d1, d2, d3 = d1_new, d2_new, d3_new
+
+        if not np.isfinite(largest) or largest > DIVERGENCE_LIMIT:
+            raise SolverError(f"iterates diverged at iteration {iterations}")
+        if converged:
+            break
+
+    delta = (d3 + d3.T) / 2.0 if cfg.symmetrize_output else d3.copy()
+    objective = penalized_objective(delta, sx, sy, lam)
+    out_state = SolverState(d1, d2, d3, l1, l2, l3, state.iterations + iterations)
+    return DeltaEstimate(delta, float(lam), iterations, converged, objective), out_state
+
+
+def sampled_pair(p, n, seed):
+    truth = gen_sim1(p)
+    x = sample_gaussian(truth.omega_x, n, seed)
+    y = sample_gaussian(truth.omega_y, n, seed + 2)
+    return build_pair(x, y)
+
+
+def assert_same_solve(est, ref):
+    assert est.iterations == ref.iterations
+    assert est.converged == ref.converged
+    np.testing.assert_allclose(est.delta, ref.delta, rtol=0, atol=1e-10)
+    assert est.objective == pytest.approx(ref.objective, rel=0, abs=1e-10)
 
 
 class TestLoss:
@@ -209,6 +297,59 @@ class TestAdmmSolve:
         est, state = admm_solve(pair, 0.07)
         assert est.lam == 0.07
         assert est.iterations == state.iterations > 0
+
+
+class TestSweepMatchesReference:
+    """The scaled-dual, in-place sweep takes the same iterations as the
+    unscaled loop it replaced, to rounding."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.05])
+    def test_well_posed_pair(self, scale):
+        # At the small scale the blocks' norms exceed 1 and enter the step test.
+        rng = np.random.default_rng(30)
+        pair = pair_from_covariances(
+            scale * random_spd(8, rng, 8.0), scale * random_spd(8, rng, 8.0), 100, 100
+        )
+        for lam in (0.0, 0.02, 0.1):
+            lam *= scale
+            est, _ = admm_solve(pair, lam)
+            assert_same_solve(est, reference_admm_solve(pair, lam)[0])
+            if scale < 1:
+                assert np.linalg.norm(est.delta) > 1.0
+
+    def test_singular_pair(self):
+        pair = sampled_pair(12, 6, 31)
+        assert np.linalg.matrix_rank(pair.sigma_x) < pair.p
+        cfg = SolverConfig(max_iter=2000)
+        for lam in lambda_grid(pair, count=4, ratio=0.1)[1:]:
+            est, _ = admm_solve(pair, lam, cfg)
+            assert_same_solve(est, reference_admm_solve(pair, lam, cfg)[0])
+
+    def test_warm_started_path(self):
+        pair = sampled_pair(10, 40, 32)
+        grid = lambda_grid(pair, count=10, ratio=0.05)
+        path = solve_path(pair, grid)
+        state = None
+        for lam, est in zip(grid, path.estimates):
+            ref, state = reference_admm_solve(pair, lam, warm=state)
+            assert_same_solve(est, ref)
+
+    def test_warm_state_is_unscaled(self):
+        pair = make_pair(6, np.random.default_rng(33))
+        _, state = admm_solve(pair, 0.05)
+        _, ref_state = reference_admm_solve(pair, 0.05)
+        for name in ("lambda1", "lambda2", "lambda3", "delta1", "delta2", "delta3"):
+            np.testing.assert_allclose(
+                getattr(state, name), getattr(ref_state, name), rtol=0, atol=1e-9
+            )
+        assert state.iterations == ref_state.iterations
+
+    def test_unsymmetrized_output(self):
+        pair = make_pair(7, np.random.default_rng(34))
+        cfg = SolverConfig(symmetrize_output=False)
+        for lam in (0.01, 0.05):
+            est, _ = admm_solve(pair, lam, cfg)
+            assert_same_solve(est, reference_admm_solve(pair, lam, cfg)[0])
 
 
 class TestKktCheck:
