@@ -27,6 +27,7 @@ from .linalg import (
     psd_eig,
     soft_threshold,
     solve_axb_plus_gx,
+    solve_plan,
 )
 
 DIVERGENCE_LIMIT = 1e12
@@ -194,12 +195,13 @@ def admm_solve(
     d1, d2, d3 = state.delta1, state.delta2, state.delta3
     # Scaled duals u_i = lambda_i / rho. Each block equation divided by
     # 2 rho reads (S/2rho) X S' + 2 X = rhs; the scale is folded into the
-    # first factor and its eigenvalues once per call.
+    # first factor and its eigenvalues once per call, and each block
+    # solve's plan is built once per call.
     two_rho = 2.0 * rho
     u1, u2, u3 = state.lambda1 / rho, state.lambda2 / rho, state.lambda3 / rho
     ax, ay = sx / two_rho, sy / two_rho
-    eig_ax = EigenPair(eig_x.values / two_rho, eig_x.vectors)
-    eig_ay = EigenPair(eig_y.values / two_rho, eig_y.vectors)
+    plan1 = solve_plan(EigenPair(eig_x.values / two_rho, eig_x.vectors), eig_y, 2.0)
+    plan2 = solve_plan(EigenPair(eig_y.values / two_rho, eig_y.vectors), eig_x, 2.0)
     shift = diff / two_rho
     kappa = lam / two_rho
     tol_sq = cfg.tol**2
@@ -216,11 +218,11 @@ def admm_solve(
         np.add(shared, d2, out=work)
         work += u1
         work -= u3
-        d1_new = solve_axb_plus_gx(ax, sy, work, 2.0, eig_a=eig_ax, eig_b=eig_y)
+        d1_new = solve_axb_plus_gx(ax, sy, work, 2.0, plan=plan1)
         np.add(shared, d1_new, out=work)
         work += u3
         work -= u2
-        d2_new = solve_axb_plus_gx(ay, sx, work, 2.0, eig_a=eig_ay, eig_b=eig_x)
+        d2_new = solve_axb_plus_gx(ay, sx, work, 2.0, plan=plan2)
         np.add(d1_new, d2_new, out=work)
         work -= u1
         work += u2

@@ -9,9 +9,10 @@ from difftrace.linalg import (
     psd_eig,
     soft_threshold,
     solve_axb_plus_gx,
+    solve_plan,
     sym_eig,
 )
-from conftest import random_psd, random_spd
+from conftest import random_psd, random_spd, reference_solve_axb_plus_gx
 
 
 def kron_solve(a, b, c, gamma):
@@ -133,6 +134,104 @@ class TestSolveAxbPlusGx:
         direct = solve_axb_plus_gx(a, b, c, 4.0)
         cached = solve_axb_plus_gx(a, b, c, 4.0, eig_a=psd_eig(a), eig_b=psd_eig(b))
         np.testing.assert_allclose(direct, cached)
+
+
+def max_rel_diff(x, ref):
+    return np.abs(x - ref).max() / np.abs(ref).max()
+
+
+class TestSolveMatchesReference:
+    """The range-restricted kernel against the full-eigenbasis one."""
+
+    GAMMAS = (0.1, 1.0, 2.0, 50.0)
+
+    def check_pairs(self, rng, make_a, make_b, trials=40):
+        for _ in range(trials):
+            p = int(rng.integers(2, 15))
+            a, b = make_a(p), make_b(p)
+            c = rng.standard_normal((p, p)) * 10.0 ** rng.integers(-2, 3)
+            gamma = float(rng.choice(self.GAMMAS))
+            x = solve_axb_plus_gx(a, b, c, gamma)
+            assert max_rel_diff(x, reference_solve_axb_plus_gx(a, b, c, gamma)) <= 1e-12
+
+    def test_full_rank_pairs(self):
+        rng = np.random.default_rng(41)
+        self.check_pairs(rng, lambda p: random_spd(p, rng), lambda p: random_spd(p, rng))
+
+    def test_rank_deficient_pairs(self):
+        rng = np.random.default_rng(42)
+
+        def deficient(p):
+            return random_psd(p, rng, int(rng.integers(1, p)))
+
+        self.check_pairs(rng, deficient, deficient)
+        self.check_pairs(rng, deficient, lambda p: random_spd(p, rng))
+
+    def test_zero_matrix_gives_scaled_rhs_exactly(self):
+        rng = np.random.default_rng(43)
+        for p in (1, 4, 9):
+            z = np.zeros((p, p))
+            c = rng.standard_normal((p, p))
+            for b in (z, random_spd(p, rng), random_psd(p, rng, max(1, p // 2))):
+                for gamma in self.GAMMAS:
+                    x = solve_axb_plus_gx(z, b, c, gamma)
+                    np.testing.assert_array_equal(x, c / gamma)
+                    ref = reference_solve_axb_plus_gx(z, b, c, gamma)
+                    assert max_rel_diff(x, ref) <= 1e-12
+
+    def test_diagonal_with_exact_zero_eigenvalues(self):
+        rng = np.random.default_rng(44)
+        a = np.diag([3.0, 0.0, 1.0, 0.0, 0.5])
+        b = np.diag([0.0, 2.0, 0.0, 5.0, 1.0])
+        plan = solve_plan(psd_eig(a), psd_eig(b), 1.0)
+        assert plan.left.shape == (5, 3) and plan.right.shape == (5, 3)
+        for gamma in self.GAMMAS:
+            c = rng.standard_normal((5, 5))
+            x = solve_axb_plus_gx(a, b, c, gamma)
+            # Diagonal A and B make the solve entrywise.
+            np.testing.assert_allclose(
+                x, c / (np.multiply.outer(np.diag(a), np.diag(b)) + gamma), rtol=1e-13
+            )
+            ref = reference_solve_axb_plus_gx(a, b, c, gamma)
+            assert max_rel_diff(x, ref) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_residual_contract_across_scales(self, scale):
+        # The block equation of the ADMM at rho = 50, (S/2rho) X S' + 2 X = C,
+        # for covariances S, S' at the given scale, singular or not.
+        rng = np.random.default_rng(45)
+        for trial in range(60):
+            p = int(rng.integers(2, 15))
+            rank = int(rng.integers(1, p + 1)) if trial % 2 else p
+            a = scale * random_psd(p, rng, rank) / 100.0
+            b = scale * (random_spd(p, rng) if trial % 3 else random_psd(p, rng, rank))
+            c = rng.standard_normal((p, p)) * 10.0 ** rng.integers(-2, 3)
+            x = solve_axb_plus_gx(a, b, c, 2.0)
+            resid = np.abs(a @ x @ b + 2.0 * x - c).max()
+            assert resid <= 1e-8 * max(1.0, np.abs(c).max())
+
+    def test_rank_rule_is_matrix_rank_default(self):
+        # An eigenvalue at most p * eps * largest counts as zero.
+        eps = np.finfo(float).eps
+        one = psd_eig(np.eye(1))
+        for small, kept in ((2 * eps, False), (3 * eps, True), (0.0, False)):
+            plan = solve_plan(psd_eig(np.diag([1.0, small])), one, 1.0)
+            assert plan.left.shape == (2, 1 + kept)
+            assert plan.scale.shape == (1 + kept, 1)
+            assert np.linalg.matrix_rank(np.diag([1.0, small])) == 1 + kept
+
+    def test_rank_zero_plan(self):
+        plan = solve_plan(psd_eig(np.zeros((3, 3))), psd_eig(np.eye(3)), 2.0)
+        assert plan.left.shape == (3, 0) and plan.scale.shape == (0, 3)
+
+    def test_plan_gamma_must_match(self):
+        eye = np.eye(3)
+        plan = solve_plan(psd_eig(eye), psd_eig(eye), 2.0)
+        np.testing.assert_allclose(solve_axb_plus_gx(eye, eye, eye, 2.0, plan=plan), eye / 3)
+        with pytest.raises(ValueError, match="gamma"):
+            solve_axb_plus_gx(eye, eye, eye, 1.0, plan=plan)
+        with pytest.raises(ValueError, match="gamma"):
+            solve_plan(psd_eig(eye), psd_eig(eye), 0.0)
 
 
 class TestSoftThreshold:
