@@ -11,10 +11,8 @@ import argparse
 import csv
 import itertools
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -45,8 +43,6 @@ from .simulation import (
     write_ground_truth,
 )
 from .solver import SolverConfig, admm_solve
-
-THREADS_ENV = "DIFFTRACE_THREADS"
 
 
 class InputError(Exception):
@@ -337,17 +333,11 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     write_ground_truth(truth, out)
 
-    threads = max(1, int(os.environ.get(THREADS_ENV, "1")))
-    reps = range(args.reps)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda r: _simulate_replicate(spec, truth, r, args), reps))
-    else:
-        rows = [_simulate_replicate(spec, truth, r, args) for r in reps]
+    rows = [_simulate_replicate(spec, truth, r, args) for r in range(args.reps)]
 
     if args.save_data:
-        # Re-draw the first replicate's data here so every file write stays
-        # on the single writer sequence.
+        # The first replicate's data, re-drawn from its seeds: replicates
+        # keep no samples once their path is scored.
         write_matrix_csv(
             sample_gaussian(truth.omega_x, spec.n_x, spec.seed + 1), out / "x.csv"
         )

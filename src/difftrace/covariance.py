@@ -22,19 +22,16 @@ def check_observations(data, name: str = "data") -> np.ndarray:
     return data
 
 
-def sample_covariance(data, ddof: int = 0, name: str = "data") -> np.ndarray:
+def sample_covariance(data, name: str = "data") -> np.ndarray:
     """Sample covariance of an n x p observation matrix.
 
-    Columns are mean-centered first. The default ``ddof=0`` gives the 1/n
-    (maximum-likelihood) normalization; ``ddof=1`` switches to 1/(n-1).
-    The output is symmetrized exactly.
+    Columns are mean-centered first, and the normalization is 1/n (maximum
+    likelihood). The output is symmetrized exactly.
     """
     data = check_observations(data, name)
-    if ddof not in (0, 1):
-        raise ValueError(f"ddof must be 0 or 1, got {ddof}")
     n = data.shape[0]
     centered = data - data.mean(axis=0)
-    cov = centered.T @ centered / (n - ddof)
+    cov = centered.T @ centered / n
     return (cov + cov.T) / 2.0
 
 
@@ -61,7 +58,7 @@ class CovariancePair:
         return self.sigma_x.shape[0]
 
 
-def build_pair(x, y, ddof: int = 0) -> CovariancePair:
+def build_pair(x, y) -> CovariancePair:
     """Covariance pair from the two raw observation matrices.
 
     Both groups must observe the same p variables. PSD-ness of the outputs is
@@ -73,8 +70,8 @@ def build_pair(x, y, ddof: int = 0) -> CovariancePair:
         raise ValueError(
             f"variable-count mismatch: group X has p={x.shape[1]}, group Y has p={y.shape[1]}"
         )
-    sigma_x = sample_covariance(x, ddof=ddof, name="group X")
-    sigma_y = sample_covariance(y, ddof=ddof, name="group Y")
+    sigma_x = sample_covariance(x, name="group X")
+    sigma_y = sample_covariance(y, name="group Y")
     return _psd_pair(sigma_x, sigma_y, x.shape[0], y.shape[0])
 
 

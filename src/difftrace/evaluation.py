@@ -143,10 +143,7 @@ def write_curve_csv(points: Sequence[CurvePoint], fileobj) -> None:
 
 
 def irrepresentability_alpha(
-    sigma_x,
-    sigma_y,
-    support: Iterable[Tuple[int, int]],
-    max_p: int = MAX_DIAGNOSTIC_P,
+    sigma_x, sigma_y, support: Iterable[Tuple[int, int]]
 ) -> Tuple[float, float]:
     """Slack of the support-recovery condition, and the on-support
     inverse's max absolute row sum.
@@ -166,10 +163,10 @@ def irrepresentability_alpha(
     if sigma_x.shape != sigma_y.shape:
         raise ValueError("covariance shapes differ")
     p = sigma_x.shape[0]
-    if p > max_p:
+    if p > MAX_DIAGNOSTIC_P:
         raise ValueError(
             f"p={p} too large for the explicit p^2 x p^2 operator "
-            f"(O(p^4) memory/time); limit is {max_p}"
+            f"(O(p^4) memory/time); limit is {MAX_DIAGNOSTIC_P}"
         )
     support_idx = sorted({int(i) * p + int(j) for i, j in support})
     if not support_idx:

@@ -194,8 +194,8 @@ def gen_sim3(
     difference gets 50 random off-diagonal upper-triangle positions of the
     full matrix (100 entries after mirroring) with magnitudes uniform on
     [min_signal, 0.5] and random signs. Both matrices then receive the same
-    diagonal constant max(0, -min eig) + margin, which leaves the
-    difference unchanged.
+    diagonal shift from ``_finalize``, which leaves the difference
+    unchanged (both have a zero diagonal, so the shift always applies).
     """
     if p % 100 != 0 or p < 100:
         raise ValueError(f"sim3 needs p to be a positive multiple of 100, got {p}")
@@ -221,19 +221,7 @@ def gen_sim3(
     delta = np.zeros((p, p))
     delta[fi[picked], fj[picked]] = _signed_uniform(rng, 50, min_signal, 0.5)
     delta += delta.T
-    omega_y = omega_x + delta
-
-    shift = max(
-        0.0,
-        -float(np.linalg.eigvalsh(omega_x)[0]),
-        -float(np.linalg.eigvalsh(omega_y)[0]),
-    ) + margin
-    eye = np.eye(p)
-    omega_x = omega_x + shift * eye
-    omega_y = omega_y + shift * eye
-    delta_star = omega_y - omega_x
-    support = frozenset(map(tuple, np.argwhere(delta_star != 0)))
-    return GroundTruth(omega_x, omega_y, delta_star, support)
+    return _finalize(omega_x, omega_x + delta, margin)
 
 
 def generate(spec: SimulationSpec) -> GroundTruth:
@@ -260,15 +248,15 @@ def sample_gaussian(omega, n: int, seed: int) -> np.ndarray:
     return np.linalg.solve(chol.T, z.T).T
 
 
-def write_ground_truth(truth: GroundTruth, out_dir, prefix: str = "truth") -> None:
+def write_ground_truth(truth: GroundTruth, out_dir) -> None:
     """Export the matrices as headerless CSV plus a 1-based support list."""
     from pathlib import Path
 
     out = Path(out_dir)
-    np.savetxt(out / f"{prefix}_omega_x.csv", truth.omega_x, delimiter=",")
-    np.savetxt(out / f"{prefix}_omega_y.csv", truth.omega_y, delimiter=",")
-    np.savetxt(out / f"{prefix}_delta.csv", truth.delta_star, delimiter=",")
-    with open(out / f"{prefix}_support.csv", "w", newline="") as fh:
+    np.savetxt(out / "truth_omega_x.csv", truth.omega_x, delimiter=",")
+    np.savetxt(out / "truth_omega_y.csv", truth.omega_y, delimiter=",")
+    np.savetxt(out / "truth_delta.csv", truth.delta_star, delimiter=",")
+    with open(out / "truth_support.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("i", "j", "value"))
         for i, j in sorted(truth.support):

@@ -41,7 +41,6 @@ class SolverConfig:
     rho: float = 50.0
     tol: float = 1e-3
     max_iter: int = 5000
-    symmetrize_output: bool = True
 
     def __post_init__(self):
         if self.rho <= 0:
@@ -172,7 +171,7 @@ def admm_solve(
     ``factors`` is ``factor_pair(pair)``, passed by callers that solve
     the same pair at several penalties; it is computed here otherwise.
 
-    Returns the estimate (final third block, symmetrized when configured)
+    Returns the estimate (final third block, symmetrized)
     together with the final state for warm-starting nearby penalties.
     """
     if lam < 0:
@@ -254,7 +253,7 @@ def admm_solve(
         if converged:
             break
 
-    delta = (d3 + d3.T) / 2.0 if cfg.symmetrize_output else d3.copy()
+    delta = (d3 + d3.T) / 2.0
     objective = penalized_objective(delta, sx, sy, lam)
     if not np.isfinite(objective):
         raise SolverError(f"non-finite objective after {iterations} iterations")

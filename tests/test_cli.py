@@ -349,16 +349,6 @@ class TestSimulate:
         for name in ("replicates.csv", "summary.csv", "roc.csv", "pr.csv", "curve_000.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
-    def test_thread_env_does_not_change_outputs(self, tmp_path, monkeypatch):
-        args = ["simulate", "--scenario", "sim1", "--p", "12", "--n", "50",
-                "--reps", "3", "--seed", "9", "--grid-count", "5"]
-        out1 = tmp_path / "serial"
-        out2 = tmp_path / "threaded"
-        assert main(args + ["--out", str(out1)]) == 0
-        monkeypatch.setenv("DIFFTRACE_THREADS", "3")
-        assert main(args + ["--out", str(out2)]) == 0
-        assert (out1 / "replicates.csv").read_bytes() == (out2 / "replicates.csv").read_bytes()
-
 
 class TestEvaluate:
     def test_metrics_json(self, tmp_path):

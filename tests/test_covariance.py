@@ -27,12 +27,14 @@ class TestSampleCovariance:
         assert abs(cov[0, 0] - 1.0) < 0.2
         assert abs(cov[1, 1] - 4.0) < 0.2
 
-    def test_ddof_switch(self):
+    def test_normalization_is_one_over_n(self):
+        # np.cov multiplies by the reciprocal 1/n, which at n = 16 is the
+        # same float operation as dividing by n, so the match is exact.
         rng = np.random.default_rng(1)
-        data = rng.standard_normal((10, 3))
-        ml = sample_covariance(data, ddof=0)
-        unbiased = sample_covariance(data, ddof=1)
-        np.testing.assert_allclose(unbiased, ml * 10 / 9, rtol=1e-12)
+        data = 3.0 * rng.standard_normal((16, 5)) + 1.0
+        np.testing.assert_array_equal(
+            sample_covariance(data), np.cov(data, rowvar=False, ddof=0)
+        )
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError, match="at least 2"):

@@ -8,11 +8,14 @@ from difftrace.linalg import (
     norm_frobenius,
     psd_eig,
     soft_threshold,
-    solve_axb_plus_gx,
     solve_plan,
     sym_eig,
 )
-from conftest import random_psd, random_spd, reference_solve_axb_plus_gx
+from difftrace.linalg import solve_axb_plus_gx as kernel
+from conftest import checked, random_psd, random_spd, reference_solve_axb_plus_gx
+
+# Every direct solve below also asserts the residual contract.
+solve_axb_plus_gx = checked(kernel)
 
 
 def kron_solve(a, b, c, gamma):
@@ -111,7 +114,7 @@ class TestSolveAxbPlusGx:
             b = random_psd(p, rng)
             c = rng.standard_normal((p, p)) * 10.0 ** rng.integers(-2, 3)
             gamma = float(rng.choice([0.1, 1.0, 50.0]))
-            x = solve_axb_plus_gx(a, b, c, gamma, check=True)
+            x = solve_axb_plus_gx(a, b, c, gamma)
             resid = np.abs(a @ x @ b + gamma * x - c).max()
             assert resid <= 1e-8 * max(1.0, np.abs(c).max())
 
@@ -132,7 +135,7 @@ class TestSolveAxbPlusGx:
         b = random_spd(5, rng)
         c = rng.standard_normal((5, 5))
         direct = solve_axb_plus_gx(a, b, c, 4.0)
-        cached = solve_axb_plus_gx(a, b, c, 4.0, eig_a=psd_eig(a), eig_b=psd_eig(b))
+        cached = solve_axb_plus_gx(a, b, c, 4.0, plan=solve_plan(psd_eig(a), psd_eig(b), 4.0))
         np.testing.assert_allclose(direct, cached)
 
 

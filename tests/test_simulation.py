@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from difftrace.simulation import (
+    PD_MARGIN,
+    GroundTruth,
     SimulationSpec,
+    _signed_uniform,
     gen_sim1,
     gen_sim2,
     gen_sim3,
@@ -14,6 +17,44 @@ from difftrace.simulation import (
 
 def min_eig(a):
     return float(np.linalg.eigvalsh(a)[0])
+
+
+def reference_gen_sim3(p, seed, min_signal=0.0, margin=PD_MARGIN):
+    """``gen_sim3`` with its PD shift inline, as it was before it called
+    ``_finalize``: the oracle for the folded one."""
+    rng = np.random.default_rng(seed)
+    block_size = 100
+    omega_x = np.zeros((p, p))
+    iu, ju = np.triu_indices(block_size, k=1)
+    n_pairs = iu.size
+    n_fill = int(round(0.6 * n_pairs))
+    for start in range(0, p, block_size):
+        chosen = rng.choice(n_pairs, size=n_fill, replace=False)
+        values = rng.uniform(-0.1, 0.1, n_fill)
+        block = np.zeros((block_size, block_size))
+        block[iu[chosen], ju[chosen]] = values
+        block += block.T
+        sl = slice(start, start + block_size)
+        omega_x[sl, sl] = block
+
+    fi, fj = np.triu_indices(p, k=1)
+    picked = rng.choice(fi.size, size=50, replace=False)
+    delta = np.zeros((p, p))
+    delta[fi[picked], fj[picked]] = _signed_uniform(rng, 50, min_signal, 0.5)
+    delta += delta.T
+    omega_y = omega_x + delta
+
+    shift = max(
+        0.0,
+        -float(np.linalg.eigvalsh(omega_x)[0]),
+        -float(np.linalg.eigvalsh(omega_y)[0]),
+    ) + margin
+    eye = np.eye(p)
+    omega_x = omega_x + shift * eye
+    omega_y = omega_y + shift * eye
+    delta_star = omega_y - omega_x
+    support = frozenset(map(tuple, np.argwhere(delta_star != 0)))
+    return GroundTruth(omega_x, omega_y, delta_star, support)
 
 
 class TestSpecValidation:
@@ -153,6 +194,17 @@ class TestSim3:
     def test_dimension_guard(self):
         with pytest.raises(ValueError, match="multiple of 100"):
             gen_sim3(120, seed=0)
+
+    @pytest.mark.parametrize("p", [100, 200])
+    @pytest.mark.parametrize("kwargs", [{}, {"min_signal": 0.4, "margin": 1.5}])
+    def test_matches_inline_shift(self, p, kwargs):
+        # Seed 7 is the benchmark's fixed sim3 instance.
+        for seed in (0, 1, 2, 7):
+            truth = gen_sim3(p, seed, **kwargs)
+            ref = reference_gen_sim3(p, seed, **kwargs)
+            for name in ("omega_x", "omega_y", "delta_star"):
+                assert getattr(truth, name).tobytes() == getattr(ref, name).tobytes()
+            assert truth.support == ref.support
 
 
 class TestSampleGaussian:

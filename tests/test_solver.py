@@ -10,6 +10,7 @@ from difftrace.linalg import (
     norm_entrywise_linf,
     soft_threshold,
     solve_axb_plus_gx,
+    solve_plan,
 )
 from difftrace.model_selection import lambda_grid, solve_path
 from difftrace.simulation import gen_sim1, sample_gaussian
@@ -27,7 +28,7 @@ from difftrace.solver import (
     kkt_check,
     penalized_objective,
 )
-from conftest import random_spd, reference_solve_axb_plus_gx
+from conftest import checked, random_spd, reference_solve_axb_plus_gx
 
 
 def make_pair(p, rng, cond=8.0, n=100):
@@ -81,15 +82,17 @@ def reference_admm_solve(pair, lam, cfg=None, warm=None):
     state = warm if warm is not None else _initial_state(pair)
     d1, d2, d3 = state.delta1, state.delta2, state.delta3
     l1, l2, l3 = state.lambda1, state.lambda2, state.lambda3
+    plan1, plan2 = solve_plan(eig_x, eig_y, 4 * rho), solve_plan(eig_y, eig_x, 4 * rho)
+    solve = checked(solve_axb_plus_gx)
 
     converged = False
     iterations = 0
     for k in range(cfg.max_iter):
         iterations = k + 1
         c1 = 2 * rho * d3 + 2 * rho * d2 + diff + 2 * l1 - 2 * l3
-        d1_new = solve_axb_plus_gx(sx, sy, c1, 4 * rho, eig_a=eig_x, eig_b=eig_y)
+        d1_new = solve(sx, sy, c1, 4 * rho, plan=plan1)
         c2 = 2 * rho * d3 + 2 * rho * d1_new + diff + 2 * l3 - 2 * l2
-        d2_new = solve_axb_plus_gx(sy, sx, c2, 4 * rho, eig_a=eig_y, eig_b=eig_x)
+        d2_new = solve(sy, sx, c2, 4 * rho, plan=plan2)
         d3_new = reference_soft_threshold(
             (rho * d1_new + rho * d2_new - l1 + l2) / (2 * rho), lam / (2 * rho)
         )
@@ -113,7 +116,7 @@ def reference_admm_solve(pair, lam, cfg=None, warm=None):
         if converged:
             break
 
-    delta = (d3 + d3.T) / 2.0 if cfg.symmetrize_output else d3.copy()
+    delta = (d3 + d3.T) / 2.0
     objective = penalized_objective(delta, sx, sy, lam)
     out_state = SolverState(d1, d2, d3, l1, l2, l3, state.iterations + iterations)
     return DeltaEstimate(delta, float(lam), iterations, converged, objective), out_state
@@ -270,12 +273,6 @@ class TestAdmmSolve:
             cold_est, _ = admm_solve(pair, lam, cfg)
             np.testing.assert_allclose(warm_est.delta, cold_est.delta, atol=1e-3)
 
-    def test_unsymmetrized_output_option(self):
-        rng = np.random.default_rng(12)
-        pair = make_pair(4, rng)
-        est, state = admm_solve(pair, 0.05, SolverConfig(symmetrize_output=False))
-        np.testing.assert_array_equal(est.delta, state.delta3)
-
     def test_divergence_guard(self):
         rng = np.random.default_rng(13)
         pair = make_pair(3, rng)
@@ -347,17 +344,10 @@ class TestSweepMatchesReference:
             )
         assert state.iterations == ref_state.iterations
 
-    def test_unsymmetrized_output(self):
-        pair = make_pair(7, np.random.default_rng(34))
-        cfg = SolverConfig(symmetrize_output=False)
-        for lam in (0.01, 0.05):
-            est, _ = admm_solve(pair, lam, cfg)
-            assert_same_solve(est, reference_admm_solve(pair, lam, cfg)[0])
 
-
-def reference_kernel(a, b, c, gamma, *, plan=None, **kwargs):
+def reference_kernel(a, b, c, gamma, *, plan=None):
     # The old kernel takes no plan; it refactors A and B on every call.
-    return reference_solve_axb_plus_gx(a, b, c, gamma, **kwargs)
+    return reference_solve_axb_plus_gx(a, b, c, gamma)
 
 
 def constant_column_pair(p, n, seed):
