@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .covariance import build_pair
+from .covariance import CovariancePair, build_pair
 from .evaluation import (
     MAX_DIAGNOSTIC_P,
     curve_from_path,
@@ -26,7 +26,7 @@ from .evaluation import (
     support_metrics,
     write_curve_csv,
 )
-from .linalg import SolverError
+from .linalg import SolverError, as_symmetric, pd_cholesky
 from .model_selection import (
     BIC_NORMS,
     bic_score,
@@ -233,16 +233,20 @@ def _out_dir(args) -> Path:
     return out
 
 
-def cmd_estimate(args) -> int:
+def _load_pair(args) -> Tuple[CovariancePair, SolverConfig]:
+    """Covariance pair of the --x/--y files and the flags' solver settings."""
     x = read_matrix_csv(args.x, allow_header=True)
     y = read_matrix_csv(args.y, allow_header=True)
     try:
-        pair = build_pair(x, y)
-        cfg = _solver_config(args)
-        if args.lam is not None and args.lam < 0:
-            raise ValueError(f"--lambda must be nonnegative, got {args.lam}")
+        return build_pair(x, y), _solver_config(args)
     except ValueError as err:
         raise InputError(str(err)) from err
+
+
+def cmd_estimate(args) -> int:
+    pair, cfg = _load_pair(args)
+    if args.lam is not None and not args.lam >= 0:
+        raise InputError(f"--lambda must be nonnegative, got {args.lam}")
     out = _out_dir(args)
     start = time.perf_counter()
     if args.lam is not None:
@@ -255,6 +259,7 @@ def cmd_estimate(args) -> int:
         with open(out / "path.csv", "w", newline="") as fh:
             write_path_csv(path, fh)
     wallclock_ms = int(1000 * (time.perf_counter() - start))
+    bic_f, bic_inf = bic_score(estimate.delta, pair)
 
     write_matrix_csv(estimate.delta, out / "delta.csv")
     write_support_csv(estimate.delta, out / "support.csv")
@@ -265,8 +270,8 @@ def cmd_estimate(args) -> int:
         "iterations": estimate.iterations,
         "converged": estimate.converged,
         "objective": estimate.objective,
-        "bic_f": bic_score(estimate.delta, pair, "frobenius"),
-        "bic_inf": bic_score(estimate.delta, pair, "max"),
+        "bic_f": bic_f,
+        "bic_inf": bic_inf,
         "nnz": estimate.nnz,
         "wallclock_ms": wallclock_ms,
     }
@@ -275,13 +280,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_path(args) -> int:
-    x = read_matrix_csv(args.x, allow_header=True)
-    y = read_matrix_csv(args.y, allow_header=True)
-    try:
-        pair = build_pair(x, y)
-        cfg = _solver_config(args)
-    except ValueError as err:
-        raise InputError(str(err)) from err
+    pair, cfg = _load_pair(args)
     path = solve_path(pair, _grid_for(args, pair), cfg)
     out = _out_dir(args)
     with open(out / "path.csv", "w", newline="") as fh:
@@ -424,9 +423,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    omega_x = read_matrix_csv(args.x)
-    omega_y = read_matrix_csv(args.y)
-    if omega_x.shape != omega_y.shape or omega_x.ndim != 2:
+    # Precision matrices are symmetrized as in sample_gaussian.
+    try:
+        omega_x = as_symmetric(read_matrix_csv(args.x), "--x")
+        omega_y = as_symmetric(read_matrix_csv(args.y), "--y")
+        pd_cholesky(omega_x, "--x")
+        pd_cholesky(omega_y, "--y")
+    except ValueError as err:
+        raise InputError(str(err)) from err
+    if omega_x.shape != omega_y.shape:
         raise InputError("precision matrices must share one square shape")
     p = omega_x.shape[0]
     if p > MAX_DIAGNOSTIC_P:
@@ -434,11 +439,8 @@ def cmd_diagnose(args) -> int:
             f"p={p} exceeds the diagnostic limit of {MAX_DIAGNOSTIC_P}: the check "
             f"builds an explicit p^2 x p^2 operator, an O(p^4) cost"
         )
-    try:
-        sigma_x = np.linalg.inv(omega_x)
-        sigma_y = np.linalg.inv(omega_y)
-    except np.linalg.LinAlgError as err:
-        raise InputError(f"precision matrix not invertible: {err}") from err
+    sigma_x = np.linalg.inv(omega_x)
+    sigma_y = np.linalg.inv(omega_y)
     if args.support:
         support = read_support_csv(args.support, p)
     else:

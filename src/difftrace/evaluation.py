@@ -10,6 +10,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .covariance import CovariancePair
+from .linalg import check_square
 from .model_selection import RegPath
 
 CURVE_CSV_COLUMNS = ("lambda", "tp", "fp", "precision")
@@ -47,10 +48,10 @@ def support_metrics(est, truth) -> MetricsReport:
     TP is the fraction of true nonzeros detected, TN the fraction of true
     zeros left at zero, and TD the fraction of detections that are true
     (defined as 1 when nothing is detected). ``sign_consistent`` says the
-    entrywise sign patterns agree everywhere.
+    entrywise sign patterns agree everywhere. Both must be square and finite.
     """
-    est = np.asarray(est, dtype=float)
-    truth = np.asarray(truth, dtype=float)
+    est = check_square(est, "estimate")
+    truth = check_square(truth, "truth")
     if est.shape != truth.shape:
         raise ValueError(f"dimension mismatch: estimate {est.shape}, truth {truth.shape}")
     detected = est != 0

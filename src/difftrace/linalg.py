@@ -41,6 +41,15 @@ def as_symmetric(a, name: str = "matrix") -> np.ndarray:
     return (a + a.T) / 2.0
 
 
+def pd_cholesky(a, name: str) -> np.ndarray:
+    """Cholesky factor of ``as_symmetric(a)``; ValueError unless it is PD."""
+    a = as_symmetric(a, name)
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as err:
+        raise ValueError(f"{name} is not positive definite") from err
+
+
 def sym_eig(a, name: str = "matrix") -> EigenPair:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
     a = check_square(a, name)

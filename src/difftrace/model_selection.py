@@ -10,9 +10,9 @@ import numpy as np
 
 from .covariance import CovariancePair
 from .linalg import SolverError, norm_entrywise_linf, norm_frobenius
-from .solver import DeltaEstimate, SolverConfig, admm_solve, factor_pair
+from .solver import DeltaEstimate, SolverConfig, admm_solve, dtrace_gradient, factor_pair
 
-# Residual norm used inside the information criterion: Frobenius or max-abs.
+# Residual norms of the two information criteria: Frobenius and max-abs.
 BIC_NORMS = ("frobenius", "max")
 
 PATH_CSV_COLUMNS = ("lambda", "nnz", "bic_f", "bic_inf", "converged", "iterations")
@@ -45,26 +45,18 @@ def lambda_grid(pair: CovariancePair, count: int = 50, ratio: float = 0.01) -> n
     return np.geomspace(top, ratio * top, count)
 
 
-def bic_score(delta, pair: CovariancePair, norm: str = "frobenius") -> float:
-    """Information criterion: scaled stationarity-residual norm plus a
-    log(n)-weighted count of nonzero entries.
-
-    The residual is (sigma_x delta sigma_y + sigma_y delta sigma_x)/2
-    - sigma_x + sigma_y, measured in the Frobenius norm
-    (``norm="frobenius"``) or the max-abs norm (``norm="max"``).
-    """
-    if norm not in BIC_NORMS:
-        raise ValueError(f"norm must be one of {BIC_NORMS}, got {norm!r}")
-    delta = np.asarray(delta, dtype=float)
-    sx, sy = pair.sigma_x, pair.sigma_y
-    if delta.shape != sx.shape:
-        raise ValueError(f"dimension mismatch: delta {delta.shape}, pair {sx.shape}")
+def bic_score(delta, pair: CovariancePair) -> Tuple[float, float]:
+    """Information criteria (BIC-F, BIC-inf): the scaled Frobenius and
+    max-abs norms of the loss gradient (``dtrace_gradient``, the
+    stationarity residual), each plus a log(n)-weighted count of nonzero
+    entries."""
     n = pair.n_x + pair.n_y
     if n < 2:
         raise ValueError("need n_x + n_y >= 2")
-    resid = 0.5 * (sx @ delta @ sy + sy @ delta @ sx) - sx + sy
-    size = norm_frobenius(resid) if norm == "frobenius" else norm_entrywise_linf(resid)
-    return float(n * size + np.log(n) * np.count_nonzero(delta))
+    resid = dtrace_gradient(delta, pair.sigma_x, pair.sigma_y)
+    penalty = np.log(n) * np.count_nonzero(delta)
+    sizes = norm_frobenius(resid), norm_entrywise_linf(resid)
+    return tuple(float(n * size + penalty) for size in sizes)
 
 
 @dataclass
@@ -108,8 +100,7 @@ def solve_path(
         except (SolverError, ValueError) as err:
             raise SolverError(f"path solve failed at lambda={lam:g}: {err}") from err
         estimates.append(est)
-        bic_f[i] = bic_score(est.delta, pair, "frobenius")
-        bic_inf[i] = bic_score(est.delta, pair, "max")
+        bic_f[i], bic_inf[i] = bic_score(est.delta, pair)
         nnz[i] = est.nnz
     return RegPath(lambdas, estimates, bic_f, bic_inf, nnz)
 
@@ -122,10 +113,7 @@ def select_by_bic(path: RegPath, norm: str = "frobenius") -> Tuple[float, DeltaE
     if len(path) == 0:
         raise ValueError("empty path")
     scores = path.bic_f if norm == "frobenius" else path.bic_inf
-    best = 0
-    for i in range(1, len(path)):
-        if scores[i] < scores[best]:
-            best = i
+    best = int(np.argmin(scores))
     return float(path.lambdas[best]), path.estimates[best]
 
 

@@ -15,7 +15,7 @@ from typing import FrozenSet, Set, Tuple
 
 import numpy as np
 
-from .linalg import as_symmetric
+from .linalg import pd_cholesky
 
 # Positive-definiteness repair: when a constructed precision matrix has an
 # eigenvalue at or below zero, both matrices of the pair get the same
@@ -236,14 +236,10 @@ def generate(spec: SimulationSpec) -> GroundTruth:
 def sample_gaussian(omega, n: int, seed: int) -> np.ndarray:
     """Draw n observations from the zero-mean Gaussian whose precision
     matrix is ``omega``."""
-    omega = as_symmetric(omega, "omega")
+    chol = pd_cholesky(omega, "precision matrix")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    try:
-        chol = np.linalg.cholesky(omega)
-    except np.linalg.LinAlgError as err:
-        raise ValueError("precision matrix is not positive definite") from err
-    z = np.random.default_rng(seed).standard_normal((n, omega.shape[0]))
+    z = np.random.default_rng(seed).standard_normal((n, chol.shape[0]))
     # omega = L L^T, so x = L^-T z has covariance omega^-1.
     return np.linalg.solve(chol.T, z.T).T
 

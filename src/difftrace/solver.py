@@ -43,10 +43,11 @@ class SolverConfig:
     max_iter: int = 5000
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        # Comparisons written so that NaN fails them.
+        if not 0.0 < self.rho < np.inf:
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -174,7 +175,7 @@ def admm_solve(
     Returns the estimate (final third block, symmetrized)
     together with the final state for warm-starting nearby penalties.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"penalty must be nonnegative, got {lam}")
     cfg = cfg or SolverConfig()
     sx, sy = pair.sigma_x, pair.sigma_y
@@ -270,7 +271,7 @@ def kkt_check(delta, pair: CovariancePair, lam: float) -> float:
     entries its magnitude may not exceed lam. Returns the largest violation,
     zero exactly at a minimizer of the penalized objective.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"penalty must be nonnegative, got {lam}")
     delta = np.asarray(delta, dtype=float)
     grad = dtrace_gradient(delta, pair.sigma_x, pair.sigma_y)

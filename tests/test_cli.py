@@ -6,6 +6,7 @@ import pytest
 
 from difftrace import cli
 from difftrace.cli import InputError, _read_rows, main, read_matrix_csv, read_support_csv
+from difftrace.model_selection import bic_score
 from difftrace.simulation import gen_sim1, sample_gaussian
 
 
@@ -216,6 +217,45 @@ class TestEstimate:
         record = json.loads((out / "run.json").read_text())
         assert record["converged"] is False
 
+    def test_run_scored_once(self, tmp_path, sim_data, monkeypatch):
+        _, x_path, y_path = sim_data
+        calls = []
+
+        def counting(delta, pair):
+            calls.append((delta, pair))
+            return bic_score(delta, pair)
+
+        monkeypatch.setattr(cli, "bic_score", counting)
+        out = tmp_path / "out"
+        code = main(
+            ["estimate", "--x", str(x_path), "--y", str(y_path),
+             "--lambda", "0.05", "--out", str(out)]
+        )
+        assert code == 0
+        assert len(calls) == 1
+        record = json.loads((out / "run.json").read_text())
+        assert (record["bic_f"], record["bic_inf"]) == bic_score(*calls[0])
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--tol", "nan", "tol must be positive and finite, got nan"),
+            ("--tol", "inf", "tol must be positive and finite, got inf"),
+            ("--rho", "nan", "rho must be positive and finite, got nan"),
+            ("--lambda", "nan", "--lambda must be nonnegative, got nan"),
+        ],
+    )
+    def test_nonfinite_flag_exit_code_2(self, tmp_path, sim_data, capsys, flag, value, message):
+        _, x_path, y_path = sim_data
+        out = tmp_path / "out"
+        args = ["estimate", "--x", str(x_path), "--y", str(y_path), "--out", str(out)]
+        if flag != "--lambda":
+            args += ["--lambda", "0.05"]
+        code = main(args + [flag, value])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "run.json").exists()
+
 
 class TestPath:
     def test_path_csv_columns(self, tmp_path, sim_data):
@@ -229,6 +269,22 @@ class TestPath:
         lines = (out / "path.csv").read_text().strip().splitlines()
         assert lines[0] == "lambda,nnz,bic_f,bic_inf,converged,iterations"
         assert len(lines) == 6
+
+    def test_nan_tol_exit_code_2(self, tmp_path, sim_data, capsys):
+        _, x_path, y_path = sim_data
+        out = tmp_path / "out"
+        code = main(["path", "--x", str(x_path), "--y", str(y_path), "--tol", "nan",
+                     "--out", str(out)])
+        assert code == 2
+        assert "tol must be positive and finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ragged_csv_exit_code_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,2\n3,4\n5,6,7\n")
+        code = main(["path", "--x", str(bad), "--y", str(bad)])
+        assert code == 2
+        assert "line 3 has 3 fields, expected 2" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -367,8 +423,60 @@ class TestEvaluate:
         assert record["td_rate"] == 1.0
         assert record["sign_consistent"] is True
 
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [
+            ("--delta", "0,nan\n0,0\n", "estimate contains non-finite entries"),
+            ("--truth", "0,1\ninf,0\n", "truth contains non-finite entries"),
+            ("--delta", "0,1,0\n0,0,0\n", "estimate must be square, got shape (2, 3)"),
+        ],
+    )
+    def test_invalid_matrix_exit_code_2(self, tmp_path, capsys, flag, text, message):
+        good = tmp_path / "good.csv"
+        good.write_text("0,1\n1,0\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        files = {"--delta": good, "--truth": good, flag: bad}
+        out = tmp_path / "out"
+        code = main(
+            ["evaluate", "--delta", str(files["--delta"]), "--truth", str(files["--truth"]),
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+
 
 class TestDiagnose:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,nan\nnan,1\n", "--y contains non-finite entries"),
+            ("1,2\n2,1\n", "--y is not positive definite"),
+            ("1,0\n0,0\n", "--y is not positive definite"),
+            ("1,0,0\n0,1,0\n", "--y must be square, got shape (2, 3)"),
+        ],
+    )
+    def test_invalid_precision_exit_code_2(self, tmp_path, capsys, text, message):
+        x_path = tmp_path / "ox.csv"
+        np.savetxt(x_path, np.eye(2), delimiter=",")
+        y_path = tmp_path / "oy.csv"
+        y_path.write_text(text)
+        out = tmp_path / "out"
+        code = main(["diagnose", "--x", str(x_path), "--y", str(y_path), "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "diagnose.json").exists()
+
+    def test_shape_mismatch_exit_code_2(self, tmp_path, capsys):
+        x_path = tmp_path / "ox.csv"
+        np.savetxt(x_path, np.eye(2), delimiter=",")
+        y_path = tmp_path / "oy.csv"
+        np.savetxt(y_path, np.eye(3), delimiter=",")
+        code = main(["diagnose", "--x", str(x_path), "--y", str(y_path)])
+        assert code == 2
+        assert "share one square shape" in capsys.readouterr().err
+
     def test_identity_pair(self, tmp_path, capsys):
         x_path = tmp_path / "ox.csv"
         y_path = tmp_path / "oy.csv"

@@ -6,6 +6,7 @@ from difftrace.linalg import (
     norm_entrywise_l1,
     norm_entrywise_linf,
     norm_frobenius,
+    pd_cholesky,
     psd_eig,
     soft_threshold,
     solve_plan,
@@ -73,6 +74,24 @@ class TestSymEig:
     def test_psd_eig_clamps_tiny_negative(self):
         pair = psd_eig(np.diag([1.0, -5e-9]))
         assert pair.values[-1] == 0.0
+
+    def test_pd_cholesky_factors_the_symmetrized_matrix(self):
+        a = np.array([[4.0, 1.0], [3.0, 5.0]])
+        chol = pd_cholesky(a, "omega")
+        np.testing.assert_allclose(chol @ chol.T, as_symmetric(a), rtol=1e-15)
+        assert chol[0, 1] == 0.0
+
+    @pytest.mark.parametrize(
+        "a, message",
+        [
+            ([[1.0, 2.0], [2.0, 1.0]], "omega is not positive definite"),
+            ([[1.0, 0.0], [0.0, 0.0]], "omega is not positive definite"),
+            ([[1.0, np.nan], [np.nan, 1.0]], "omega contains non-finite entries"),
+        ],
+    )
+    def test_pd_cholesky_rejects(self, a, message):
+        with pytest.raises(ValueError, match=message):
+            pd_cholesky(a, "omega")
 
 
 class TestSolveAxbPlusGx:

@@ -14,7 +14,7 @@ from difftrace.model_selection import (
     solve_path,
     write_path_csv,
 )
-from difftrace import solver
+from difftrace import model_selection, solver
 from difftrace.simulation import gen_sim1, sample_gaussian
 from difftrace.solver import SolverConfig, admm_solve, kkt_check
 from conftest import random_spd
@@ -69,14 +69,25 @@ class TestLambdaGrid:
         assert np.all(np.diff(grid) < 0)
 
 
+def reference_bic_score(delta, pair, norm):
+    """The criterion as one norm per call, with its own copy of the
+    stationarity residual: the formula ``bic_score`` replaced."""
+    sx, sy = pair.sigma_x, pair.sigma_y
+    n = pair.n_x + pair.n_y
+    resid = 0.5 * (sx @ delta @ sy + sy @ delta @ sx) - sx + sy
+    size = np.linalg.norm(resid) if norm == "frobenius" else np.abs(resid).max()
+    return float(n * size + np.log(n) * np.count_nonzero(delta))
+
+
 class TestBicScore:
     def test_zero_delta(self):
         pair = sampled_pair(10, 50, 2)
         n = pair.n_x + pair.n_y
         expect_f = n * np.linalg.norm(pair.sigma_y - pair.sigma_x)
         expect_i = n * np.abs(pair.sigma_y - pair.sigma_x).max()
-        assert bic_score(np.zeros((pair.p,) * 2), pair, "frobenius") == pytest.approx(expect_f)
-        assert bic_score(np.zeros((pair.p,) * 2), pair, "max") == pytest.approx(expect_i)
+        bic_f, bic_inf = bic_score(np.zeros((pair.p,) * 2), pair)
+        assert bic_f == pytest.approx(expect_f)
+        assert bic_inf == pytest.approx(expect_i)
 
     def test_exact_minimizer_leaves_only_penalty(self):
         rng = np.random.default_rng(3)
@@ -86,35 +97,43 @@ class TestBicScore:
         delta = np.linalg.inv(pair.sigma_y) - np.linalg.inv(pair.sigma_x)
         n = 50
         expect = np.log(n) * np.count_nonzero(delta)
-        assert bic_score(delta, pair, "frobenius") == pytest.approx(expect, abs=1e-6)
+        for score in bic_score(delta, pair):
+            assert score == pytest.approx(expect, abs=1e-6)
 
     def test_penalty_counts_support_not_magnitude(self):
         pair = sampled_pair(10, 50, 4)
         delta = np.zeros((pair.p, pair.p))
         delta[0, 1] = delta[1, 0] = 0.2
-        small = bic_score(delta, pair, "frobenius")
-        delta2 = delta * 5.0
-        large = bic_score(delta2, pair, "frobenius")
         n = pair.n_x + pair.n_y
         # same nonzero count: scores differ only through the residual term
-        resid_small = small - np.log(n) * 2
-        resid_large = large - np.log(n) * 2
-        assert resid_small != resid_large
-        assert small != large
+        for small, large in zip(bic_score(delta, pair), bic_score(delta * 5.0, pair)):
+            assert small - np.log(n) * 2 != large - np.log(n) * 2
+            assert small != large
 
     def test_transpose_invariance_for_symmetric_inputs(self):
         pair = sampled_pair(10, 60, 5)
         rng = np.random.default_rng(6)
         delta = rng.standard_normal((pair.p, pair.p))
         delta = (delta + delta.T) / 2
-        assert bic_score(delta, pair, "frobenius") == pytest.approx(
-            bic_score(delta.T, pair, "frobenius")
-        )
+        np.testing.assert_allclose(bic_score(delta, pair), bic_score(delta.T, pair))
 
-    def test_unknown_norm_rejected(self):
+    @pytest.mark.parametrize("p, n, seed", [(10, 50, 20), (12, 8, 21), (30, 200, 22)])
+    def test_matches_reference_formula(self, p, n, seed):
+        # Path estimates and a dense symmetric matrix, at n > p and n < p.
+        pair = sampled_pair(p, n, seed)
+        path = solve_path(pair, lambda_grid(pair, count=6))
+        rng = np.random.default_rng(seed)
+        dense = rng.standard_normal((pair.p, pair.p))
+        for delta in [est.delta for est in path.estimates] + [dense + dense.T]:
+            bic_f, bic_inf = bic_score(delta, pair)
+            for score, norm in ((bic_f, "frobenius"), (bic_inf, "max")):
+                expect = reference_bic_score(delta, pair, norm)
+                assert abs(score - expect) <= 1e-12 * abs(expect)
+
+    def test_dimension_mismatch_rejected(self):
         pair = sampled_pair(10, 50, 7)
-        with pytest.raises(ValueError, match="norm"):
-            bic_score(np.zeros((pair.p,) * 2), pair, "spectral")
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            bic_score(np.zeros((3, 3)), pair)
 
 
 class TestSolvePath:
@@ -167,6 +186,21 @@ class TestSolvePath:
             alone, state = admm_solve(pair, float(lam), warm=state)
             assert alone.delta.tobytes() == est.delta.tobytes()
         assert len(calls) == 2 + 2 * (len(lams) - 1)
+
+    def test_scores_each_penalty_once(self, monkeypatch):
+        pair = sampled_pair(12, 80, 23)
+        calls = []
+
+        def counting(delta, pair):
+            calls.append(delta)
+            return bic_score(delta, pair)
+
+        monkeypatch.setattr(model_selection, "bic_score", counting)
+        path = solve_path(pair, lambda_grid(pair, count=7))
+        assert len(calls) == len(path) == 7
+        for delta, est, f, inf in zip(calls, path.estimates, path.bic_f, path.bic_inf):
+            assert delta is est.delta
+            assert (f, inf) == bic_score(est.delta, pair)
 
     def test_rejects_ascending_grid(self):
         pair = sampled_pair(10, 50, 12)

@@ -286,6 +286,19 @@ class TestAdmmSolve:
         with pytest.raises(ValueError, match="nonnegative"):
             admm_solve(make_pair(3, rng), -0.1)
 
+    def test_nan_lambda_rejected(self):
+        rng = np.random.default_rng(14)
+        with pytest.raises(ValueError, match="nonnegative, got nan"):
+            admm_solve(make_pair(3, rng), float("nan"))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [(f, v) for f in ("rho", "tol") for v in (0.0, -1.0, float("nan"), float("inf"))],
+    )
+    def test_config_rejects_nonpositive_or_nonfinite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            SolverConfig(**{field: value})
+
     def test_non_psd_covariance_rejected(self):
         pair = CovariancePair(np.diag([1.0, -1.0]), np.eye(2), 10, 10)
         with pytest.raises(ValueError, match="positive semidefinite"):
