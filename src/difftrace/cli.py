@@ -1,8 +1,8 @@
 """Command-line front end: estimate from data files, sweep penalty paths,
 run simulation benchmarks, score estimates, and emit plot-ready CSVs.
 
-Exit codes: 0 on success with all solves converged, 1 on runtime failure or
-non-convergence, 2 on input/validation errors.
+Exit codes: 0 on success with all solves converged, 1 on a failed or
+unconverged solve (``SolverError``), 2 on bad input (any ``ValueError``).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .covariance import CovariancePair, build_pair
 from .evaluation import (
-    MAX_DIAGNOSTIC_P,
+    check_diagnostic_p,
     curve_from_path,
     irrepresentability_alpha,
     support_metrics,
@@ -29,6 +29,8 @@ from .evaluation import (
 from .linalg import SolverError, as_symmetric, pd_cholesky
 from .model_selection import (
     BIC_NORMS,
+    GRID_COUNT,
+    GRID_RATIO,
     bic_score,
     check_grid,
     lambda_grid,
@@ -37,6 +39,7 @@ from .model_selection import (
     write_path_csv,
 )
 from .simulation import (
+    SCENARIOS,
     SimulationSpec,
     generate,
     sample_gaussian,
@@ -45,7 +48,7 @@ from .simulation import (
 from .solver import SolverConfig, admm_solve
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """Bad user input: malformed file, inconsistent shapes, invalid flags."""
 
 
@@ -220,16 +223,12 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(rho=args.rho, tol=args.tol, max_iter=args.max_iter)
 
 
-def _grid_for(args, pair):
-    try:
-        return lambda_grid(pair, count=args.grid_count, ratio=args.grid_ratio)
-    except ValueError as err:
-        raise InputError(str(err)) from err
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise InputError(f"cannot create output directory {out}: {err.strerror}") from err
     return out
 
 
@@ -237,10 +236,7 @@ def _load_pair(args) -> Tuple[CovariancePair, SolverConfig]:
     """Covariance pair of the --x/--y files and the flags' solver settings."""
     x = read_matrix_csv(args.x, allow_header=True)
     y = read_matrix_csv(args.y, allow_header=True)
-    try:
-        return build_pair(x, y), _solver_config(args)
-    except ValueError as err:
-        raise InputError(str(err)) from err
+    return build_pair(x, y), _solver_config(args)
 
 
 def cmd_estimate(args) -> int:
@@ -253,7 +249,7 @@ def cmd_estimate(args) -> int:
         estimate, _ = admm_solve(pair, args.lam, cfg)
         lam = args.lam
     else:
-        grid = _grid_for(args, pair)
+        grid = lambda_grid(pair, count=args.grid_count, ratio=args.grid_ratio)
         path = solve_path(pair, grid, cfg)
         lam, estimate = select_by_bic(path, args.bic)
         with open(out / "path.csv", "w", newline="") as fh:
@@ -281,20 +277,21 @@ def cmd_estimate(args) -> int:
 
 def cmd_path(args) -> int:
     pair, cfg = _load_pair(args)
-    path = solve_path(pair, _grid_for(args, pair), cfg)
+    grid = lambda_grid(pair, count=args.grid_count, ratio=args.grid_ratio)
     out = _out_dir(args)
+    path = solve_path(pair, grid, cfg)
     with open(out / "path.csv", "w", newline="") as fh:
         write_path_csv(path, fh)
     return 0 if all(est.converged for est in path.estimates) else 1
 
 
-def _simulate_replicate(spec: SimulationSpec, truth, rep: int, args):
+def _simulate_replicate(spec: SimulationSpec, truth, rep: int, cfg: SolverConfig, args):
     # Per-replicate data streams: X uses seed+1+2r, Y uses seed+2+2r.
     x = sample_gaussian(truth.omega_x, spec.n_x, spec.seed + 1 + 2 * rep)
     y = sample_gaussian(truth.omega_y, spec.n_y, spec.seed + 2 + 2 * rep)
     pair = build_pair(x, y)
     grid = lambda_grid(pair, count=args.grid_count, ratio=args.grid_ratio)
-    path = solve_path(pair, grid, _solver_config(args))
+    path = solve_path(pair, grid, cfg)
     points, auc = curve_from_path(path, truth.delta_star)
     row = {"replicate": rep, "auc": auc, "points": points}
     for norm, tag in (("frobenius", "f"), ("max", "inf")):
@@ -320,19 +317,16 @@ def _format_mean_sd(values: Sequence[float], reps: int) -> Tuple[str, str, str]:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        spec = SimulationSpec(args.scenario, args.p, args.n, args.n, args.seed)
-        _solver_config(args)
-        if args.reps < 1:
-            raise ValueError(f"--reps must be at least 1, got {args.reps}")
-        check_grid(args.grid_count, args.grid_ratio)
-    except ValueError as err:
-        raise InputError(str(err)) from err
+    spec = SimulationSpec(args.scenario, args.p, args.n, args.n, args.seed)
+    cfg = _solver_config(args)
+    if args.reps < 1:
+        raise InputError(f"--reps must be at least 1, got {args.reps}")
+    check_grid(args.grid_count, args.grid_ratio)
     truth = generate(spec)
     out = _out_dir(args)
     write_ground_truth(truth, out)
 
-    rows = [_simulate_replicate(spec, truth, r, args) for r in range(args.reps)]
+    rows = [_simulate_replicate(spec, truth, r, cfg, args) for r in range(args.reps)]
 
     if args.save_data:
         # The first replicate's data, re-drawn from its seeds: replicates
@@ -401,10 +395,7 @@ def cmd_simulate(args) -> int:
 def cmd_evaluate(args) -> int:
     est = read_matrix_csv(args.delta)
     truth = read_matrix_csv(args.truth)
-    try:
-        report = support_metrics(est, truth)
-    except ValueError as err:
-        raise InputError(str(err)) from err
+    report = support_metrics(est, truth)
     out = _out_dir(args)
     record = {
         "tp_rate": report.tp_rate,
@@ -424,21 +415,14 @@ def cmd_evaluate(args) -> int:
 
 def cmd_diagnose(args) -> int:
     # Precision matrices are symmetrized as in sample_gaussian.
-    try:
-        omega_x = as_symmetric(read_matrix_csv(args.x), "--x")
-        omega_y = as_symmetric(read_matrix_csv(args.y), "--y")
-        pd_cholesky(omega_x, "--x")
-        pd_cholesky(omega_y, "--y")
-    except ValueError as err:
-        raise InputError(str(err)) from err
+    omega_x = as_symmetric(read_matrix_csv(args.x), "--x")
+    omega_y = as_symmetric(read_matrix_csv(args.y), "--y")
+    pd_cholesky(omega_x, "--x")
+    pd_cholesky(omega_y, "--y")
     if omega_x.shape != omega_y.shape:
         raise InputError("precision matrices must share one square shape")
     p = omega_x.shape[0]
-    if p > MAX_DIAGNOSTIC_P:
-        raise InputError(
-            f"p={p} exceeds the diagnostic limit of {MAX_DIAGNOSTIC_P}: the check "
-            f"builds an explicit p^2 x p^2 operator, an O(p^4) cost"
-        )
+    check_diagnostic_p(p)
     sigma_x = np.linalg.inv(omega_x)
     sigma_y = np.linalg.inv(omega_y)
     if args.support:
@@ -447,13 +431,10 @@ def cmd_diagnose(args) -> int:
         support = {tuple(idx) for idx in np.argwhere(omega_y - omega_x != 0)}
         if not support:
             raise InputError("precision matrices are identical; supply --support")
-    try:
-        alpha, kappa = irrepresentability_alpha(sigma_x, sigma_y, support)
-    except ValueError as err:
-        raise InputError(str(err)) from err
+    alpha, kappa = irrepresentability_alpha(sigma_x, sigma_y, support)
+    out = _out_dir(args)
     holds = "holds" if alpha > 0 else "fails"
     print(f"alpha={alpha:.6f} kappa={kappa:.6f} condition {holds}")
-    out = _out_dir(args)
     record = {"alpha": alpha, "kappa": kappa, "condition_holds": alpha > 0}
     (out / "diagnose.json").write_text(json.dumps(record, indent=2) + "\n")
     return 0
@@ -467,11 +448,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_solver_flags(sp):
-        sp.add_argument("--rho", type=float, default=50.0, help="ADMM weight")
-        sp.add_argument("--tol", type=float, default=1e-3, help="stopping tolerance")
-        sp.add_argument("--max-iter", type=int, default=5000, dest="max_iter")
-        sp.add_argument("--grid-count", type=int, default=50, dest="grid_count")
-        sp.add_argument("--grid-ratio", type=float, default=0.01, dest="grid_ratio")
+        sp.add_argument("--rho", type=float, default=SolverConfig.rho, help="ADMM weight")
+        sp.add_argument("--tol", type=float, default=SolverConfig.tol, help="stopping tolerance")
+        sp.add_argument("--max-iter", type=int, default=SolverConfig.max_iter, dest="max_iter")
+        sp.add_argument("--grid-count", type=int, default=GRID_COUNT, dest="grid_count")
+        sp.add_argument("--grid-ratio", type=float, default=GRID_RATIO, dest="grid_ratio")
         sp.add_argument("--out", default=".", help="output directory")
 
     sp = sub.add_parser("estimate", help="estimate the difference from two data files")
@@ -490,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_path)
 
     sp = sub.add_parser("simulate", help="run a benchmark scenario")
-    sp.add_argument("--scenario", choices=("sim1", "sim2", "sim3"), required=True)
+    sp.add_argument("--scenario", choices=SCENARIOS, required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--n", type=int, required=True, help="per-group sample size")
     sp.add_argument("--reps", type=int, default=10)
@@ -521,10 +502,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (SolverError, ValueError) as err:
+    except SolverError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

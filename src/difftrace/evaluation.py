@@ -20,6 +20,15 @@ CURVE_CSV_COLUMNS = ("lambda", "tp", "fp", "precision")
 MAX_DIAGNOSTIC_P = 40
 
 
+def check_diagnostic_p(p: int) -> None:
+    """Refuse a dimension above the irrepresentability diagnostic's limit."""
+    if p > MAX_DIAGNOSTIC_P:
+        raise ValueError(
+            f"p={p} exceeds the diagnostic limit of {MAX_DIAGNOSTIC_P}: the check "
+            f"builds an explicit p^2 x p^2 operator, an O(p^4) cost"
+        )
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     """Entrywise support-recovery rates of an estimate against the truth."""
@@ -164,11 +173,7 @@ def irrepresentability_alpha(
     if sigma_x.shape != sigma_y.shape:
         raise ValueError("covariance shapes differ")
     p = sigma_x.shape[0]
-    if p > MAX_DIAGNOSTIC_P:
-        raise ValueError(
-            f"p={p} too large for the explicit p^2 x p^2 operator "
-            f"(O(p^4) memory/time); limit is {MAX_DIAGNOSTIC_P}"
-        )
+    check_diagnostic_p(p)
     support_idx = sorted({int(i) * p + int(j) for i, j in support})
     if not support_idx:
         raise ValueError("support must be nonempty")

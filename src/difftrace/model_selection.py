@@ -17,6 +17,10 @@ BIC_NORMS = ("frobenius", "max")
 
 PATH_CSV_COLUMNS = ("lambda", "nnz", "bic_f", "bic_inf", "converged", "iterations")
 
+# Default penalty grid: point count and end-to-start ratio.
+GRID_COUNT = 50
+GRID_RATIO = 0.01
+
 
 def lambda_max(pair: CovariancePair) -> float:
     """Smallest penalty at which the all-zero matrix is optimal.
@@ -36,7 +40,9 @@ def check_grid(count: int, ratio: float) -> None:
         raise ValueError(f"grid ratio must lie in (0, 1), got {ratio}")
 
 
-def lambda_grid(pair: CovariancePair, count: int = 50, ratio: float = 0.01) -> np.ndarray:
+def lambda_grid(
+    pair: CovariancePair, count: int = GRID_COUNT, ratio: float = GRID_RATIO
+) -> np.ndarray:
     """Log-spaced descending penalties from lambda_max down to ratio * lambda_max."""
     check_grid(count, ratio)
     top = lambda_max(pair)

@@ -27,7 +27,17 @@ from .linalg import pd_cholesky
 # the benchmarks meaningless.
 PD_MARGIN = 1.0
 
-SCENARIOS = ("sim1", "sim2", "sim3")
+# Smallest dimension and block size of each scenario's construction.
+_DIMENSIONS = {"sim1": (8, 1), "sim2": (50, 50), "sim3": (100, 100)}
+SCENARIOS = tuple(_DIMENSIONS)
+
+
+def check_dimension(scenario: str, p: int) -> None:
+    """Refuse a dimension the scenario's construction cannot fill."""
+    least, block = _DIMENSIONS[scenario]
+    if p < least or p % block:
+        need = f"p >= {least}" if block == 1 else f"p to be a positive multiple of {block}"
+        raise ValueError(f"{scenario} needs {need}, got {p}")
 
 
 @dataclass(frozen=True)
@@ -57,16 +67,11 @@ class SimulationSpec:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        if self.p < 4:
-            raise ValueError(f"p must be >= 4, got {self.p}")
-        if self.scenario == "sim1" and self.p < 8:
-            raise ValueError(f"sim1 needs p >= 8, got {self.p}")
-        if self.scenario == "sim2" and self.p % 50 != 0:
-            raise ValueError(f"sim2 needs p to be a multiple of 50, got {self.p}")
-        if self.scenario == "sim3" and self.p % 100 != 0:
-            raise ValueError(f"sim3 needs p to be a multiple of 100, got {self.p}")
+        check_dimension(self.scenario, self.p)
         if self.n_x < 2 or self.n_y < 2:
             raise ValueError("sample sizes must be >= 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _finalize(omega_x: np.ndarray, omega_y: np.ndarray, margin: float) -> GroundTruth:
@@ -85,16 +90,15 @@ def _finalize(omega_x: np.ndarray, omega_y: np.ndarray, margin: float) -> Ground
     return GroundTruth(omega_x, omega_y, delta, support)
 
 
-def gen_sim1(p: int, margin: float = PD_MARGIN) -> GroundTruth:
+def gen_sim1(p: int) -> GroundTruth:
     """Banded pair: omega_x[i, j] = 0.5^|i-j|; omega_y is identical except
     entries at |i-j| = floor(p/4), which are set to 0.9."""
-    if p < 8:
-        raise ValueError(f"sim1 needs p >= 8, got {p}")
+    check_dimension("sim1", p)
     dist = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
     omega_x = 0.5 ** dist.astype(float)
     omega_y = omega_x.copy()
     omega_y[dist == p // 4] = 0.9
-    return _finalize(omega_x, omega_y, margin)
+    return _finalize(omega_x, omega_y, PD_MARGIN)
 
 
 def _preferential_edges(n: int, n_edges: int, rng: np.random.Generator) -> Set[Tuple[int, int]]:
@@ -136,7 +140,7 @@ def _signed_uniform(rng: np.random.Generator, size: int, low: float, high: float
     return rng.uniform(low, high, size) * rng.choice([-1.0, 1.0], size)
 
 
-def gen_sim2(p: int, seed: int, margin: float = PD_MARGIN) -> GroundTruth:
+def gen_sim2(p: int, seed: int) -> GroundTruth:
     """Block-diagonal scale-free pair (50 x 50 blocks).
 
     Per block: a preferential-attachment graph with 50*49/10 = 245 edges
@@ -146,8 +150,7 @@ def gen_sim2(p: int, seed: int, margin: float = PD_MARGIN) -> GroundTruth:
     precision matrix negates the off-diagonal entries in the rows and
     columns of each block's two highest-degree hub nodes.
     """
-    if p % 50 != 0 or p < 50:
-        raise ValueError(f"sim2 needs p to be a positive multiple of 50, got {p}")
+    check_dimension("sim2", p)
     rng = np.random.default_rng(seed)
     block_size = 50
     n_edges = block_size * (block_size - 1) // 10
@@ -178,7 +181,7 @@ def gen_sim2(p: int, seed: int, margin: float = PD_MARGIN) -> GroundTruth:
         sl = slice(start, start + block_size)
         omega_x[sl, sl] = block
         omega_y[sl, sl] = flipped
-    return _finalize(omega_x, omega_y, margin)
+    return _finalize(omega_x, omega_y, PD_MARGIN)
 
 
 def gen_sim3(
@@ -197,8 +200,7 @@ def gen_sim3(
     diagonal shift from ``_finalize``, which leaves the difference
     unchanged (both have a zero diagonal, so the shift always applies).
     """
-    if p % 100 != 0 or p < 100:
-        raise ValueError(f"sim3 needs p to be a positive multiple of 100, got {p}")
+    check_dimension("sim3", p)
     if not 0.0 <= min_signal < 0.5:
         raise ValueError(f"min_signal must lie in [0, 0.5), got {min_signal}")
     rng = np.random.default_rng(seed)

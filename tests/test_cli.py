@@ -6,6 +6,8 @@ import pytest
 
 from difftrace import cli
 from difftrace.cli import InputError, _read_rows, main, read_matrix_csv, read_support_csv
+from difftrace.evaluation import irrepresentability_alpha
+from difftrace.linalg import SolverError
 from difftrace.model_selection import bic_score
 from difftrace.simulation import gen_sim1, sample_gaussian
 
@@ -279,6 +281,19 @@ class TestPath:
         assert "tol must be positive and finite, got nan" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_solver_error_exit_code_1(self, tmp_path, sim_data, capsys, monkeypatch):
+        def failing(pair, grid, cfg):
+            raise SolverError("path solve failed at lambda=0.1: iterates diverged")
+
+        monkeypatch.setattr(cli, "solve_path", failing)
+        _, x_path, y_path = sim_data
+        code = main(["path", "--x", str(x_path), "--y", str(y_path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: path solve failed at lambda=0.1: iterates diverged\n"
+        )
+
     def test_ragged_csv_exit_code_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2\n3,4\n5,6,7\n")
@@ -497,6 +512,14 @@ class TestDiagnose:
         assert code == 2
         assert "O(p^4)" in capsys.readouterr().err
 
+    def test_size_limit_has_one_text(self, tmp_path, capsys):
+        with pytest.raises(ValueError) as err:
+            irrepresentability_alpha(np.eye(41), np.eye(41), {(0, 1)})
+        x_path = tmp_path / "ox.csv"
+        np.savetxt(x_path, np.eye(41), delimiter=",")
+        assert main(["diagnose", "--x", str(x_path), "--y", str(x_path)]) == 2
+        assert capsys.readouterr().err == f"error: {err.value}\n"
+
     def test_explicit_support_file(self, tmp_path):
         truth = gen_sim1(8)
         x_path = tmp_path / "ox.csv"
@@ -514,3 +537,64 @@ class TestDiagnose:
              "--support", str(support), "--out", str(out)]
         )
         assert code == 0
+
+
+def _tree(root):
+    """Every path below root, with the bytes of each file."""
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
+
+
+SIM1 = ["simulate", "--scenario", "sim1", "--p", "12", "--n", "60", "--reps", "1"]
+
+
+class TestRefusedInput:
+    # Placeholders in braces name the files the test writes before the run.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (SIM1 + ["--seed", "-1", "--out", "{out}"], "seed must be nonnegative, got -1"),
+            (["simulate", "--scenario", "sim2", "--p", "50", "--n", "60", "--reps", "1",
+              "--seed", "-5", "--out", "{out}"],
+             "seed must be nonnegative, got -5"),
+            (["simulate", "--scenario", "sim2", "--p", "0", "--n", "60", "--out", "{out}"],
+             "sim2 needs p to be a positive multiple of 50, got 0"),
+            (["simulate", "--scenario", "sim1", "--p", "4", "--n", "60", "--out", "{out}"],
+             "sim1 needs p >= 8, got 4"),
+            (["diagnose", "--x", "{eye41}", "--y", "{eye41}", "--out", "{out}"],
+             "p=41 exceeds the diagnostic limit of 40: the check builds an explicit "
+             "p^2 x p^2 operator, an O(p^4) cost"),
+            (["estimate", "--x", "{x}", "--y", "{y}", "--lambda", "0.05", "--out", "{file}"],
+             "cannot create output directory {file}: File exists"),
+            (["path", "--x", "{x}", "--y", "{y}", "--out", "{file}/sub"],
+             "cannot create output directory {file}/sub: Not a directory"),
+            (SIM1 + ["--out", "{file}"], "cannot create output directory {file}: File exists"),
+            (SIM1 + ["--out", "{file}/sub"],
+             "cannot create output directory {file}/sub: Not a directory"),
+            (["evaluate", "--delta", "{eye41}", "--truth", "{eye41}", "--out", "{file}"],
+             "cannot create output directory {file}: File exists"),
+            (["diagnose", "--x", "{eye4}", "--y", "{band4}", "--out", "{file}"],
+             "cannot create output directory {file}: File exists"),
+        ],
+        ids=[
+            "sim1-negative-seed", "sim2-negative-seed", "sim2-dimension", "sim1-dimension",
+            "diagnostic-limit", "estimate-out-file", "path-out-below-file",
+            "simulate-out-file", "simulate-out-below-file", "evaluate-out-file",
+            "diagnose-out-file",
+        ],
+    )
+    def test_exit_code_2_without_output(self, tmp_path, sim_data, capsys, argv, message):
+        _, x_path, y_path = sim_data
+        names = {name: tmp_path / f"{name}.csv" for name in ("eye41", "eye4", "band4")}
+        np.savetxt(names["eye41"], np.eye(41), delimiter=",")
+        np.savetxt(names["eye4"], np.eye(4), delimiter=",")
+        np.savetxt(names["band4"], np.eye(4) + 0.2 * np.eye(4, k=1) + 0.2 * np.eye(4, k=-1),
+                   delimiter=",")
+        names.update(out=tmp_path / "out", file=tmp_path / "file.txt", x=x_path, y=y_path)
+        names["file"].write_text("kept\n")
+        before = _tree(tmp_path)
+        code = main([arg.format(**names) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {message.format(**names)}\n"
+        assert captured.out == ""
+        assert _tree(tmp_path) == before

@@ -70,6 +70,32 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="multiple of 100"):
             SimulationSpec("sim3", 150, 50, 50, 0)
 
+    @pytest.mark.parametrize(
+        "scenario, p, message",
+        [
+            ("sim1", 7, "sim1 needs p >= 8, got 7"),
+            ("sim2", 75, "sim2 needs p to be a positive multiple of 50, got 75"),
+            ("sim2", 0, "sim2 needs p to be a positive multiple of 50, got 0"),
+            ("sim3", 120, "sim3 needs p to be a positive multiple of 100, got 120"),
+            ("sim3", -100, "sim3 needs p to be a positive multiple of 100, got -100"),
+        ],
+    )
+    def test_dimension_rule_has_one_text(self, scenario, p, message):
+        generators = {
+            "sim1": lambda: gen_sim1(p),
+            "sim2": lambda: gen_sim2(p, 0),
+            "sim3": lambda: gen_sim3(p, 0),
+        }
+        for build in (lambda: SimulationSpec(scenario, p, 50, 50, 0), generators[scenario]):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("scenario, p", [("sim1", 12), ("sim2", 50), ("sim3", 100)])
+    def test_negative_seed_refused(self, scenario, p):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            SimulationSpec(scenario, p, 50, 50, -1)
+
     def test_dispatch(self):
         assert generate(SimulationSpec("sim1", 12, 50, 50, 3)).p == 12
         assert generate(SimulationSpec("sim2", 50, 50, 50, 3)).p == 50

@@ -1,7 +1,10 @@
+import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
-TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACED = PERFBENCH / "traced.py"
 
 
 def test_every_traced_call_site_resolves():
@@ -13,3 +16,18 @@ def test_every_traced_call_site_resolves():
     assert traced.CALL_SITES
     for namespace, name in traced.CALL_SITES:
         assert callable(getattr(namespace, name, None)), f"{namespace.__name__}.{name}"
+
+
+def test_every_benchmark_import_resolves():
+    # Parsed rather than imported: importing run.py sets the BLAS thread
+    # variables in os.environ for the rest of the session.
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    names = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("difftrace.")
+        for alias in node.names
+    ]
+    assert names
+    for module, name in names:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
