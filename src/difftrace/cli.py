@@ -241,17 +241,19 @@ def _load_pair(args) -> Tuple[CovariancePair, SolverConfig]:
 
 def cmd_estimate(args) -> int:
     pair, cfg = _load_pair(args)
-    if args.lam is not None and not args.lam >= 0:
+    if args.lam is None:
+        grid = lambda_grid(pair, count=args.grid_count, ratio=args.grid_ratio)
+    elif not args.lam >= 0:
         raise InputError(f"--lambda must be nonnegative, got {args.lam}")
     out = _out_dir(args)
     start = time.perf_counter()
     if args.lam is not None:
         estimate, _ = admm_solve(pair, args.lam, cfg)
-        lam = args.lam
+        lam, rho = args.lam, estimate.rho
     else:
-        grid = lambda_grid(pair, count=args.grid_count, ratio=args.grid_ratio)
         path = solve_path(pair, grid, cfg)
         lam, estimate = select_by_bic(path, args.bic)
+        rho = path.rho
         with open(out / "path.csv", "w", newline="") as fh:
             write_path_csv(path, fh)
     wallclock_ms = int(1000 * (time.perf_counter() - start))
@@ -262,6 +264,7 @@ def cmd_estimate(args) -> int:
     record = {
         "lambda": float(lam),
         "rho": cfg.rho,
+        "rho_effective": rho,
         "tol": cfg.tol,
         "iterations": estimate.iterations,
         "converged": estimate.converged,
@@ -448,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_solver_flags(sp):
-        sp.add_argument("--rho", type=float, default=SolverConfig.rho, help="ADMM weight")
+        sp.add_argument("--rho", type=float, default=SolverConfig.rho,
+                        help="ADMM weight as a multiple of the pair's spectral scale")
         sp.add_argument("--tol", type=float, default=SolverConfig.tol, help="stopping tolerance")
         sp.add_argument("--max-iter", type=int, default=SolverConfig.max_iter, dest="max_iter")
         sp.add_argument("--grid-count", type=int, default=GRID_COUNT, dest="grid_count")

@@ -94,6 +94,21 @@ def _range_size(values: np.ndarray) -> int:
     return int(np.count_nonzero(values > tol))
 
 
+def spectral_scale(a_eig: EigenPair, b_eig: EigenPair) -> float:
+    """Geometric mean sqrt(a_1 b_1 a_r b_s) of the largest and smallest
+    curvatures a_i b_j of X -> A X B on the numerical ranges of A and B, from
+    their ``psd_eig`` results: a_r and b_s are the smallest eigenvalues that
+    ``solve_plan`` keeps. A matrix with no eigenvalue kept (an exactly zero
+    one) takes the other's eigenvalues in their place, and the scale is 1
+    when neither has any, so it is always positive. Scaling A and B by c
+    scales it by c^2."""
+    a, b = (eig.values[: _range_size(eig.values)] for eig in (a_eig, b_eig))
+    a, b = (a if a.size else b), (b if b.size else a)
+    if not a.size:
+        return 1.0
+    return float(np.sqrt(a[0]) * np.sqrt(a[-1]) * np.sqrt(b[0]) * np.sqrt(b[-1]))
+
+
 def solve_plan(a_eig: EigenPair, b_eig: EigenPair, gamma: float) -> SolvePlan:
     """Factors shared by every solve of A X B + gamma X = C with the same
     A, B and gamma, from their ``psd_eig`` results."""

@@ -28,6 +28,7 @@ from .linalg import (
     soft_threshold,
     solve_axb_plus_gx,
     solve_plan,
+    spectral_scale,
 )
 
 DIVERGENCE_LIMIT = 1e12
@@ -35,10 +36,11 @@ DIVERGENCE_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """ADMM parameters: augmented-Lagrangian weight 50, relative stopping
+    """ADMM parameters: the augmented-Lagrangian weight as a multiplier of
+    the pair's spectral scale (see ``admm_solve``), relative stopping
     tolerance 1e-3, and a 5000-sweep cap by default."""
 
-    rho: float = 50.0
+    rho: float = 1.0
     tol: float = 1e-3
     max_iter: int = 5000
 
@@ -70,13 +72,15 @@ class SolverState:
 
 @dataclass
 class DeltaEstimate:
-    """A solved difference estimate and its solve metadata."""
+    """A solved difference estimate and its solve metadata. ``rho`` is the
+    absolute ADMM weight of the sweeps, None when no sweep ran."""
 
     delta: np.ndarray
     lam: float
     iterations: int
     converged: bool
     objective: float
+    rho: Optional[float] = None
 
     @property
     def nnz(self) -> int:
@@ -164,6 +168,13 @@ def admm_solve(
     when every block moves less than ``cfg.tol`` in relative Frobenius
     norm, or at ``cfg.max_iter`` with ``converged=False``.
 
+    The sweeps run at the weight rho = ``cfg.rho`` * sqrt(a_1 b_1 a_r b_s)
+    (``spectral_scale`` of the pair's eigenvalues): the geometric mean of
+    the block equations' extreme curvatures. An exactly zero covariance
+    takes the other's eigenvalues, so rho is always positive and finite.
+    Scaling both samples by c scales rho by c^4 and every iterate by c^-2;
+    only the stopping test's max(1, .) floor depends on the data's units.
+
     When ``lam`` is at least the max-abs entry of sigma_x - sigma_y, the
     zero matrix is certified optimal by the stationarity condition (the
     loss gradient at zero is sigma_y - sigma_x), and is returned directly
@@ -190,7 +201,7 @@ def admm_solve(
         )
 
     eig_x, eig_y = factors if factors is not None else factor_pair(pair)
-    rho = cfg.rho
+    rho = cfg.rho * spectral_scale(eig_x, eig_y)
     state = warm if warm is not None else _initial_state(pair)
     d1, d2, d3 = state.delta1, state.delta2, state.delta3
     # Scaled duals u_i = lambda_i / rho. Each block equation divided by
@@ -261,7 +272,8 @@ def admm_solve(
     out_state = SolverState(
         d1, d2, d3, rho * u1, rho * u2, rho * u3, state.iterations + iterations
     )
-    return DeltaEstimate(delta, float(lam), iterations, converged, objective), out_state
+    estimate = DeltaEstimate(delta, float(lam), iterations, converged, objective, rho)
+    return estimate, out_state
 
 
 def kkt_check(delta, pair: CovariancePair, lam: float) -> float:

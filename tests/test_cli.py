@@ -190,9 +190,10 @@ class TestEstimate:
         )
         assert code == 0
         record = json.loads((out / "run.json").read_text())
-        for key in ("lambda", "rho", "tol", "iterations", "converged", "objective",
-                    "bic_f", "bic_inf", "nnz", "wallclock_ms"):
+        for key in ("lambda", "rho", "rho_effective", "tol", "iterations", "converged",
+                    "objective", "bic_f", "bic_inf", "nnz", "wallclock_ms"):
             assert key in record
+        assert record["rho_effective"] > 0
         assert (out / "delta.csv").exists()
         assert (out / "support.csv").exists()
         assert (out / "path.csv").exists()
@@ -574,12 +575,16 @@ class TestRefusedInput:
              "cannot create output directory {file}: File exists"),
             (["diagnose", "--x", "{eye4}", "--y", "{band4}", "--out", "{file}"],
              "cannot create output directory {file}: File exists"),
+            (["estimate", "--x", "{x}", "--y", "{x}", "--out", "{out}"],
+             "groups indistinguishable: lambda_max is zero"),
+            (["estimate", "--x", "{x}", "--y", "{y}", "--grid-count", "1", "--out", "{out}"],
+             "grid needs at least 2 points, got 1"),
         ],
         ids=[
             "sim1-negative-seed", "sim2-negative-seed", "sim2-dimension", "sim1-dimension",
             "diagnostic-limit", "estimate-out-file", "path-out-below-file",
             "simulate-out-file", "simulate-out-below-file", "evaluate-out-file",
-            "diagnose-out-file",
+            "diagnose-out-file", "estimate-same-file-twice", "estimate-grid-count",
         ],
     )
     def test_exit_code_2_without_output(self, tmp_path, sim_data, capsys, argv, message):

@@ -10,6 +10,7 @@ from difftrace.linalg import (
     psd_eig,
     soft_threshold,
     solve_plan,
+    spectral_scale,
     sym_eig,
 )
 from difftrace.linalg import solve_axb_plus_gx as kernel
@@ -254,6 +255,20 @@ class TestSolveMatchesReference:
             solve_axb_plus_gx(eye, eye, eye, 1.0, plan=plan)
         with pytest.raises(ValueError, match="gamma"):
             solve_plan(psd_eig(eye), psd_eig(eye), 0.0)
+
+
+@pytest.mark.parametrize(
+    "a, b, scale",
+    [
+        ([4.0, 1.0, 0.0], [9.0, 1.0, 1.0], 6.0),  # sqrt(4 * 9 * 1 * 1)
+        ([0.0, 0.0, 0.0], [9.0, 4.0, 1.0], 9.0),  # a zero A takes B's eigenvalues
+        ([9.0, 4.0, 1.0], [0.0, 0.0, 0.0], 9.0),
+        ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 1.0),
+        ([1.0, 1e-17, 0.0], [1.0, 1.0, 1.0], 1.0),  # 1e-17 is below the range rule
+    ],
+)
+def test_spectral_scale(a, b, scale):
+    assert spectral_scale(psd_eig(np.diag(a)), psd_eig(np.diag(b))) == scale
 
 
 class TestSoftThreshold:

@@ -11,8 +11,9 @@ from difftrace.linalg import (
     soft_threshold,
     solve_axb_plus_gx,
     solve_plan,
+    spectral_scale,
 )
-from difftrace.model_selection import lambda_grid, solve_path
+from difftrace.model_selection import lambda_grid, lambda_max, solve_path
 from difftrace.simulation import gen_sim1, sample_gaussian
 from difftrace.solver import (
     DIVERGENCE_LIMIT,
@@ -62,9 +63,15 @@ def reference_soft_threshold(a, lam):
     return np.sign(a) * np.maximum(np.abs(a) - lam, 0.0)
 
 
-def reference_admm_solve(pair, lam, cfg=None, warm=None):
+def effective_rho(pair, cfg=None):
+    """The absolute weight ``admm_solve`` runs its sweeps at on ``pair``."""
+    return (cfg or SolverConfig()).rho * spectral_scale(*factor_pair(pair))
+
+
+def reference_admm_solve(pair, lam, rho, cfg=None, warm=None):
     """The unscaled, allocating sweep loop ``admm_solve`` used to run, with
-    the old soft-threshold formula: the oracle for the scaled-dual loop."""
+    the old soft-threshold formula: the oracle for the scaled-dual loop. It
+    runs at the absolute weight ``rho``; ``cfg.rho`` is not read."""
     cfg = cfg or SolverConfig()
     sx, sy = pair.sigma_x, pair.sigma_y
     diff = sx - sy
@@ -78,7 +85,6 @@ def reference_admm_solve(pair, lam, cfg=None, warm=None):
         )
 
     eig_x, eig_y = factor_pair(pair)
-    rho = cfg.rho
     state = warm if warm is not None else _initial_state(pair)
     d1, d2, d3 = state.delta1, state.delta2, state.delta3
     l1, l2, l3 = state.lambda1, state.lambda2, state.lambda3
@@ -326,7 +332,8 @@ class TestSweepMatchesReference:
         for lam in (0.0, 0.02, 0.1):
             lam *= scale
             est, _ = admm_solve(pair, lam)
-            assert_same_solve(est, reference_admm_solve(pair, lam)[0])
+            assert est.rho == effective_rho(pair)
+            assert_same_solve(est, reference_admm_solve(pair, lam, est.rho)[0])
             if scale < 1:
                 assert np.linalg.norm(est.delta) > 1.0
 
@@ -336,21 +343,23 @@ class TestSweepMatchesReference:
         cfg = SolverConfig(max_iter=2000)
         for lam in lambda_grid(pair, count=4, ratio=0.1)[1:]:
             est, _ = admm_solve(pair, lam, cfg)
-            assert_same_solve(est, reference_admm_solve(pair, lam, cfg)[0])
+            ref = reference_admm_solve(pair, lam, effective_rho(pair, cfg), cfg)
+            assert_same_solve(est, ref[0])
 
     def test_warm_started_path(self):
         pair = sampled_pair(10, 40, 32)
         grid = lambda_grid(pair, count=10, ratio=0.05)
         path = solve_path(pair, grid)
         state = None
+        rho = effective_rho(pair)
         for lam, est in zip(grid, path.estimates):
-            ref, state = reference_admm_solve(pair, lam, warm=state)
+            ref, state = reference_admm_solve(pair, lam, rho, warm=state)
             assert_same_solve(est, ref)
 
     def test_warm_state_is_unscaled(self):
         pair = make_pair(6, np.random.default_rng(33))
         _, state = admm_solve(pair, 0.05)
-        _, ref_state = reference_admm_solve(pair, 0.05)
+        _, ref_state = reference_admm_solve(pair, 0.05, effective_rho(pair))
         for name in ("lambda1", "lambda2", "lambda3", "delta1", "delta2", "delta3"):
             np.testing.assert_allclose(
                 getattr(state, name), getattr(ref_state, name), rtol=0, atol=1e-9
@@ -379,25 +388,30 @@ def constant_group_pair(p, n, seed):
 
 class TestPathMatchesReferenceKernel:
     """Paths solved with the range-restricted block solves take the same
-    sweeps and select the same supports as with the full-eigenbasis kernel."""
+    sweeps and select the same supports as with the full-eigenbasis kernel.
+
+    The singular and constant cases run at the absolute weight 50 they were
+    written for: at the default weight their paths reach entries of about
+    300-1600, where the two kernels' rounding exceeds the absolute 1e-10."""
 
     @pytest.mark.parametrize(
-        "make_pair, rank_x",
+        "make_pair, rank_x, weight",
         [
-            (lambda: sampled_pair(12, 6, 36), 5),
-            (lambda: sampled_pair(10, 40, 37), 10),
-            (lambda: constant_column_pair(8, 30, 38), 7),
-            (lambda: constant_group_pair(8, 30, 39), 0),
+            (lambda: sampled_pair(12, 6, 36), 5, 50.0),
+            (lambda: sampled_pair(10, 40, 37), 10, None),
+            (lambda: constant_column_pair(8, 30, 38), 7, 50.0),
+            (lambda: constant_group_pair(8, 30, 39), 0, 50.0),
         ],
         ids=["n-below-p", "n-above-p", "constant-column", "constant-group"],
     )
-    def test_path(self, monkeypatch, make_pair, rank_x):
+    def test_path(self, monkeypatch, make_pair, rank_x, weight):
         pair = make_pair()
         assert np.linalg.matrix_rank(pair.sigma_x) == rank_x
+        cfg = None if weight is None else SolverConfig(rho=weight / effective_rho(pair))
         grid = lambda_grid(pair, count=8, ratio=0.05)
-        path = solve_path(pair, grid)
+        path = solve_path(pair, grid, cfg)
         monkeypatch.setattr(solver, "solve_axb_plus_gx", reference_kernel)
-        ref = solve_path(pair, grid)
+        ref = solve_path(pair, grid, cfg)
         assert sum(est.iterations for est in path.estimates) > 0
         for est, ref_est in zip(path.estimates, ref.estimates):
             assert est.iterations == ref_est.iterations
@@ -422,6 +436,42 @@ def test_sweep_calls_go_through_solver_namespace(monkeypatch):
     sweeps = sum(est.iterations for est in path.estimates)
     assert sweeps > 0
     assert counts == {"psd_eig": 2, "solve_axb_plus_gx": 2 * sweeps, "soft_threshold": sweeps}
+
+
+def test_sweep_is_scale_equivariant():
+    # Samples x4 scale the covariances by 16, the weight by 16^2 and every
+    # iterate by 1/16; powers of two keep the scaling exact in floating point.
+    truth = gen_sim1(20)
+    x = sample_gaussian(truth.omega_x, 200, 40)
+    y = sample_gaussian(truth.omega_y, 200, 41)
+    cfg = SolverConfig(tol=1e-300, max_iter=30)
+    deltas = []
+    for c in (1.0, 4.0):
+        pair = build_pair(c * x, c * y)
+        est, _ = admm_solve(pair, 0.3 * lambda_max(pair), cfg, warm=_zero_state(pair))
+        assert est.iterations == 30
+        deltas.append(est.delta)
+    assert np.count_nonzero(deltas[0]) > 0
+    gap = np.linalg.norm(16.0 * deltas[1] - deltas[0])
+    assert gap <= 1e-12 * np.linalg.norm(deltas[0])
+
+
+@pytest.mark.parametrize("p", [20, 30])
+def test_default_path_kkt_bound_when_n_above_p(p):
+    # The stopping rule is a relative step, not a certificate; at n > p the
+    # spectrally scaled weight keeps the default path within 0.5 lambda of
+    # stationarity. The n < p regime is not covered by this bound.
+    truth = gen_sim1(p)
+    worst = 0.0
+    for draw in range(3):
+        x = sample_gaussian(truth.omega_x, 10 * p, 50 + 2 * draw)
+        y = sample_gaussian(truth.omega_y, 10 * p, 51 + 2 * draw)
+        pair = build_pair(x, y)
+        path = solve_path(pair, lambda_grid(pair, count=20))
+        assert all(est.converged for est in path.estimates)
+        for est in path.estimates:
+            worst = max(worst, kkt_check(est.delta, pair, est.lam) / est.lam)
+    assert worst <= 0.5
 
 
 class TestKktCheck:

@@ -3,6 +3,12 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from difftrace import cli, model_selection
+from difftrace.covariance import build_pair
+from difftrace.simulation import gen_sim1, sample_gaussian
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACED = PERFBENCH / "traced.py"
 
@@ -31,3 +37,40 @@ def test_every_benchmark_import_resolves():
     assert names
     for module, name in names:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def count_calls(monkeypatch, namespace, name):
+    """Record the arguments of every call to ``namespace.name``."""
+    calls = []
+    fn = getattr(namespace, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(namespace, name, counted)
+    return calls
+
+
+# The benchmark's KKT audit sees only the solves made through these two
+# names; a solve made elsewhere would be timed but not audited.
+def test_path_solves_each_penalty_through_model_selection(monkeypatch):
+    calls = count_calls(monkeypatch, model_selection, "admm_solve")
+    truth = gen_sim1(10)
+    pair = build_pair(sample_gaussian(truth.omega_x, 60, 1),
+                      sample_gaussian(truth.omega_y, 60, 2))
+    grid = model_selection.lambda_grid(pair, count=6, ratio=0.1)
+    model_selection.solve_path(pair, grid)
+    assert [args[1] for args in calls] == list(grid)
+
+
+def test_fixed_penalty_estimate_solves_once_through_cli(monkeypatch, tmp_path):
+    calls = count_calls(monkeypatch, cli, "admm_solve")
+    path_calls = count_calls(monkeypatch, model_selection, "admm_solve")
+    truth = gen_sim1(10)
+    for name, omega, seed in (("x", truth.omega_x, 1), ("y", truth.omega_y, 2)):
+        np.savetxt(tmp_path / f"{name}.csv", sample_gaussian(omega, 60, seed), delimiter=",")
+    code = cli.main(["estimate", "--x", str(tmp_path / "x.csv"), "--y",
+                     str(tmp_path / "y.csv"), "--lambda", "0.05", "--out", str(tmp_path)])
+    assert code == 0
+    assert len(calls) == 1 and not path_calls
