@@ -126,16 +126,25 @@ def _load_numeric(fh, allow_header: bool) -> np.ndarray:
     raise ValueError("no numeric line")
 
 
+def _read_lines(path: Path) -> List[str]:
+    """Lines of a UTF-8 file; InputError names the file and its first bad line."""
+    try:
+        data = path.read_bytes()
+        return data.decode("utf-8").splitlines()
+    except OSError as err:
+        raise InputError(f"cannot read {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        # The sentinel counts a bad byte at the start of a line.
+        lineno = len((data[: err.start].decode("utf-8") + "x").splitlines())
+        raise InputError(f"{path}: line {lineno} is not UTF-8 text") from err
+
+
 def _read_rows(path: Path, allow_header: bool) -> np.ndarray:
     # Line-by-line parse: accepts ragged spacing, mixed delimiters, empty
     # fields and "1_0" literals, and names the first bad line.
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as err:
-        raise InputError(f"cannot read {path}: {err}") from err
     rows: List[List[float]] = []
     width: Optional[int] = None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_lines(path), start=1):
         if not raw.strip():
             continue
         parsed = _parse_numeric_line(raw)
@@ -181,11 +190,7 @@ def read_support_csv(path, p: int) -> set:
     """Parse a support list of 1-based "i,j[,value]" rows into 0-based pairs."""
     path = Path(path)
     support = set()
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as err:
-        raise InputError(f"cannot read {path}: {err}") from err
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_lines(path), start=1):
         if not raw.strip():
             continue
         parts = [item.strip() for item in raw.split(",")]
@@ -220,7 +225,7 @@ def write_support_csv(delta: np.ndarray, path) -> None:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(rho=args.rho, tol=args.tol, max_iter=args.max_iter)
+    return SolverConfig(tol=args.tol, max_iter=args.max_iter)
 
 
 def _out_dir(args) -> Path:
@@ -245,7 +250,6 @@ def cmd_estimate(args) -> int:
         grid = lambda_grid(pair, count=args.grid_count, ratio=args.grid_ratio)
     elif not args.lam >= 0:
         raise InputError(f"--lambda must be nonnegative, got {args.lam}")
-    out = _out_dir(args)
     start = time.perf_counter()
     if args.lam is not None:
         estimate, _ = admm_solve(pair, args.lam, cfg)
@@ -254,16 +258,18 @@ def cmd_estimate(args) -> int:
         path = solve_path(pair, grid, cfg)
         lam, estimate = select_by_bic(path, args.bic)
         rho = path.rho
-        with open(out / "path.csv", "w", newline="") as fh:
-            write_path_csv(path, fh)
     wallclock_ms = int(1000 * (time.perf_counter() - start))
     bic_f, bic_inf = bic_score(estimate.delta, pair)
 
+    # After the solve, so that a refused penalty leaves no --out behind.
+    out = _out_dir(args)
+    if args.lam is None:
+        with open(out / "path.csv", "w", newline="") as fh:
+            write_path_csv(path, fh)
     write_matrix_csv(estimate.delta, out / "delta.csv")
     write_support_csv(estimate.delta, out / "support.csv")
     record = {
         "lambda": float(lam),
-        "rho": cfg.rho,
         "rho_effective": rho,
         "tol": cfg.tol,
         "iterations": estimate.iterations,
@@ -288,11 +294,15 @@ def cmd_path(args) -> int:
     return 0 if all(est.converged for est in path.estimates) else 1
 
 
-def _simulate_replicate(spec: SimulationSpec, truth, rep: int, cfg: SolverConfig, args):
-    # Per-replicate data streams: X uses seed+1+2r, Y uses seed+2+2r.
+def _replicate_data(spec: SimulationSpec, truth, rep: int):
+    """Samples (x, y) of replicate ``rep``: X uses seed+1+2r, Y uses seed+2+2r."""
     x = sample_gaussian(truth.omega_x, spec.n_x, spec.seed + 1 + 2 * rep)
     y = sample_gaussian(truth.omega_y, spec.n_y, spec.seed + 2 + 2 * rep)
-    pair = build_pair(x, y)
+    return x, y
+
+
+def _simulate_replicate(spec: SimulationSpec, truth, rep: int, cfg: SolverConfig, args):
+    pair = build_pair(*_replicate_data(spec, truth, rep))
     grid = lambda_grid(pair, count=args.grid_count, ratio=args.grid_ratio)
     path = solve_path(pair, grid, cfg)
     points, auc = curve_from_path(path, truth.delta_star)
@@ -334,12 +344,8 @@ def cmd_simulate(args) -> int:
     if args.save_data:
         # The first replicate's data, re-drawn from its seeds: replicates
         # keep no samples once their path is scored.
-        write_matrix_csv(
-            sample_gaussian(truth.omega_x, spec.n_x, spec.seed + 1), out / "x.csv"
-        )
-        write_matrix_csv(
-            sample_gaussian(truth.omega_y, spec.n_y, spec.seed + 2), out / "y.csv"
-        )
+        for name, data in zip(("x.csv", "y.csv"), _replicate_data(spec, truth, 0)):
+            write_matrix_csv(data, out / name)
 
     with open(out / "replicates.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -451,8 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_solver_flags(sp):
-        sp.add_argument("--rho", type=float, default=SolverConfig.rho,
-                        help="ADMM weight as a multiple of the pair's spectral scale")
         sp.add_argument("--tol", type=float, default=SolverConfig.tol, help="stopping tolerance")
         sp.add_argument("--max-iter", type=int, default=SolverConfig.max_iter, dest="max_iter")
         sp.add_argument("--grid-count", type=int, default=GRID_COUNT, dest="grid_count")

@@ -25,10 +25,11 @@ def check_observations(data, name: str = "data") -> np.ndarray:
 def sample_covariance(data, name: str = "data") -> np.ndarray:
     """Sample covariance of an n x p observation matrix.
 
-    Columns are mean-centered first, and the normalization is 1/n (maximum
-    likelihood). The output is symmetrized exactly.
+    Columns are mean-centered in a C-ordered copy, so that the bits do not
+    depend on the input's layout; the normalization is 1/n (maximum
+    likelihood), and the output is symmetrized exactly.
     """
-    data = check_observations(data, name)
+    data = np.ascontiguousarray(check_observations(data, name))
     n = data.shape[0]
     centered = data - data.mean(axis=0)
     cov = centered.T @ centered / n

@@ -85,11 +85,11 @@ class SolvePlan(NamedTuple):
     gamma: float
 
 
-def _range_size(values: np.ndarray) -> int:
-    # np.linalg.matrix_rank's default rule: an eigenvalue at most
-    # p * eps * (largest eigenvalue) counts as zero, which stays within
-    # eigh's own backward error. Values are descending, so the nonzero ones
-    # lead.
+def range_size(values: np.ndarray) -> int:
+    """Numerical rank from descending ``psd_eig`` eigenvalues, by
+    np.linalg.matrix_rank's default rule: an eigenvalue at most p * eps *
+    (largest eigenvalue) counts as zero, which stays within eigh's own
+    backward error. The nonzero ones lead."""
     tol = values.size * np.finfo(float).eps * values.max(initial=0.0)
     return int(np.count_nonzero(values > tol))
 
@@ -102,7 +102,7 @@ def spectral_scale(a_eig: EigenPair, b_eig: EigenPair) -> float:
     one) takes the other's eigenvalues in their place, and the scale is 1
     when neither has any, so it is always positive. Scaling A and B by c
     scales it by c^2."""
-    a, b = (eig.values[: _range_size(eig.values)] for eig in (a_eig, b_eig))
+    a, b = (eig.values[: range_size(eig.values)] for eig in (a_eig, b_eig))
     a, b = (a if a.size else b), (b if b.size else a)
     if not a.size:
         return 1.0
@@ -114,7 +114,7 @@ def solve_plan(a_eig: EigenPair, b_eig: EigenPair, gamma: float) -> SolvePlan:
     A, B and gamma, from their ``psd_eig`` results."""
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    r, s = _range_size(a_eig.values), _range_size(b_eig.values)
+    r, s = range_size(a_eig.values), range_size(b_eig.values)
     ab = np.multiply.outer(a_eig.values[:r], b_eig.values[:s])
     scale = ab / (gamma * (ab + gamma))
     return SolvePlan(

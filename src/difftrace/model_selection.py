@@ -92,7 +92,8 @@ def solve_path(
 ) -> RegPath:
     """Solve at every penalty in descending order, warm-starting each solve
     from the previous one's state and sharing one factorization of the pair.
-    Records both BIC variants per entry."""
+    Records both BIC variants per entry. Bad input raises ValueError; a
+    failed solve raises SolverError naming its penalty."""
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.size == 0:
         raise ValueError("empty penalty grid")
@@ -102,14 +103,12 @@ def solve_path(
     bic_f = np.empty(lambdas.size)
     bic_inf = np.empty(lambdas.size)
     nnz = np.empty(lambdas.size, dtype=int)
-    state = factors = None
+    factors = factor_pair(pair)
+    state = None
     for i, lam in enumerate(lambdas):
         try:
-            # Factor once, at the first penalty not answered by zero.
-            if factors is None and lam < lambda_max(pair):
-                factors = factor_pair(pair)
             est, state = admm_solve(pair, float(lam), cfg, warm=state, factors=factors)
-        except (SolverError, ValueError) as err:
+        except SolverError as err:
             raise SolverError(f"path solve failed at lambda={lam:g}: {err}") from err
         estimates.append(est)
         bic_f[i], bic_inf[i] = bic_score(est.delta, pair)

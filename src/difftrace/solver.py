@@ -25,6 +25,7 @@ from .linalg import (
     norm_entrywise_l1,
     norm_entrywise_linf,
     psd_eig,
+    range_size,
     soft_threshold,
     solve_axb_plus_gx,
     solve_plan,
@@ -36,18 +37,15 @@ DIVERGENCE_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """ADMM parameters: the augmented-Lagrangian weight as a multiplier of
-    the pair's spectral scale (see ``admm_solve``), relative stopping
-    tolerance 1e-3, and a 5000-sweep cap by default."""
+    """ADMM parameters: relative stopping tolerance 1e-3 and a 5000-sweep
+    cap by default. The augmented-Lagrangian weight is not a parameter: it
+    comes from the pair (see ``admm_solve``)."""
 
-    rho: float = 1.0
     tol: float = 1e-3
     max_iter: int = 5000
 
     def __post_init__(self):
-        # Comparisons written so that NaN fails them.
-        if not 0.0 < self.rho < np.inf:
-            raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        # Written so that NaN fails the comparison.
         if not 0.0 < self.tol < np.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
@@ -126,16 +124,6 @@ def _sq_norm(a: np.ndarray) -> float:
     return float(flat.dot(flat))
 
 
-def _initial_state(pair: CovariancePair) -> SolverState:
-    # Cold start: diagonal proxy (diag(Sy)+I)^-1 - (diag(Sx)+I)^-1, zero duals.
-    p = pair.p
-    d0 = np.diag(
-        1.0 / (np.diag(pair.sigma_y) + 1.0) - 1.0 / (np.diag(pair.sigma_x) + 1.0)
-    )
-    zeros = np.zeros((p, p))
-    return SolverState(d0, d0.copy(), d0.copy(), zeros, zeros.copy(), zeros.copy())
-
-
 def _zero_state(pair: CovariancePair) -> SolverState:
     # Fixed point of the iteration at the all-zero solution: the dual
     # differences must cancel the linear term of each block update.
@@ -168,7 +156,7 @@ def admm_solve(
     when every block moves less than ``cfg.tol`` in relative Frobenius
     norm, or at ``cfg.max_iter`` with ``converged=False``.
 
-    The sweeps run at the weight rho = ``cfg.rho`` * sqrt(a_1 b_1 a_r b_s)
+    The sweeps run at the weight rho = sqrt(a_1 b_1 a_r b_s)
     (``spectral_scale`` of the pair's eigenvalues): the geometric mean of
     the block equations' extreme curvatures. An exactly zero covariance
     takes the other's eigenvalues, so rho is always positive and finite.
@@ -178,7 +166,9 @@ def admm_solve(
     When ``lam`` is at least the max-abs entry of sigma_x - sigma_y, the
     zero matrix is certified optimal by the stationarity condition (the
     loss gradient at zero is sigma_y - sigma_x), and is returned directly
-    with its fixed-point dual state.
+    with its fixed-point dual state. A cold solve (no ``warm``) starts from
+    that state. ``lam = 0`` needs both covariances at full numerical rank
+    (``range_size``), as the minimizer sigma_y^-1 - sigma_x^-1 does.
 
     ``factors`` is ``factor_pair(pair)``, passed by callers that solve
     the same pair at several penalties; it is computed here otherwise.
@@ -201,8 +191,13 @@ def admm_solve(
         )
 
     eig_x, eig_y = factors if factors is not None else factor_pair(pair)
-    rho = cfg.rho * spectral_scale(eig_x, eig_y)
-    state = warm if warm is not None else _initial_state(pair)
+    ranks = range_size(eig_x.values), range_size(eig_y.values)
+    if lam == 0 and min(ranks) < pair.p:
+        raise ValueError(
+            f"penalty 0 needs nonsingular sigma_x, sigma_y: ranks {ranks}, p={pair.p}"
+        )
+    rho = spectral_scale(eig_x, eig_y)
+    state = warm if warm is not None else _zero_state(pair)
     d1, d2, d3 = state.delta1, state.delta2, state.delta3
     # Scaled duals u_i = lambda_i / rho. Each block equation divided by
     # 2 rho reads (S/2rho) X S' + 2 X = rhs; the scale is folded into the

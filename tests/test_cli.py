@@ -108,6 +108,20 @@ class TestReadMatrixCsv:
             np.testing.assert_array_equal(data, expected)
             assert data.shape == np.shape(expected)
 
+    @pytest.mark.parametrize(
+        "data, line",
+        [(b"\xff1,2\n", 1), (b"1,2\n\xff", 2), (b"1,2\r\n3,4\r\n5,\xe9\n", 3),
+         (b"1,2\r3,4\n\n5,6\xff\n", 4)],
+        ids=["first-byte", "line-start", "crlf", "cr-and-blank-line"],
+    )
+    def test_non_utf8_byte_is_named(self, tmp_path, data, line):
+        f = tmp_path / "m.csv"
+        f.write_bytes(data)
+        for read in (read_matrix_csv, lambda f: read_support_csv(f, p=2)):
+            with pytest.raises(InputError) as err:
+                read(f)
+            assert str(err.value) == f"{f}: line {line} is not UTF-8 text"
+
     def test_savetxt_round_trip_is_bitwise(self, tmp_path):
         matrix = np.random.default_rng(3).standard_normal((200, 7))
         f = tmp_path / "m.csv"
@@ -190,7 +204,7 @@ class TestEstimate:
         )
         assert code == 0
         record = json.loads((out / "run.json").read_text())
-        for key in ("lambda", "rho", "rho_effective", "tol", "iterations", "converged",
+        for key in ("lambda", "rho_effective", "tol", "iterations", "converged",
                     "objective", "bic_f", "bic_inf", "nnz", "wallclock_ms"):
             assert key in record
         assert record["rho_effective"] > 0
@@ -244,7 +258,6 @@ class TestEstimate:
         [
             ("--tol", "nan", "tol must be positive and finite, got nan"),
             ("--tol", "inf", "tol must be positive and finite, got inf"),
-            ("--rho", "nan", "rho must be positive and finite, got nan"),
             ("--lambda", "nan", "--lambda must be nonnegative, got nan"),
         ],
     )
@@ -394,6 +407,23 @@ class TestSimulate:
         curve = (out / "curve_000.csv").read_text().strip().splitlines()
         assert curve[0] == "lambda,tp,fp,precision"
         assert len(curve) == 7
+
+    def test_saved_data_reproduce_replicate_0(self, tmp_path):
+        # estimate on the --save-data files selects what replicate 0 reported.
+        sim, est = tmp_path / "sim", tmp_path / "est"
+        code = main(
+            ["simulate", "--scenario", "sim1", "--p", "12", "--n", "60",
+             "--reps", "2", "--seed", "5", "--save-data", "--out", str(sim)]
+        )
+        assert code == 0
+        code = main(["estimate", "--x", str(sim / "x.csv"), "--y", str(sim / "y.csv"),
+                     "--out", str(est)])
+        assert code == 0
+        with open(sim / "replicates.csv", newline="") as fh:
+            rep0 = next(csv.DictReader(fh))
+        record = json.loads((est / "run.json").read_text())
+        assert repr(record["lambda"]) == rep0["lambda_f"]
+        assert record["nnz"] == int(rep0["nnz_f"])
 
     def test_single_replicate_has_empty_sd(self, tmp_path):
         out = tmp_path / "sim"
@@ -579,12 +609,22 @@ class TestRefusedInput:
              "groups indistinguishable: lambda_max is zero"),
             (["estimate", "--x", "{x}", "--y", "{y}", "--grid-count", "1", "--out", "{out}"],
              "grid needs at least 2 points, got 1"),
+            (["estimate", "--x", "{wide_x}", "--y", "{wide_y}", "--lambda", "0",
+              "--out", "{out}"],
+             "penalty 0 needs nonsingular sigma_x, sigma_y: ranks (5, 5), p=12"),
+            (["estimate", "--x", "{latin1}", "--y", "{y}", "--lambda", "0.05",
+              "--out", "{out}"],
+             "{latin1}: line 2 is not UTF-8 text"),
+            (["diagnose", "--x", "{eye4}", "--y", "{band4}", "--support", "{latin1}",
+              "--out", "{out}"],
+             "{latin1}: line 2 is not UTF-8 text"),
         ],
         ids=[
             "sim1-negative-seed", "sim2-negative-seed", "sim2-dimension", "sim1-dimension",
             "diagnostic-limit", "estimate-out-file", "path-out-below-file",
             "simulate-out-file", "simulate-out-below-file", "evaluate-out-file",
             "diagnose-out-file", "estimate-same-file-twice", "estimate-grid-count",
+            "estimate-zero-penalty-singular", "estimate-not-utf8", "diagnose-support-not-utf8",
         ],
     )
     def test_exit_code_2_without_output(self, tmp_path, sim_data, capsys, argv, message):
@@ -594,8 +634,14 @@ class TestRefusedInput:
         np.savetxt(names["eye4"], np.eye(4), delimiter=",")
         np.savetxt(names["band4"], np.eye(4) + 0.2 * np.eye(4, k=1) + 0.2 * np.eye(4, k=-1),
                    delimiter=",")
-        names.update(out=tmp_path / "out", file=tmp_path / "file.txt", x=x_path, y=y_path)
+        rng = np.random.default_rng(8)
+        for name in ("wide_x", "wide_y"):
+            names[name] = tmp_path / f"{name}.csv"
+            np.savetxt(names[name], rng.standard_normal((6, 12)), delimiter=",")
+        names.update(out=tmp_path / "out", file=tmp_path / "file.txt", x=x_path, y=y_path,
+                     latin1=tmp_path / "latin1.csv")
         names["file"].write_text("kept\n")
+        names["latin1"].write_bytes(b"1,2\n3,\xff4\n")
         before = _tree(tmp_path)
         code = main([arg.format(**names) for arg in argv])
         captured = capsys.readouterr()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from difftrace.covariance import build_pair, pair_from_covariances
+from difftrace.linalg import SolverError
 from difftrace.model_selection import (
     PATH_CSV_COLUMNS,
     RegPath,
@@ -211,6 +212,23 @@ class TestSolvePath:
         pair = sampled_pair(10, 50, 13)
         with pytest.raises(ValueError, match="empty"):
             solve_path(pair, [])
+
+    def test_bad_penalty_raises_value_error(self):
+        pair = sampled_pair(10, 50, 14)
+        with pytest.raises(ValueError) as err:
+            solve_path(pair, [0.5, -0.1])
+        assert str(err.value) == "penalty must be nonnegative, got -0.1"
+
+    def test_failed_solve_names_its_penalty(self, monkeypatch):
+        def failing(pair, lam, cfg, warm, factors):
+            raise SolverError("iterates diverged at iteration 3")
+
+        monkeypatch.setattr(model_selection, "admm_solve", failing)
+        with pytest.raises(SolverError) as err:
+            solve_path(sampled_pair(10, 50, 15), [0.25])
+        assert str(err.value) == (
+            "path solve failed at lambda=0.25: iterates diverged at iteration 3"
+        )
 
 
 class TestSelectByBic:

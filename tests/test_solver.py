@@ -20,7 +20,6 @@ from difftrace.solver import (
     DeltaEstimate,
     SolverConfig,
     SolverState,
-    _initial_state,
     _zero_state,
     admm_solve,
     factor_pair,
@@ -29,7 +28,7 @@ from difftrace.solver import (
     kkt_check,
     penalized_objective,
 )
-from conftest import checked, random_spd, reference_solve_axb_plus_gx
+from conftest import checked, random_psd, random_spd, reference_solve_axb_plus_gx
 
 
 def make_pair(p, rng, cond=8.0, n=100):
@@ -63,15 +62,15 @@ def reference_soft_threshold(a, lam):
     return np.sign(a) * np.maximum(np.abs(a) - lam, 0.0)
 
 
-def effective_rho(pair, cfg=None):
+def effective_rho(pair):
     """The absolute weight ``admm_solve`` runs its sweeps at on ``pair``."""
-    return (cfg or SolverConfig()).rho * spectral_scale(*factor_pair(pair))
+    return spectral_scale(*factor_pair(pair))
 
 
 def reference_admm_solve(pair, lam, rho, cfg=None, warm=None):
     """The unscaled, allocating sweep loop ``admm_solve`` used to run, with
     the old soft-threshold formula: the oracle for the scaled-dual loop. It
-    runs at the absolute weight ``rho``; ``cfg.rho`` is not read."""
+    runs at the absolute weight ``rho``."""
     cfg = cfg or SolverConfig()
     sx, sy = pair.sigma_x, pair.sigma_y
     diff = sx - sy
@@ -85,7 +84,7 @@ def reference_admm_solve(pair, lam, rho, cfg=None, warm=None):
         )
 
     eig_x, eig_y = factor_pair(pair)
-    state = warm if warm is not None else _initial_state(pair)
+    state = warm if warm is not None else _zero_state(pair)
     d1, d2, d3 = state.delta1, state.delta2, state.delta3
     l1, l2, l3 = state.lambda1, state.lambda2, state.lambda3
     plan1, plan2 = solve_plan(eig_x, eig_y, 4 * rho), solve_plan(eig_y, eig_x, 4 * rho)
@@ -299,11 +298,25 @@ class TestAdmmSolve:
 
     @pytest.mark.parametrize(
         "field, value",
-        [(f, v) for f in ("rho", "tol") for v in (0.0, -1.0, float("nan"), float("inf"))],
+        [("tol", v) for v in (0.0, -1.0, float("nan"), float("inf"))],
     )
     def test_config_rejects_nonpositive_or_nonfinite(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
             SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("singular", ["sigma_x", "sigma_y"])
+    def test_zero_penalty_refused_on_singular_pair(self, singular):
+        # Sigma_y^-1 - Sigma_x^-1 exists only when both are nonsingular.
+        rng = np.random.default_rng(19)
+        covs = {"sigma_x": random_spd(6, rng), "sigma_y": random_spd(6, rng)}
+        covs[singular] = random_psd(6, rng, rank=3)
+        pair = pair_from_covariances(covs["sigma_x"], covs["sigma_y"], 10, 10)
+        ranks = (3, 6) if singular == "sigma_x" else (6, 3)
+        with pytest.raises(ValueError) as err:
+            admm_solve(pair, 0.0)
+        assert str(err.value) == (
+            f"penalty 0 needs nonsingular sigma_x, sigma_y: ranks {ranks}, p=6"
+        )
 
     def test_non_psd_covariance_rejected(self):
         pair = CovariancePair(np.diag([1.0, -1.0]), np.eye(2), 10, 10)
@@ -343,7 +356,7 @@ class TestSweepMatchesReference:
         cfg = SolverConfig(max_iter=2000)
         for lam in lambda_grid(pair, count=4, ratio=0.1)[1:]:
             est, _ = admm_solve(pair, lam, cfg)
-            ref = reference_admm_solve(pair, lam, effective_rho(pair, cfg), cfg)
+            ref = reference_admm_solve(pair, lam, effective_rho(pair), cfg)
             assert_same_solve(est, ref[0])
 
     def test_warm_started_path(self):
@@ -407,17 +420,30 @@ class TestPathMatchesReferenceKernel:
     def test_path(self, monkeypatch, make_pair, rank_x, weight):
         pair = make_pair()
         assert np.linalg.matrix_rank(pair.sigma_x) == rank_x
-        cfg = None if weight is None else SolverConfig(rho=weight / effective_rho(pair))
+        if weight is not None:
+            monkeypatch.setattr(solver, "spectral_scale", lambda a_eig, b_eig: weight)
         grid = lambda_grid(pair, count=8, ratio=0.05)
-        path = solve_path(pair, grid, cfg)
+        path = solve_path(pair, grid)
         monkeypatch.setattr(solver, "solve_axb_plus_gx", reference_kernel)
-        ref = solve_path(pair, grid, cfg)
+        ref = solve_path(pair, grid)
         assert sum(est.iterations for est in path.estimates) > 0
         for est, ref_est in zip(path.estimates, ref.estimates):
             assert est.iterations == ref_est.iterations
             assert est.converged == ref_est.converged
             assert est.nnz == ref_est.nnz
             np.testing.assert_allclose(est.delta, ref_est.delta, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("ratio", [0.5, 0.1])
+@pytest.mark.parametrize("n", [6, 60], ids=["n-below-p", "n-above-p"])
+def test_cold_solve_is_second_solve_of_path(n, ratio):
+    # A cold solve starts from the lambda_max fixed point every path starts from.
+    pair = sampled_pair(12, n, 34)
+    lam = ratio * lambda_max(pair)
+    cold, _ = admm_solve(pair, lam)
+    second = solve_path(pair, [lambda_max(pair), lam]).estimates[1]
+    assert cold.iterations == second.iterations > 0
+    assert cold.delta.tobytes() == second.delta.tobytes()
 
 
 def test_sweep_calls_go_through_solver_namespace(monkeypatch):

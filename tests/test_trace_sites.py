@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -37,6 +38,48 @@ def test_every_benchmark_import_resolves():
     assert names
     for module, name in names:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def subcommand_options(command):
+    """Option strings of one CLI subcommand."""
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return set(sub.choices[command]._option_string_actions)
+
+
+def test_every_benchmark_flag_is_a_cli_option():
+    # A flag the CLI no longer accepts would fail every benchmark call.
+    # make_inputs builds the simulate arguments under its
+    # ``wl.command == "simulate"`` branch and the estimate arguments after
+    # it; run_timed appends the flags every command shares.
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def flags(nodes):
+        return {
+            node.value
+            for root in nodes
+            for node in ast.walk(root)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.startswith("--")
+        }
+
+    body = funcs["make_inputs"].body
+    (branch,) = [
+        node for node in body
+        if isinstance(node, ast.If)
+        and any(getattr(c, "value", None) == "simulate" for c in ast.walk(node.test))
+    ]
+    shared = flags([funcs["run_timed"]])
+    assert "--out" in shared
+    expected = {
+        "simulate": flags([branch]),
+        "estimate": flags([node for node in body if node is not branch]),
+    }
+    for command, used in expected.items():
+        assert used, command
+        missing = (used | shared) - subcommand_options(command)
+        assert not missing, f"{command}: {sorted(missing)}"
 
 
 def count_calls(monkeypatch, namespace, name):
