@@ -1,5 +1,6 @@
-"""Command-line front end: estimate from data files, sweep penalty paths,
-run simulation benchmarks, score estimates, and emit plot-ready CSVs.
+"""Command-line front end: estimate from data files at one penalty or over
+a BIC-tuned penalty path, run simulation benchmarks, score estimates, and
+emit plot-ready CSVs.
 
 Exit codes: 0 on success with all solves converged, 1 on a failed or
 unconverged solve (``SolverError``), 2 on bad input (any ``ValueError``).
@@ -248,8 +249,6 @@ def cmd_estimate(args) -> int:
     pair, cfg = _load_pair(args)
     if args.lam is None:
         grid = lambda_grid(pair, count=args.grid_count, ratio=args.grid_ratio)
-    elif not args.lam >= 0:
-        raise InputError(f"--lambda must be nonnegative, got {args.lam}")
     start = time.perf_counter()
     if args.lam is not None:
         estimate, _ = admm_solve(pair, args.lam, cfg)
@@ -282,16 +281,6 @@ def cmd_estimate(args) -> int:
     }
     (out / "run.json").write_text(json.dumps(record, indent=2) + "\n")
     return 0 if estimate.converged else 1
-
-
-def cmd_path(args) -> int:
-    pair, cfg = _load_pair(args)
-    grid = lambda_grid(pair, count=args.grid_count, ratio=args.grid_ratio)
-    out = _out_dir(args)
-    path = solve_path(pair, grid, cfg)
-    with open(out / "path.csv", "w", newline="") as fh:
-        write_path_csv(path, fh)
-    return 0 if all(est.converged for est in path.estimates) else 1
 
 
 def _replicate_data(spec: SimulationSpec, truth, rep: int):
@@ -471,12 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="BIC norm for tuning when no --lambda is given")
     add_solver_flags(sp)
     sp.set_defaults(func=cmd_estimate)
-
-    sp = sub.add_parser("path", help="sweep the penalty path and export its summary")
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--y", required=True)
-    add_solver_flags(sp)
-    sp.set_defaults(func=cmd_path)
 
     sp = sub.add_parser("simulate", help="run a benchmark scenario")
     sp.add_argument("--scenario", choices=SCENARIOS, required=True)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PSD_TOL, as_symmetric
+from .linalg import as_symmetric
 
 
 def check_observations(data, name: str = "data") -> np.ndarray:
@@ -62,8 +62,8 @@ class CovariancePair:
 def build_pair(x, y) -> CovariancePair:
     """Covariance pair from the two raw observation matrices.
 
-    Both groups must observe the same p variables. PSD-ness of the outputs is
-    validated (up to the -1e-8 eigenvalue tolerance).
+    Both groups must observe the same p variables. The covariances are
+    judged PSD when a solve factors them (``solver.factor_pair``).
     """
     x = check_observations(x, "group X")
     y = check_observations(y, "group Y")
@@ -73,21 +73,12 @@ def build_pair(x, y) -> CovariancePair:
         )
     sigma_x = sample_covariance(x, name="group X")
     sigma_y = sample_covariance(y, name="group Y")
-    return _psd_pair(sigma_x, sigma_y, x.shape[0], y.shape[0])
+    return CovariancePair(sigma_x, sigma_y, x.shape[0], y.shape[0])
 
 
 def pair_from_covariances(sigma_x, sigma_y, n_x: int, n_y: int) -> CovariancePair:
-    """Covariance pair from precomputed matrices (symmetrized, PSD-checked)."""
+    """Covariance pair from precomputed matrices (symmetrized; judged PSD
+    when a solve factors them)."""
     sigma_x = as_symmetric(sigma_x, "sigma_x")
     sigma_y = as_symmetric(sigma_y, "sigma_y")
-    return _psd_pair(sigma_x, sigma_y, int(n_x), int(n_y))
-
-
-def _psd_pair(sigma_x, sigma_y, n_x: int, n_y: int) -> CovariancePair:
-    # Shapes are checked by the pair, then PSD-ness up to -PSD_TOL.
-    pair = CovariancePair(sigma_x, sigma_y, n_x, n_y)
-    for name, sigma in (("sigma_x", pair.sigma_x), ("sigma_y", pair.sigma_y)):
-        min_eig = float(np.linalg.eigvalsh(sigma)[0])
-        if min_eig < -PSD_TOL:
-            raise ValueError(f"{name} is not PSD: min eigenvalue {min_eig:.3e}")
-    return pair
+    return CovariancePair(sigma_x, sigma_y, int(n_x), int(n_y))

@@ -10,7 +10,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 # Eigenvalues of nominally PSD inputs may dip slightly below zero in floating
-# point; values in [-PSD_TOL, 0) are clamped, anything lower is rejected.
+# point; values down to -PSD_TOL times the largest eigenvalue are clamped,
+# anything lower is rejected.
 PSD_TOL = 1e-8
 
 
@@ -61,9 +62,11 @@ def sym_eig(a, name: str = "matrix") -> EigenPair:
 
 
 def psd_eig(a, name: str = "matrix") -> EigenPair:
-    """Eigendecomposition of a nominally PSD matrix with small negatives clamped."""
+    """Eigendecomposition of a nominally PSD matrix with small negatives
+    clamped to zero. The tolerance is relative to the largest eigenvalue, so
+    the verdict does not depend on the matrix's units."""
     values, vectors = sym_eig(a, name)
-    if values[-1] < -PSD_TOL:
+    if values[-1] < -PSD_TOL * max(values[0], 0.0):
         raise ValueError(
             f"{name} is not positive semidefinite: min eigenvalue {values[-1]:.3e}"
         )

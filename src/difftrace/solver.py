@@ -153,15 +153,23 @@ def admm_solve(
     Each sweep updates the three primal blocks in closed form -- two
     matrix-equation solves (see ``solve_axb_plus_gx``) and one soft
     threshold -- followed by the three dual ascent steps. Iteration stops
-    when every block moves less than ``cfg.tol`` in relative Frobenius
-    norm, or at ``cfg.max_iter`` with ``converged=False``.
+    when no block moves more than ``cfg.tol`` times the larger of its
+    Frobenius norms before and after the sweep, or at ``cfg.max_iter`` with
+    ``converged=False``. ``SolverError`` is raised when a block or the
+    scaled dual lambda_1/rho grows beyond ``DIVERGENCE_LIMIT`` times the
+    norm of (sigma_x - sigma_y)/2rho, the scaled dual of the zero solution:
+    the limit is a ratio, both sides in the units of the estimate.
 
     The sweeps run at the weight rho = sqrt(a_1 b_1 a_r b_s)
     (``spectral_scale`` of the pair's eigenvalues): the geometric mean of
     the block equations' extreme curvatures. An exactly zero covariance
     takes the other's eigenvalues, so rho is always positive and finite.
-    Scaling both samples by c scales rho by c^4 and every iterate by c^-2;
-    only the stopping test's max(1, .) floor depends on the data's units.
+    Scaling both samples by c scales rho by c^4 and every iterate by c^-2,
+    and every test above is relative, so the sweeps do not depend on the
+    data's units.
+
+    Both covariances are factored and judged PSD (``psd_eig``) before any
+    other work, so an indefinite pair is refused at every penalty.
 
     When ``lam`` is at least the max-abs entry of sigma_x - sigma_y, the
     zero matrix is certified optimal by the stationarity condition (the
@@ -181,6 +189,7 @@ def admm_solve(
     cfg = cfg or SolverConfig()
     sx, sy = pair.sigma_x, pair.sigma_y
     diff = sx - sy
+    eig_x, eig_y = factors if factors is not None else factor_pair(pair)
 
     if lam >= norm_entrywise_linf(diff):
         state = _zero_state(pair)
@@ -190,7 +199,6 @@ def admm_solve(
             state,
         )
 
-    eig_x, eig_y = factors if factors is not None else factor_pair(pair)
     ranks = range_size(eig_x.values), range_size(eig_y.values)
     if lam == 0 and min(ranks) < pair.p:
         raise ValueError(
@@ -211,7 +219,7 @@ def admm_solve(
     shift = diff / two_rho
     kappa = lam / two_rho
     tol_sq = cfg.tol**2
-    limit_sq = DIVERGENCE_LIMIT**2
+    limit_sq = DIVERGENCE_LIMIT**2 * _sq_norm(shift)
     shared, work = np.empty_like(diff), np.empty_like(diff)
     sq = [_sq_norm(d1), _sq_norm(d2), _sq_norm(d3)]
 
@@ -242,15 +250,16 @@ def admm_solve(
         u3 += work
 
         # Relative-step test and divergence guard, both in squared norms;
-        # once one block fails the test the other steps are not needed.
+        # once one block fails the test the other steps are not needed. The
+        # strict test passes a block that is zero before and after.
         converged = True
-        largest_sq = rho * rho * _sq_norm(u1)
+        largest_sq = _sq_norm(u1)
         for i, (old, new) in enumerate(((d1, d1_new), (d2, d2_new), (d3, d3_new))):
             new_sq = _sq_norm(new)
             largest_sq = max(largest_sq, new_sq)
             if converged:
                 np.subtract(new, old, out=work)
-                if _sq_norm(work) >= tol_sq * max(1.0, sq[i], new_sq):
+                if _sq_norm(work) > tol_sq * max(sq[i], new_sq):
                     converged = False
             sq[i] = new_sq
         d1, d2, d3 = d1_new, d2_new, d3_new

@@ -8,7 +8,8 @@ from difftrace import cli
 from difftrace.cli import InputError, _read_rows, main, read_matrix_csv, read_support_csv
 from difftrace.evaluation import irrepresentability_alpha
 from difftrace.linalg import SolverError
-from difftrace.model_selection import bic_score
+from difftrace.covariance import build_pair
+from difftrace.model_selection import bic_score, lambda_max
 from difftrace.simulation import gen_sim1, sample_gaussian
 
 
@@ -258,7 +259,7 @@ class TestEstimate:
         [
             ("--tol", "nan", "tol must be positive and finite, got nan"),
             ("--tol", "inf", "tol must be positive and finite, got inf"),
-            ("--lambda", "nan", "--lambda must be nonnegative, got nan"),
+            ("--lambda", "nan", "penalty must be nonnegative, got nan"),
         ],
     )
     def test_nonfinite_flag_exit_code_2(self, tmp_path, sim_data, capsys, flag, value, message):
@@ -273,12 +274,40 @@ class TestEstimate:
         assert not (out / "run.json").exists()
 
 
+    @pytest.mark.parametrize(
+        "scale", [2.0**-20, 1e-6, 2.0**20, 1e6], ids=["2^-20", "1e-6", "2^20", "1e6"]
+    )
+    def test_fixed_penalty_is_scale_free(self, tmp_path, scale):
+        # Samples times c with the penalty times c^2 give the same sweeps and
+        # the same support.
+        truth = gen_sim1(20)
+        x = sample_gaussian(truth.omega_x, 200, 40)
+        y = sample_gaussian(truth.omega_y, 200, 41)
+        lam = 0.3 * lambda_max(build_pair(x, y))
+        runs = []
+        for c in (1.0, scale):
+            files = [tmp_path / f"{name}{c}.csv" for name in ("x", "y")]
+            for f, data in zip(files, (x, y)):
+                np.savetxt(f, c * data, delimiter=",")
+            out = tmp_path / f"out{c}"
+            code = main(["estimate", "--x", str(files[0]), "--y", str(files[1]),
+                         "--lambda", repr(c * c * lam), "--out", str(out)])
+            assert code == 0
+            record = json.loads((out / "run.json").read_text())
+            rows = (out / "support.csv").read_text().splitlines()[1:]
+            runs.append((record["nnz"], record["iterations"], [r.split(",")[:2] for r in rows]))
+        assert runs[1] == runs[0]
+        assert runs[0][0] > 0
+
+
 class TestPath:
+    """``estimate`` without ``--lambda``: the penalty path and path.csv."""
+
     def test_path_csv_columns(self, tmp_path, sim_data):
         _, x_path, y_path = sim_data
         out = tmp_path / "out"
         code = main(
-            ["path", "--x", str(x_path), "--y", str(y_path),
+            ["estimate", "--x", str(x_path), "--y", str(y_path),
              "--grid-count", "5", "--out", str(out)]
         )
         assert code == 0
@@ -289,7 +318,7 @@ class TestPath:
     def test_nan_tol_exit_code_2(self, tmp_path, sim_data, capsys):
         _, x_path, y_path = sim_data
         out = tmp_path / "out"
-        code = main(["path", "--x", str(x_path), "--y", str(y_path), "--tol", "nan",
+        code = main(["estimate", "--x", str(x_path), "--y", str(y_path), "--tol", "nan",
                      "--out", str(out)])
         assert code == 2
         assert "tol must be positive and finite, got nan" in capsys.readouterr().err
@@ -301,7 +330,7 @@ class TestPath:
 
         monkeypatch.setattr(cli, "solve_path", failing)
         _, x_path, y_path = sim_data
-        code = main(["path", "--x", str(x_path), "--y", str(y_path),
+        code = main(["estimate", "--x", str(x_path), "--y", str(y_path),
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err == (
@@ -311,7 +340,7 @@ class TestPath:
     def test_ragged_csv_exit_code_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2\n3,4\n5,6,7\n")
-        code = main(["path", "--x", str(bad), "--y", str(bad)])
+        code = main(["estimate", "--x", str(bad), "--y", str(bad)])
         assert code == 2
         assert "line 3 has 3 fields, expected 2" in capsys.readouterr().err
 
@@ -596,7 +625,7 @@ class TestRefusedInput:
              "p^2 x p^2 operator, an O(p^4) cost"),
             (["estimate", "--x", "{x}", "--y", "{y}", "--lambda", "0.05", "--out", "{file}"],
              "cannot create output directory {file}: File exists"),
-            (["path", "--x", "{x}", "--y", "{y}", "--out", "{file}/sub"],
+            (["estimate", "--x", "{x}", "--y", "{y}", "--out", "{file}/sub"],
              "cannot create output directory {file}/sub: Not a directory"),
             (SIM1 + ["--out", "{file}"], "cannot create output directory {file}: File exists"),
             (SIM1 + ["--out", "{file}/sub"],
@@ -621,7 +650,7 @@ class TestRefusedInput:
         ],
         ids=[
             "sim1-negative-seed", "sim2-negative-seed", "sim2-dimension", "sim1-dimension",
-            "diagnostic-limit", "estimate-out-file", "path-out-below-file",
+            "diagnostic-limit", "estimate-out-file", "estimate-out-below-file",
             "simulate-out-file", "simulate-out-below-file", "evaluate-out-file",
             "diagnose-out-file", "estimate-same-file-twice", "estimate-grid-count",
             "estimate-zero-penalty-singular", "estimate-not-utf8", "diagnose-support-not-utf8",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from difftrace.covariance import (
     pair_from_covariances,
     sample_covariance,
 )
+from difftrace.model_selection import lambda_max, solve_path
+from difftrace.solver import admm_solve
 
 
 class TestSampleCovariance:
@@ -101,6 +105,13 @@ class TestBuildPair:
         np.testing.assert_array_equal(pair.sigma_x, pair.sigma_x.T)
         assert pair.sigma_x[0, 1] == pytest.approx(0.2)
 
-    def test_pair_from_covariances_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="not PSD"):
-            pair_from_covariances(np.diag([1.0, -1.0]), np.eye(2), 5, 5)
+    def test_indefinite_pair_refused_when_solved(self):
+        # The pair is judged once, when a solve factors it, at every penalty.
+        pair = pair_from_covariances(np.diag([1.0, -1.0]), np.eye(2), 5, 5)
+        top = lambda_max(pair)
+        message = re.escape("sigma_x is not positive semidefinite: min eigenvalue -1.000e+00")
+        for lam in (0.5 * top, top, np.inf):
+            with pytest.raises(ValueError, match=message):
+                admm_solve(pair, lam)
+        with pytest.raises(ValueError, match=message):
+            solve_path(pair, [top, 0.5 * top])

@@ -76,6 +76,12 @@ class TestSymEig:
         pair = psd_eig(np.diag([1.0, -5e-9]))
         assert pair.values[-1] == 0.0
 
+    def test_psd_eig_tolerance_is_relative(self):
+        # The tolerance is 1e-8 times the largest eigenvalue.
+        assert psd_eig(np.diag([1e8, -0.5])).values.tolist() == [1e8, 0.0]
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            psd_eig(np.diag([1e-8, -1e-12]))
+
     def test_pd_cholesky_factors_the_symmetrized_matrix(self):
         a = np.array([[4.0, 1.0], [3.0, 5.0]])
         chol = pd_cholesky(a, "omega")

@@ -186,7 +186,8 @@ class TestSolvePath:
         for lam, est in zip(lams, path.estimates):
             alone, state = admm_solve(pair, float(lam), warm=state)
             assert alone.delta.tobytes() == est.delta.tobytes()
-        assert len(calls) == 2 + 2 * (len(lams) - 1)
+        # Each lone solve factors the pair, the one at lambda_max included.
+        assert len(calls) == 2 + 2 * len(lams)
 
     def test_scores_each_penalty_once(self, monkeypatch):
         pair = sampled_pair(12, 80, 23)

@@ -69,8 +69,9 @@ def effective_rho(pair):
 
 def reference_admm_solve(pair, lam, rho, cfg=None, warm=None):
     """The unscaled, allocating sweep loop ``admm_solve`` used to run, with
-    the old soft-threshold formula: the oracle for the scaled-dual loop. It
-    runs at the absolute weight ``rho``."""
+    the old soft-threshold formula and the current relative step test and
+    divergence guard: the oracle for the scaled-dual loop. It runs at the
+    absolute weight ``rho``."""
     cfg = cfg or SolverConfig()
     sx, sy = pair.sigma_x, pair.sigma_y
     diff = sx - sy
@@ -106,17 +107,18 @@ def reference_admm_solve(pair, lam, rho, cfg=None, warm=None):
         l3 = l3 + rho * (d1_new - d2_new)
 
         converged = True
-        largest = float(np.linalg.norm(l1))
+        largest = float(np.linalg.norm(l1)) / rho
         for old, new in ((d1, d1_new), (d2, d2_new), (d3, d3_new)):
             old_norm = float(np.linalg.norm(old))
             new_norm = float(np.linalg.norm(new))
             largest = max(largest, new_norm)
             step = float(np.linalg.norm(new - old))
-            if step >= cfg.tol * max(1.0, old_norm, new_norm):
+            if step > cfg.tol * max(old_norm, new_norm):
                 converged = False
         d1, d2, d3 = d1_new, d2_new, d3_new
 
-        if not np.isfinite(largest) or largest > DIVERGENCE_LIMIT:
+        limit = DIVERGENCE_LIMIT * float(np.linalg.norm(diff)) / (2 * rho)
+        if not np.isfinite(largest) or largest > limit:
             raise SolverError(f"iterates diverged at iteration {iterations}")
         if converged:
             break
@@ -337,7 +339,7 @@ class TestSweepMatchesReference:
 
     @pytest.mark.parametrize("scale", [1.0, 0.05])
     def test_well_posed_pair(self, scale):
-        # At the small scale the blocks' norms exceed 1 and enter the step test.
+        # At the small scale the blocks' norms exceed 1.
         rng = np.random.default_rng(30)
         pair = pair_from_covariances(
             scale * random_spd(8, rng, 8.0), scale * random_spd(8, rng, 8.0), 100, 100
@@ -480,6 +482,34 @@ def test_sweep_is_scale_equivariant():
     assert np.count_nonzero(deltas[0]) > 0
     gap = np.linalg.norm(16.0 * deltas[1] - deltas[0])
     assert gap <= 1e-12 * np.linalg.norm(deltas[0])
+
+
+def path_summary(path):
+    return [(est.iterations, est.converged, est.nnz) for est in path.estimates]
+
+
+@pytest.mark.parametrize("n", [50, 500], ids=["n-below-p", "n-above-p"])
+def test_path_is_scale_free(n):
+    # The step test, the divergence guard and the PSD check are relative to
+    # the pair, so data in other units give the same sweeps and supports.
+    # Powers of two scale the covariances and the grid exactly.
+    truth = gen_sim1(100)
+    x = sample_gaussian(truth.omega_x, n, 1)
+    y = sample_gaussian(truth.omega_y, n, 101)
+    pair = build_pair(x, y)
+    grid = lambda_grid(pair, count=6, ratio=0.1)
+    base = solve_path(pair, grid)
+    assert sum(est.iterations for est in base.estimates) > 0
+    for c in (2.0**-20, 2.0**-10, 2.0**10, 2.0**20):
+        path = solve_path(build_pair(c * x, c * y), c * c * grid)
+        assert path_summary(path) == path_summary(base)
+        for est, ref in zip(path.estimates, base.estimates):
+            gap = np.linalg.norm(c * c * est.delta - ref.delta)
+            assert gap <= 1e-12 * np.linalg.norm(ref.delta)
+    for c in (1e-8, 1e-6, 100.0, 1e4, 1e8):
+        scaled = build_pair(c * x, c * y)
+        path = solve_path(scaled, lambda_grid(scaled, count=6, ratio=0.1))
+        assert list(path.nnz) == list(base.nnz)
 
 
 @pytest.mark.parametrize("p", [20, 30])

@@ -5,8 +5,9 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from difftrace import cli, model_selection
+from difftrace import cli, model_selection, solver
 from difftrace.covariance import build_pair
 from difftrace.simulation import gen_sim1, sample_gaussian
 
@@ -117,3 +118,20 @@ def test_fixed_penalty_estimate_solves_once_through_cli(monkeypatch, tmp_path):
                      str(tmp_path / "y.csv"), "--lambda", "0.05", "--out", str(tmp_path)])
     assert code == 0
     assert len(calls) == 1 and not path_calls
+
+
+@pytest.mark.parametrize(
+    "mode", [["--grid-count", "5"], ["--lambda", "0.05"]], ids=["path", "fixed-penalty"]
+)
+def test_every_eigendecomposition_goes_through_psd_eig(monkeypatch, tmp_path, mode):
+    # The benchmark counts and times eigendecompositions (linalg.eig_calls,
+    # linalg.eig_s) at ``solver.psd_eig``; one made elsewhere escapes both.
+    truth = gen_sim1(10)
+    for name, omega, seed in (("x", truth.omega_x, 1), ("y", truth.omega_y, 2)):
+        np.savetxt(tmp_path / f"{name}.csv", sample_gaussian(omega, 60, seed), delimiter=",")
+    psd_calls = count_calls(monkeypatch, solver, "psd_eig")
+    eig_calls = [count_calls(monkeypatch, np.linalg, name) for name in ("eigh", "eigvalsh")]
+    code = cli.main(["estimate", "--x", str(tmp_path / "x.csv"), "--y",
+                     str(tmp_path / "y.csv"), "--out", str(tmp_path / "out")] + mode)
+    assert code == 0
+    assert sum(map(len, eig_calls)) == len(psd_calls) == 2
