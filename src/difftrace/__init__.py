@@ -41,6 +41,7 @@ from .simulation import (
 )
 from .solver import (
     DeltaEstimate,
+    NoMinimizerError,
     SolverConfig,
     SolverState,
     admm_solve,
@@ -59,6 +60,7 @@ __all__ = [
     "EigenPair",
     "GroundTruth",
     "MetricsReport",
+    "NoMinimizerError",
     "RegPath",
     "SimulationSpec",
     "SolverConfig",

@@ -3,7 +3,8 @@ a BIC-tuned penalty path, run simulation benchmarks, score estimates, and
 emit plot-ready CSVs.
 
 Exit codes: 0 on success with all solves converged, 1 on a failed or
-unconverged solve (``SolverError``), 2 on bad input (any ``ValueError``).
+unconverged solve (``SolverError``), 2 on bad input (any ``ValueError``, a
+penalty certified to have no minimizer included).
 """
 
 from __future__ import annotations
@@ -258,7 +259,12 @@ def cmd_estimate(args) -> int:
         lam, estimate = select_by_bic(path, args.bic)
         rho = path.rho
     wallclock_ms = int(1000 * (time.perf_counter() - start))
-    bic_f, bic_inf = bic_score(estimate.delta, pair)
+    if args.lam is not None:
+        bic_f, bic_inf = bic_score(estimate.delta, pair)
+    else:
+        # The path scored every penalty once; reuse the selected scores.
+        best = path.lambdas.tolist().index(lam)
+        bic_f, bic_inf = float(path.bic_f[best]), float(path.bic_inf[best])
 
     # After the solve, so that a refused penalty leaves no --out behind.
     out = _out_dir(args)
@@ -279,6 +285,8 @@ def cmd_estimate(args) -> int:
         "nnz": estimate.nnz,
         "wallclock_ms": wallclock_ms,
     }
+    if args.lam is None:
+        record["no_minimizer_at"] = path.no_minimizer_at
     (out / "run.json").write_text(json.dumps(record, indent=2) + "\n")
     return 0 if estimate.converged else 1
 

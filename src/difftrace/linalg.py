@@ -176,6 +176,67 @@ def solve_axb_plus_gx(
     return x
 
 
+class NullSpace(NamedTuple):
+    """Orthogonal projector onto N = {S symmetric : Ua^T S Ub = 0}, the
+    symmetric null space of S -> (A S B + B S A)/2, for PSD A, B whose
+    numerical ranges have the orthonormal bases Ua (p, r) and Ub (p, s)
+    (see ``project_null``).
+
+    With the SVD Ua^T Ub = W diag(sigma) V^T, ``left`` = Ua W and ``right``
+    = Ub V (contiguous); ``same`` and ``swap`` (k, k), k = min(r, s), weigh
+    B0 and B0^T on the leading block of the multiplier, B0 = left^T X right.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    same: np.ndarray
+    swap: np.ndarray
+
+
+def null_space(a_eig: EigenPair, b_eig: EigenPair) -> Optional[NullSpace]:
+    """``NullSpace`` of A, B from their ``psd_eig`` results, on the ranges
+    that ``solve_plan`` keeps; None when both have full numerical rank,
+    where N = {0}."""
+    p = a_eig.values.size
+    r, s = range_size(a_eig.values), range_size(b_eig.values)
+    if r == s == p:
+        return None
+    ua, ub = a_eig.vectors[:, :r], b_eig.vectors[:, :s]
+    w, sigma, vt = np.linalg.svd(ua.T @ ub)
+    # Where sigma_i sigma_j = 1, a range direction both matrices share, the
+    # 2 x 2 system of (i, j) and (j, i) is singular: take its
+    # pseudo-inverse, which weighs both entries by 1/2.
+    c = np.minimum(np.multiply.outer(sigma, sigma), 1.0)
+    shared = c >= 1.0 - p * np.finfo(float).eps
+    denom = np.where(shared, 1.0, 1.0 - c * c)
+    same = np.where(shared, 0.5, 2.0 / denom)
+    swap = np.where(shared, 0.5, -2.0 * c / denom)
+    return NullSpace(np.ascontiguousarray(ua @ w), np.ascontiguousarray(ub @ vt.T), same, swap)
+
+
+def project_null(space: NullSpace, x) -> np.ndarray:
+    """Orthogonal projection of sym(x) onto ``space``'s N.
+
+    N is the null space of C(S) = Ua^T S Ub on symmetric matrices, so the
+    projection is X - C*(M) with C(C*(M)) = C(X), where C*(M) =
+    sym(Ua M Ub^T). In the SVD bases the equation reads
+    M_ij + sigma_i sigma_j M_ji = 2 B0_ij, solved pairwise in closed form:
+    M_ij = 2 (B0_ij - sigma_i sigma_j B0_ji) / (1 - sigma_i^2 sigma_j^2) on
+    the leading k x k block and M = 2 B0 outside it.
+    """
+    x = np.asarray(x, dtype=float)
+    x = (x + x.T) / 2.0
+    left, right = space.left, space.right
+    b0 = left.T @ x @ right
+    m = 2.0 * b0
+    k = space.same.shape[0]
+    lead = b0[:k, :k]
+    m[:k, :k] = space.same * lead + space.swap * lead.T
+    z = left @ m @ right.T
+    x -= (z + z.T) / 2.0
+    return x
+
+
 def soft_threshold(a, lam: float) -> np.ndarray:
     """Entrywise soft threshold: shrink toward zero by lam, exact zeros inside.
 

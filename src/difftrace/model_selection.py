@@ -10,7 +10,14 @@ import numpy as np
 
 from .covariance import CovariancePair
 from .linalg import SolverError, norm_entrywise_linf, norm_frobenius
-from .solver import DeltaEstimate, SolverConfig, admm_solve, dtrace_gradient, factor_pair
+from .solver import (
+    DeltaEstimate,
+    NoMinimizerError,
+    SolverConfig,
+    admm_solve,
+    dtrace_gradient,
+    factor_pair,
+)
 
 # Residual norms of the two information criteria: Frobenius and max-abs.
 BIC_NORMS = ("frobenius", "max")
@@ -67,13 +74,16 @@ def bic_score(delta, pair: CovariancePair) -> Tuple[float, float]:
 
 @dataclass
 class RegPath:
-    """Solutions along a descending penalty grid with both BIC variants."""
+    """Solutions along a descending penalty grid with both BIC variants.
+    ``no_minimizer_at`` is the grid's first penalty certified to have no
+    minimizer, where the path stops, None when every penalty was solved."""
 
     lambdas: np.ndarray
     estimates: List[DeltaEstimate]
     bic_f: np.ndarray
     bic_inf: np.ndarray
     nnz: np.ndarray
+    no_minimizer_at: Optional[float] = None
 
     def __len__(self) -> int:
         return len(self.estimates)
@@ -92,8 +102,11 @@ def solve_path(
 ) -> RegPath:
     """Solve at every penalty in descending order, warm-starting each solve
     from the previous one's state and sharing one factorization of the pair.
-    Records both BIC variants per entry. Bad input raises ValueError; a
-    failed solve raises SolverError naming its penalty."""
+    Records both BIC variants per entry. The path stops at the first penalty
+    certified to have no minimizer (``NoMinimizerError``), since no smaller
+    one has one either; the error propagates when that is the first
+    penalty. Bad input raises ValueError; a failed solve raises SolverError
+    naming its penalty."""
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.size == 0:
         raise ValueError("empty penalty grid")
@@ -105,15 +118,22 @@ def solve_path(
     nnz = np.empty(lambdas.size, dtype=int)
     factors = factor_pair(pair)
     state = None
+    no_minimizer_at = None
     for i, lam in enumerate(lambdas):
         try:
             est, state = admm_solve(pair, float(lam), cfg, warm=state, factors=factors)
+        except NoMinimizerError:
+            if i == 0:
+                raise
+            no_minimizer_at = float(lam)
+            break
         except SolverError as err:
             raise SolverError(f"path solve failed at lambda={lam:g}: {err}") from err
         estimates.append(est)
         bic_f[i], bic_inf[i] = bic_score(est.delta, pair)
         nnz[i] = est.nnz
-    return RegPath(lambdas, estimates, bic_f, bic_inf, nnz)
+    k = len(estimates)
+    return RegPath(lambdas[:k], estimates, bic_f[:k], bic_inf[:k], nnz[:k], no_minimizer_at)
 
 
 def select_by_bic(path: RegPath, norm: str = "frobenius") -> Tuple[float, DeltaEstimate]:

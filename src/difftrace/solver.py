@@ -14,16 +14,20 @@ covariance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .covariance import CovariancePair
 from .linalg import (
     EigenPair,
+    NullSpace,
     SolverError,
     norm_entrywise_l1,
     norm_entrywise_linf,
+    norm_frobenius,
+    null_space,
+    project_null,
     psd_eig,
     range_size,
     soft_threshold,
@@ -33,6 +37,27 @@ from .linalg import (
 )
 
 DIVERGENCE_LIMIT = 1e12
+
+# Sweeps between two recession checks on a singular pair.
+RECESSION_CHECK_EVERY = 10
+
+
+class NoMinimizerError(ValueError):
+    """The penalized objective is unbounded below at ``lam``, and so at
+    every smaller penalty. ``direction`` is the certificate: a symmetric S
+    with ||S||_1 = 1 that the quadratic term does not see, along which the
+    loss falls by ``gain`` > ``lam``. ``iterations`` counts the sweeps
+    before it was found."""
+
+    def __init__(self, lam: float, gain: float, direction: np.ndarray, iterations: int):
+        super().__init__(
+            f"penalty {lam:g} has no minimizer: the loss falls by {gain:g} per unit "
+            f"l1 along a direction its quadratic term does not see"
+        )
+        self.lam = lam
+        self.gain = gain
+        self.direction = direction
+        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -135,10 +160,50 @@ def _zero_state(pair: CovariancePair) -> SolverState:
     )
 
 
-def factor_pair(pair: CovariancePair) -> Tuple[EigenPair, EigenPair]:
-    """Eigendecompositions of (sigma_x, sigma_y), shared by every solve on
-    the pair."""
-    return psd_eig(pair.sigma_x, "sigma_x"), psd_eig(pair.sigma_y, "sigma_y")
+class PairFactors(NamedTuple):
+    """Eigendecompositions of (sigma_x, sigma_y) and the projector onto the
+    loss's flat directions (``linalg.null_space``), None for a pair of full
+    numerical rank."""
+
+    x: EigenPair
+    y: EigenPair
+    null: Optional[NullSpace]
+
+
+def factor_pair(pair: CovariancePair) -> PairFactors:
+    """The factors shared by every solve on the pair."""
+    eig_x, eig_y = psd_eig(pair.sigma_x, "sigma_x"), psd_eig(pair.sigma_y, "sigma_y")
+    return PairFactors(eig_x, eig_y, null_space(eig_x, eig_y))
+
+
+def _recession(null, sx, sy, lam, delta, previous):
+    """(gain, direction) of a certificate that the objective has no
+    minimizer at ``lam`` (see ``NoMinimizerError``), found by projecting
+    the step since ``previous`` or the iterate ``delta`` onto the flat
+    directions N; None when neither certifies.
+
+    Every S in N has H(S) = 0, so the loss is linear along it, falling by
+    <sigma_x - sigma_y, S> per unit; when that beats lam ||S||_1 the
+    objective falls without bound along S. The verdict is confirmed by an
+    exact objective drop at a point 1e3 times farther out than delta.
+    """
+    delta = (delta + delta.T) / 2.0
+    diff = sx - sy
+    for candidate in (delta - previous, delta):
+        direction = project_null(null, candidate)
+        size = norm_entrywise_l1(direction)
+        if size == 0.0:
+            continue
+        gain = float(np.vdot(diff, direction)) / size
+        if gain < 0.0:
+            direction, gain = -direction, -gain
+        if gain <= lam:
+            continue
+        t = 1e3 * max(1.0, norm_frobenius(delta) / norm_frobenius(direction))
+        far = penalized_objective(delta + t * direction, sx, sy, lam)
+        if far < penalized_objective(delta, sx, sy, lam):
+            return gain, direction / size
+    return None
 
 
 def admm_solve(
@@ -146,7 +211,7 @@ def admm_solve(
     lam: float,
     cfg: Optional[SolverConfig] = None,
     warm: Optional[SolverState] = None,
-    factors: Optional[Tuple[EigenPair, EigenPair]] = None,
+    factors: Optional[PairFactors] = None,
 ) -> Tuple[DeltaEstimate, SolverState]:
     """Minimize the penalized trace loss for one penalty value.
 
@@ -178,6 +243,15 @@ def admm_solve(
     that state. ``lam = 0`` needs both covariances at full numerical rank
     (``range_size``), as the minimizer sigma_y^-1 - sigma_x^-1 does.
 
+    On a singular pair (a covariance below full numerical rank) the loss
+    is flat along the nonzero symmetric S with sigma_x S sigma_y = 0, and
+    below some penalty the objective is unbounded below. Every
+    ``RECESSION_CHECK_EVERY`` sweeps, the step since the last check and the
+    iterate are projected onto those directions; when either certifies
+    that no minimizer exists (``_recession``), ``NoMinimizerError``
+    names the penalty. The check only reads the iterates, so it leaves the
+    sweeps unchanged, and a full-rank pair skips it.
+
     ``factors`` is ``factor_pair(pair)``, passed by callers that solve
     the same pair at several penalties; it is computed here otherwise.
 
@@ -189,7 +263,7 @@ def admm_solve(
     cfg = cfg or SolverConfig()
     sx, sy = pair.sigma_x, pair.sigma_y
     diff = sx - sy
-    eig_x, eig_y = factors if factors is not None else factor_pair(pair)
+    eig_x, eig_y, null = factors if factors is not None else factor_pair(pair)
 
     if lam >= norm_entrywise_linf(diff):
         state = _zero_state(pair)
@@ -207,6 +281,7 @@ def admm_solve(
     rho = spectral_scale(eig_x, eig_y)
     state = warm if warm is not None else _zero_state(pair)
     d1, d2, d3 = state.delta1, state.delta2, state.delta3
+    checked = d3
     # Scaled duals u_i = lambda_i / rho. Each block equation divided by
     # 2 rho reads (S/2rho) X S' + 2 X = rhs; the scale is folded into the
     # first factor and its eigenvalues once per call, and each block
@@ -266,6 +341,11 @@ def admm_solve(
 
         if not np.isfinite(largest_sq) or largest_sq > limit_sq:
             raise SolverError(f"iterates diverged at iteration {iterations}")
+        if null is not None and iterations % RECESSION_CHECK_EVERY == 0:
+            found = _recession(null, sx, sy, lam, d3, checked)
+            if found is not None:
+                raise NoMinimizerError(lam, *found, iterations)
+            checked = d3
         if converged:
             break
 

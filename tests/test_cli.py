@@ -9,7 +9,7 @@ from difftrace.cli import InputError, _read_rows, main, read_matrix_csv, read_su
 from difftrace.evaluation import irrepresentability_alpha
 from difftrace.linalg import SolverError
 from difftrace.covariance import build_pair
-from difftrace.model_selection import bic_score, lambda_max
+from difftrace.model_selection import bic_score, lambda_grid, lambda_max
 from difftrace.simulation import gen_sim1, sample_gaussian
 
 
@@ -206,9 +206,11 @@ class TestEstimate:
         assert code == 0
         record = json.loads((out / "run.json").read_text())
         for key in ("lambda", "rho_effective", "tol", "iterations", "converged",
-                    "objective", "bic_f", "bic_inf", "nnz", "wallclock_ms"):
+                    "objective", "bic_f", "bic_inf", "nnz", "wallclock_ms",
+                    "no_minimizer_at"):
             assert key in record
         assert record["rho_effective"] > 0
+        assert record["no_minimizer_at"] is None
         assert (out / "delta.csv").exists()
         assert (out / "support.csv").exists()
         assert (out / "path.csv").exists()
@@ -314,6 +316,31 @@ class TestPath:
         lines = (out / "path.csv").read_text().strip().splitlines()
         assert lines[0] == "lambda,nnz,bic_f,bic_inf,converged,iterations"
         assert len(lines) == 6
+
+    def test_singular_pair_path_stops_at_first_penalty_without_minimizer(
+        self, tmp_path, monkeypatch
+    ):
+        rng = np.random.default_rng(8)
+        x, y = rng.standard_normal((6, 12)), rng.standard_normal((6, 12))
+        for name, data in (("x", x), ("y", y)):
+            np.savetxt(tmp_path / f"{name}.csv", data, delimiter=",")
+        calls = []
+        monkeypatch.setattr(cli, "bic_score", lambda *args: calls.append(args))
+        out = tmp_path / "out"
+        code = main(["estimate", "--x", str(tmp_path / "x.csv"), "--y",
+                     str(tmp_path / "y.csv"), "--out", str(out)])
+        assert code == 0
+        with open(out / "path.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        grid = lambda_grid(build_pair(x, y))
+        assert 1 < len(rows) < len(grid)
+        assert [float(row[0]) for row in rows] == list(grid[: len(rows)])
+        record = json.loads((out / "run.json").read_text())
+        assert record["no_minimizer_at"] == grid[len(rows)]
+        # The selected row's scores, from the path's one scoring per penalty.
+        (row,) = [row for row in rows if float(row[0]) == record["lambda"]]
+        assert (record["bic_f"], record["bic_inf"]) == (float(row[2]), float(row[3]))
+        assert not calls
 
     def test_nan_tol_exit_code_2(self, tmp_path, sim_data, capsys):
         _, x_path, y_path = sim_data
@@ -641,6 +668,10 @@ class TestRefusedInput:
             (["estimate", "--x", "{wide_x}", "--y", "{wide_y}", "--lambda", "0",
               "--out", "{out}"],
              "penalty 0 needs nonsingular sigma_x, sigma_y: ranks (5, 5), p=12"),
+            (["estimate", "--x", "{wide_x}", "--y", "{wide_y}", "--lambda", "0.3",
+              "--out", "{out}"],
+             "penalty 0.3 has no minimizer: the loss falls by 0.668274 per unit l1 "
+             "along a direction its quadratic term does not see"),
             (["estimate", "--x", "{latin1}", "--y", "{y}", "--lambda", "0.05",
               "--out", "{out}"],
              "{latin1}: line 2 is not UTF-8 text"),
@@ -653,7 +684,8 @@ class TestRefusedInput:
             "diagnostic-limit", "estimate-out-file", "estimate-out-below-file",
             "simulate-out-file", "simulate-out-below-file", "evaluate-out-file",
             "diagnose-out-file", "estimate-same-file-twice", "estimate-grid-count",
-            "estimate-zero-penalty-singular", "estimate-not-utf8", "diagnose-support-not-utf8",
+            "estimate-zero-penalty-singular", "estimate-penalty-without-minimizer",
+            "estimate-not-utf8", "diagnose-support-not-utf8",
         ],
     )
     def test_exit_code_2_without_output(self, tmp_path, sim_data, capsys, argv, message):

@@ -6,7 +6,9 @@ from difftrace.linalg import (
     norm_entrywise_l1,
     norm_entrywise_linf,
     norm_frobenius,
+    null_space,
     pd_cholesky,
+    project_null,
     psd_eig,
     soft_threshold,
     solve_plan,
@@ -275,6 +277,76 @@ class TestSolveMatchesReference:
 )
 def test_spectral_scale(a, b, scale):
     assert spectral_scale(psd_eig(np.diag(a)), psd_eig(np.diag(b))) == scale
+
+
+def symmetric_basis(p):
+    """Orthonormal basis of the symmetric p x p matrices, one per row."""
+    basis = []
+    for i in range(p):
+        for j in range(i, p):
+            e = np.zeros((p, p))
+            e[i, j] = e[j, i] = 1.0 if i == j else np.sqrt(0.5)
+            basis.append(e.ravel())
+    return np.array(basis)
+
+
+def null_projection_oracle(a, b, x):
+    """Projection of sym(x) onto {S symmetric : A S B = 0}, from an SVD of
+    the map's explicit matrix on the symmetric basis."""
+    p = a.shape[0]
+    basis = symmetric_basis(p)
+    images = np.array([(a @ e.reshape(p, p) @ b).ravel() for e in basis])
+    _, sing, vt = np.linalg.svd(images.T)
+    rank = int(np.sum(sing > 1e-10 * sing.max(initial=0.0)))
+    null = vt[rank:] @ basis
+    coords = null @ ((x + x.T) / 2).ravel()
+    return (coords @ null).reshape(p, p)
+
+
+class TestNullSpace:
+    """``project_null`` is the orthogonal projection onto the symmetric S
+    with A S B = 0: the directions along which the trace loss is flat."""
+
+    @staticmethod
+    def pairs():
+        rng = np.random.default_rng(41)
+        shared = rng.standard_normal((6, 6))
+        shared[:, 0] = 0.0
+        yield "both-singular", random_psd(6, rng, rank=3), random_psd(6, rng, rank=4)
+        yield "one-singular", random_spd(6, rng), random_psd(6, rng, rank=2)
+        yield "shared-null", shared.T @ shared, random_psd(6, rng, rank=5)
+        overlap = random_psd(6, rng, rank=3)
+        yield "nested-ranges", overlap, overlap + random_psd(6, rng, rank=1)
+        yield "zero", np.zeros((6, 6)), random_psd(6, rng, rank=4)
+
+    def test_matches_explicit_oracle(self):
+        rng = np.random.default_rng(42)
+        for name, a, b in self.pairs():
+            space = null_space(psd_eig(a), psd_eig(b))
+            assert space is not None, name
+            for _ in range(3):
+                x = rng.standard_normal((6, 6))
+                out = project_null(space, x)
+                np.testing.assert_allclose(
+                    out, null_projection_oracle(a, b, x), rtol=0, atol=1e-12, err_msg=name
+                )
+                assert np.array_equal(out, out.T), name
+                np.testing.assert_allclose(project_null(space, out), out, rtol=0, atol=1e-13)
+                assert np.linalg.norm(a @ out @ b) <= 1e-13 * np.linalg.norm(out), name
+
+    def test_full_rank_pair_has_no_space(self):
+        rng = np.random.default_rng(43)
+        assert null_space(psd_eig(random_spd(5, rng)), psd_eig(random_spd(5, rng))) is None
+
+    def test_projection_is_unchanged_by_scale(self):
+        # Only the numerical ranges enter.
+        rng = np.random.default_rng(44)
+        a, b = random_psd(6, rng, rank=3), random_psd(6, rng, rank=4)
+        x = rng.standard_normal((6, 6))
+        base = project_null(null_space(psd_eig(a), psd_eig(b)), x)
+        for c in (1e-8, 1e8):
+            scaled = project_null(null_space(psd_eig(c * a), psd_eig(c * b)), x)
+            np.testing.assert_allclose(scaled, base, rtol=0, atol=1e-12)
 
 
 class TestSoftThreshold:

@@ -17,7 +17,7 @@ from difftrace.model_selection import (
 )
 from difftrace import model_selection, solver
 from difftrace.simulation import gen_sim1, sample_gaussian
-from difftrace.solver import SolverConfig, admm_solve, kkt_check
+from difftrace.solver import NoMinimizerError, SolverConfig, admm_solve, kkt_check
 from conftest import random_spd
 
 
@@ -188,6 +188,43 @@ class TestSolvePath:
             assert alone.delta.tobytes() == est.delta.tobytes()
         # Each lone solve factors the pair, the one at lambda_max included.
         assert len(calls) == 2 + 2 * len(lams)
+
+    def test_path_builds_the_null_space_once(self, monkeypatch):
+        pair = sampled_pair(12, 6, 31)
+        calls = []
+        null_space = solver.null_space
+
+        def counting(a_eig, b_eig):
+            calls.append(a_eig)
+            return null_space(a_eig, b_eig)
+
+        monkeypatch.setattr(solver, "null_space", counting)
+        path = solve_path(pair, lambda_grid(pair, count=10, ratio=0.1))
+        assert len(calls) == 1
+        assert path.no_minimizer_at is not None
+        assert sum(est.iterations for est in path.estimates) > 0
+
+    def test_stops_at_first_penalty_without_minimizer(self):
+        pair = sampled_pair(12, 6, 31)
+        grid = lambda_grid(pair, count=10, ratio=0.1)
+        path = solve_path(pair, grid)
+        stop = len(path)
+        assert 1 < stop < len(grid)
+        assert path.no_minimizer_at == grid[stop]
+        assert np.array_equal(path.lambdas, grid[:stop])
+        assert len(path.bic_f) == len(path.bic_inf) == len(path.nnz) == stop
+        with pytest.raises(NoMinimizerError):
+            admm_solve(pair, grid[stop], warm=None)
+        lines = io.StringIO()
+        write_path_csv(path, lines)
+        assert len(lines.getvalue().splitlines()) == 1 + stop
+
+    def test_refuses_a_grid_whose_first_penalty_has_no_minimizer(self):
+        pair = sampled_pair(12, 6, 31)
+        lam = 0.1 * lambda_max(pair)
+        with pytest.raises(NoMinimizerError) as err:
+            solve_path(pair, [lam, lam / 2])
+        assert err.value.lam == lam
 
     def test_scores_each_penalty_once(self, monkeypatch):
         pair = sampled_pair(12, 80, 23)

@@ -17,7 +17,9 @@ from difftrace.model_selection import lambda_grid, lambda_max, solve_path
 from difftrace.simulation import gen_sim1, sample_gaussian
 from difftrace.solver import (
     DIVERGENCE_LIMIT,
+    RECESSION_CHECK_EVERY,
     DeltaEstimate,
+    NoMinimizerError,
     SolverConfig,
     SolverState,
     _zero_state,
@@ -64,7 +66,8 @@ def reference_soft_threshold(a, lam):
 
 def effective_rho(pair):
     """The absolute weight ``admm_solve`` runs its sweeps at on ``pair``."""
-    return spectral_scale(*factor_pair(pair))
+    factors = factor_pair(pair)
+    return spectral_scale(factors.x, factors.y)
 
 
 def reference_admm_solve(pair, lam, rho, cfg=None, warm=None):
@@ -84,7 +87,7 @@ def reference_admm_solve(pair, lam, rho, cfg=None, warm=None):
             state,
         )
 
-    eig_x, eig_y = factor_pair(pair)
+    eig_x, eig_y, _ = factor_pair(pair)
     state = warm if warm is not None else _zero_state(pair)
     d1, d2, d3 = state.delta1, state.delta2, state.delta3
     l1, l2, l3 = state.lambda1, state.lambda2, state.lambda3
@@ -353,12 +356,22 @@ class TestSweepMatchesReference:
                 assert np.linalg.norm(est.delta) > 1.0
 
     def test_singular_pair(self):
+        # None of the grid's penalties below lambda_max has a minimizer: the
+        # first, 0.198, is certified with a gain of 0.209 per unit l1. The
+        # sweeps are compared at penalties above the threshold.
         pair = sampled_pair(12, 6, 31)
         assert np.linalg.matrix_rank(pair.sigma_x) < pair.p
         cfg = SolverConfig(max_iter=2000)
-        for lam in lambda_grid(pair, count=4, ratio=0.1)[1:]:
+        grid = lambda_grid(pair, count=4, ratio=0.1)
+        for lam in grid[1:]:
+            with pytest.raises(NoMinimizerError) as err:
+                admm_solve(pair, lam, cfg)
+            assert err.value.lam == lam < err.value.gain
+        assert str(err.value).startswith("penalty 0.0426708 has no minimizer")
+        for lam in (0.8 * grid[0], 0.6 * grid[0]):
             est, _ = admm_solve(pair, lam, cfg)
             ref = reference_admm_solve(pair, lam, effective_rho(pair), cfg)
+            assert est.iterations > RECESSION_CHECK_EVERY
             assert_same_solve(est, ref[0])
 
     def test_warm_started_path(self):
@@ -401,34 +414,63 @@ def constant_group_pair(p, n, seed):
     return build_pair(x, rng.standard_normal((n, p)))
 
 
+def certificate(pair, grid, stop):
+    """The ``NoMinimizerError`` of the path's solve at ``grid[stop]``,
+    warm-started along ``grid[:stop]``; None when ``stop`` is None."""
+    if stop is None:
+        return None
+    state = None
+    for lam in grid[:stop]:
+        _, state = admm_solve(pair, lam, warm=state)
+    with pytest.raises(NoMinimizerError) as err:
+        admm_solve(pair, grid[stop], warm=state)
+    return err.value
+
+
 class TestPathMatchesReferenceKernel:
     """Paths solved with the range-restricted block solves take the same
     sweeps and select the same supports as with the full-eigenbasis kernel.
 
     The singular and constant cases run at the absolute weight 50 they were
     written for: at the default weight their paths reach entries of about
-    300-1600, where the two kernels' rounding exceeds the absolute 1e-10."""
+    300-1600, where the two kernels' rounding exceeds the absolute 1e-10.
+
+    A path stops at its first penalty without a minimizer (index ``stop``);
+    both kernels stop there, with the same certificate. The constant cases
+    have no minimizer below lambda_max, so only their certificates are
+    compared."""
 
     @pytest.mark.parametrize(
-        "make_pair, rank_x, weight",
+        "make_pair, rank_x, weight, stop",
         [
-            (lambda: sampled_pair(12, 6, 36), 5, 50.0),
-            (lambda: sampled_pair(10, 40, 37), 10, None),
-            (lambda: constant_column_pair(8, 30, 38), 7, 50.0),
-            (lambda: constant_group_pair(8, 30, 39), 0, 50.0),
+            (lambda: sampled_pair(12, 6, 36), 5, 50.0, 3),
+            (lambda: sampled_pair(10, 40, 37), 10, None, None),
+            (lambda: constant_column_pair(8, 30, 38), 7, 50.0, 1),
+            (lambda: constant_group_pair(8, 30, 39), 0, 50.0, 1),
         ],
         ids=["n-below-p", "n-above-p", "constant-column", "constant-group"],
     )
-    def test_path(self, monkeypatch, make_pair, rank_x, weight):
+    def test_path(self, monkeypatch, make_pair, rank_x, weight, stop):
         pair = make_pair()
         assert np.linalg.matrix_rank(pair.sigma_x) == rank_x
         if weight is not None:
             monkeypatch.setattr(solver, "spectral_scale", lambda a_eig, b_eig: weight)
         grid = lambda_grid(pair, count=8, ratio=0.05)
-        path = solve_path(pair, grid)
+        path, cert = solve_path(pair, grid), certificate(pair, grid, stop)
         monkeypatch.setattr(solver, "solve_axb_plus_gx", reference_kernel)
-        ref = solve_path(pair, grid)
-        assert sum(est.iterations for est in path.estimates) > 0
+        ref, ref_cert = solve_path(pair, grid), certificate(pair, grid, stop)
+        sweeps = sum(est.iterations for est in path.estimates)
+        if stop is None:
+            assert path.no_minimizer_at is ref.no_minimizer_at is None
+            assert len(path) == len(ref) == len(grid)
+        else:
+            assert path.no_minimizer_at == ref.no_minimizer_at == grid[stop]
+            assert len(path) == len(ref) == stop
+            assert cert.iterations == ref_cert.iterations
+            assert cert.gain == pytest.approx(ref_cert.gain, rel=0, abs=1e-10)
+            np.testing.assert_allclose(cert.direction, ref_cert.direction, rtol=0, atol=1e-10)
+            sweeps += cert.iterations
+        assert sweeps > 0
         for est, ref_est in zip(path.estimates, ref.estimates):
             assert est.iterations == ref_est.iterations
             assert est.converged == ref_est.converged
@@ -439,13 +481,122 @@ class TestPathMatchesReferenceKernel:
 @pytest.mark.parametrize("ratio", [0.5, 0.1])
 @pytest.mark.parametrize("n", [6, 60], ids=["n-below-p", "n-above-p"])
 def test_cold_solve_is_second_solve_of_path(n, ratio):
-    # A cold solve starts from the lambda_max fixed point every path starts from.
+    # A cold solve starts from the lambda_max fixed point every path starts
+    # from. At n < p neither penalty has a minimizer, and both solves
+    # reach the same certificate.
     pair = sampled_pair(12, n, 34)
     lam = ratio * lambda_max(pair)
-    cold, _ = admm_solve(pair, lam)
-    second = solve_path(pair, [lambda_max(pair), lam]).estimates[1]
+    grid = [lambda_max(pair), lam]
+    path = solve_path(pair, grid)
+    if n < pair.p:
+        assert path.no_minimizer_at == lam and len(path) == 1
+        with pytest.raises(NoMinimizerError) as err:
+            admm_solve(pair, lam)
+        cold, second = err.value, certificate(pair, grid, 1)
+        assert cold.lam == second.lam == lam
+        assert cold.gain == second.gain
+        assert cold.direction.tobytes() == second.direction.tobytes()
+    else:
+        cold, _ = admm_solve(pair, lam)
+        second = path.estimates[1]
+        assert cold.delta.tobytes() == second.delta.tobytes()
     assert cold.iterations == second.iterations > 0
-    assert cold.delta.tobytes() == second.delta.tobytes()
+
+
+class TestRecessionCertificate:
+    """A penalty without a minimizer is refused with a direction S, in the
+    loss's flat directions, along which the objective falls without bound."""
+
+    def test_direction_is_sound(self):
+        pair = sampled_pair(20, 10, 5)
+        sx, sy = pair.sigma_x, pair.sigma_y
+        lam = 0.1 * lambda_max(pair)
+        with pytest.raises(NoMinimizerError) as err:
+            admm_solve(pair, lam)
+        s = err.value.direction
+        assert np.array_equal(s, s.T)
+        assert np.abs(s).sum() == pytest.approx(1.0, rel=1e-12)
+        assert np.vdot(sx - sy, s) == pytest.approx(err.value.gain, rel=1e-12)
+        assert err.value.gain > lam
+        # S lies in the flat directions {S : Ux^T S Uy = 0} to rounding.
+        ranges = [np.linalg.svd(a)[0][:, : np.linalg.matrix_rank(a)] for a in (sx, sy)]
+        assert np.linalg.norm(ranges[0].T @ s @ ranges[1]) <= 1e-13 * np.linalg.norm(s)
+        # The exact objective falls along S, from zero and from a solution.
+        solved, _ = admm_solve(pair, 0.5 * lambda_max(pair))
+        assert solved.nnz > 0
+        for delta in (np.zeros_like(s), solved.delta):
+            values = [penalized_objective(delta + t * s, sx, sy, lam) for t in 10.0 ** np.arange(7)]
+            assert np.all(np.diff(values) < 0)
+            assert values[0] < penalized_objective(delta, sx, sy, lam)
+
+    def test_flat_loss_is_certified_at_first_check(self):
+        # sigma_x = 0 makes the loss <sigma_y, delta>, linear: every penalty
+        # below lambda_max = max |sigma_y| has no minimizer, and the gain of
+        # any direction is at most lambda_max.
+        pair = constant_group_pair(8, 30, 39)
+        assert not pair.sigma_x.any()
+        top = lambda_max(pair)
+        for lam in lambda_grid(pair, count=8, ratio=0.05)[1:]:
+            with pytest.raises(NoMinimizerError) as err:
+                admm_solve(pair, lam)
+            assert err.value.iterations == RECESSION_CHECK_EVERY
+            assert lam < err.value.gain <= top * (1 + 1e-12)
+
+    def test_constant_column_threshold_is_its_variance(self):
+        # With column 1 constant in X only, the flat directions are the
+        # multiples of e1 e1^T, so a minimizer exists exactly from
+        # lambda_b = var(Y_1) = -(sigma_x - sigma_y)_11 up.
+        pair = constant_column_pair(8, 30, 38)
+        lam_b = pair.sigma_y[1, 1]
+        assert pair.sigma_x[1, 1] == 0 and lam_b < lambda_max(pair)
+        with pytest.raises(NoMinimizerError) as err:
+            admm_solve(pair, 0.9 * lam_b)
+        assert err.value.gain == pytest.approx(lam_b, rel=1e-12)
+        corner = np.zeros((8, 8))
+        corner[1, 1] = -1.0
+        np.testing.assert_allclose(err.value.direction, corner, rtol=0, atol=1e-12)
+        est, _ = admm_solve(pair, (lam_b + lambda_max(pair)) / 2)
+        assert est.converged
+
+    def test_cold_solve_far_below_threshold_is_refused(self):
+        # At p=12, n=6 a cold solve at 1e-6 lambda_max stopped with
+        # converged=True and KKT/lambda about 1e6.
+        pair = sampled_pair(12, 6, 34)
+        lam = 1e-6 * lambda_max(pair)
+        with pytest.raises(NoMinimizerError) as err:
+            admm_solve(pair, lam)
+        assert err.value.lam == lam
+        assert str(err.value) == (
+            f"penalty {lam:g} has no minimizer: the loss falls by {err.value.gain:g} "
+            f"per unit l1 along a direction its quadratic term does not see"
+        )
+
+    def test_full_rank_pair_has_no_check(self, monkeypatch):
+        pair = sampled_pair(10, 40, 37)
+        assert factor_pair(pair).null is None
+
+        def refuse(*args):
+            raise AssertionError("recession check on a full-rank pair")
+
+        monkeypatch.setattr(solver, "_recession", refuse)
+        path = solve_path(pair, lambda_grid(pair, count=8, ratio=0.05))
+        assert path.no_minimizer_at is None
+        assert sum(est.iterations for est in path.estimates) > 0
+
+    def test_check_only_reads_the_sweeps(self, monkeypatch):
+        # The solved part of a singular path is the same, bit for bit, with
+        # the check switched off.
+        pair = sampled_pair(100, 50, 1)
+        grid = lambda_grid(pair, count=6, ratio=0.1)
+        path = solve_path(pair, grid)
+        assert path.no_minimizer_at is not None
+        monkeypatch.setattr(solver, "_recession", lambda *args: None)
+        unchecked = solve_path(pair, grid)
+        assert len(unchecked) == len(grid) > len(path)
+        assert sum(est.iterations for est in path.estimates) > 0
+        for est, ref in zip(path.estimates, unchecked.estimates):
+            assert est.iterations == ref.iterations
+            assert est.delta.tobytes() == ref.delta.tobytes()
 
 
 def test_sweep_calls_go_through_solver_namespace(monkeypatch):
@@ -500,9 +651,12 @@ def test_path_is_scale_free(n):
     grid = lambda_grid(pair, count=6, ratio=0.1)
     base = solve_path(pair, grid)
     assert sum(est.iterations for est in base.estimates) > 0
+    # At n < p the path stops at a certified penalty, at every scale.
+    assert (base.no_minimizer_at is None) == (n > 100)
     for c in (2.0**-20, 2.0**-10, 2.0**10, 2.0**20):
         path = solve_path(build_pair(c * x, c * y), c * c * grid)
         assert path_summary(path) == path_summary(base)
+        assert path.no_minimizer_at == (base.no_minimizer_at and c * c * base.no_minimizer_at)
         for est, ref in zip(path.estimates, base.estimates):
             gap = np.linalg.norm(c * c * est.delta - ref.delta)
             assert gap <= 1e-12 * np.linalg.norm(ref.delta)
