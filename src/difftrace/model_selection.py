@@ -17,12 +17,13 @@ from .solver import (
     admm_solve,
     dtrace_gradient,
     factor_pair,
+    kkt_check,
 )
 
 # Residual norms of the two information criteria: Frobenius and max-abs.
 BIC_NORMS = ("frobenius", "max")
 
-PATH_CSV_COLUMNS = ("lambda", "nnz", "bic_f", "bic_inf", "converged", "iterations")
+PATH_CSV_COLUMNS = ("lambda", "nnz", "bic_f", "bic_inf", "converged", "iterations", "kkt")
 
 # Default penalty grid: point count and end-to-start ratio.
 GRID_COUNT = 50
@@ -58,15 +59,16 @@ def lambda_grid(
     return np.geomspace(top, ratio * top, count)
 
 
-def bic_score(delta, pair: CovariancePair) -> Tuple[float, float]:
+def bic_score(delta, pair: CovariancePair, grad=None) -> Tuple[float, float]:
     """Information criteria (BIC-F, BIC-inf): the scaled Frobenius and
     max-abs norms of the loss gradient (``dtrace_gradient``, the
     stationarity residual), each plus a log(n)-weighted count of nonzero
-    entries."""
+    entries. ``grad`` is that gradient, passed by callers that also need
+    it; it is computed here otherwise."""
     n = pair.n_x + pair.n_y
     if n < 2:
         raise ValueError("need n_x + n_y >= 2")
-    resid = dtrace_gradient(delta, pair.sigma_x, pair.sigma_y)
+    resid = dtrace_gradient(delta, pair.sigma_x, pair.sigma_y) if grad is None else grad
     penalty = np.log(n) * np.count_nonzero(delta)
     sizes = norm_frobenius(resid), norm_entrywise_linf(resid)
     return tuple(float(n * size + penalty) for size in sizes)
@@ -74,15 +76,18 @@ def bic_score(delta, pair: CovariancePair) -> Tuple[float, float]:
 
 @dataclass
 class RegPath:
-    """Solutions along a descending penalty grid with both BIC variants.
-    ``no_minimizer_at`` is the grid's first penalty certified to have no
-    minimizer, where the path stops, None when every penalty was solved."""
+    """Solutions along a descending penalty grid with both BIC variants and
+    each solution's KKT residual over its penalty (``kkt_check`` / lambda;
+    the residual itself at lambda = 0). ``no_minimizer_at`` is the grid's
+    first penalty certified to have no minimizer, where the path stops,
+    None when every penalty was solved."""
 
     lambdas: np.ndarray
     estimates: List[DeltaEstimate]
     bic_f: np.ndarray
     bic_inf: np.ndarray
     nnz: np.ndarray
+    kkt: np.ndarray
     no_minimizer_at: Optional[float] = None
 
     def __len__(self) -> int:
@@ -102,7 +107,8 @@ def solve_path(
 ) -> RegPath:
     """Solve at every penalty in descending order, warm-starting each solve
     from the previous one's state and sharing one factorization of the pair.
-    Records both BIC variants per entry. The path stops at the first penalty
+    Records both BIC variants and the KKT residual per entry, from one
+    gradient of the loss. The path stops at the first penalty
     certified to have no minimizer (``NoMinimizerError``), since no smaller
     one has one either; the error propagates when that is the first
     penalty. Bad input raises ValueError; a failed solve raises SolverError
@@ -116,6 +122,7 @@ def solve_path(
     bic_f = np.empty(lambdas.size)
     bic_inf = np.empty(lambdas.size)
     nnz = np.empty(lambdas.size, dtype=int)
+    kkt = np.empty(lambdas.size)
     factors = factor_pair(pair)
     state = None
     no_minimizer_at = None
@@ -130,10 +137,14 @@ def solve_path(
         except SolverError as err:
             raise SolverError(f"path solve failed at lambda={lam:g}: {err}") from err
         estimates.append(est)
-        bic_f[i], bic_inf[i] = bic_score(est.delta, pair)
+        grad = dtrace_gradient(est.delta, pair.sigma_x, pair.sigma_y)
+        bic_f[i], bic_inf[i] = bic_score(est.delta, pair, grad)
+        kkt[i] = kkt_check(est.delta, pair, lam, grad) / (lam or 1.0)
         nnz[i] = est.nnz
     k = len(estimates)
-    return RegPath(lambdas[:k], estimates, bic_f[:k], bic_inf[:k], nnz[:k], no_minimizer_at)
+    return RegPath(
+        lambdas[:k], estimates, bic_f[:k], bic_inf[:k], nnz[:k], kkt[:k], no_minimizer_at
+    )
 
 
 def select_by_bic(path: RegPath, norm: str = "frobenius") -> Tuple[float, DeltaEstimate]:
@@ -161,5 +172,6 @@ def write_path_csv(path: RegPath, fileobj) -> None:
                 repr(float(path.bic_inf[i])),
                 est.converged,
                 est.iterations,
+                repr(float(path.kkt[i])),
             ]
         )

@@ -25,7 +25,6 @@ from .linalg import (
     SolverError,
     norm_entrywise_l1,
     norm_entrywise_linf,
-    norm_frobenius,
     null_space,
     project_null,
     psd_eig,
@@ -38,16 +37,13 @@ from .linalg import (
 
 DIVERGENCE_LIMIT = 1e12
 
-# Sweeps between two recession checks on a singular pair.
-RECESSION_CHECK_EVERY = 10
-
 
 class NoMinimizerError(ValueError):
     """The penalized objective is unbounded below at ``lam``, and so at
     every smaller penalty. ``direction`` is the certificate: a symmetric S
     with ||S||_1 = 1 that the quadratic term does not see, along which the
-    loss falls by ``gain`` > ``lam``. ``iterations`` counts the sweeps
-    before it was found."""
+    loss falls by ``gain`` > ``lam``. ``iterations`` counts the bracket
+    iterations the refusing solve ran (see ``ThresholdBracket``)."""
 
     def __init__(self, lam: float, gain: float, direction: np.ndarray, iterations: int):
         super().__init__(
@@ -63,8 +59,9 @@ class NoMinimizerError(ValueError):
 @dataclass(frozen=True)
 class SolverConfig:
     """ADMM parameters: relative stopping tolerance 1e-3 and a 5000-sweep
-    cap by default. The augmented-Lagrangian weight is not a parameter: it
-    comes from the pair (see ``admm_solve``)."""
+    cap by default; the cap also bounds the bracket iterations that decide
+    a penalty on a singular pair. The augmented-Lagrangian weight is not a
+    parameter: it comes from the pair (see ``admm_solve``)."""
 
     tol: float = 1e-3
     max_iter: int = 5000
@@ -160,50 +157,95 @@ def _zero_state(pair: CovariancePair) -> SolverState:
     )
 
 
+class ThresholdBracket:
+    """Bounds ``lower`` <= lambda_b <= ``upper`` on the smallest penalty at
+    which a singular pair's objective has a minimizer, tightened on demand
+    by ``separate``.
+
+    Every S in the loss's flat directions N (``linalg.null_space``) has
+    H(S) = 0, so the loss falls by <D, S> per unit along it, D = sigma_x -
+    sigma_y, and the objective is unbounded below exactly when that beats
+    lam ||S||_1 for some S in N. Hence lambda_b = max over S in N of
+    <D, S> / ||S||_1, which by LP duality equals min over a in D + N^perp of
+    ||a||_inf.
+
+    The primal side is basis pursuit: minimize ||S||_1 over V = {S in N :
+    <D, S> = 1}, by ADMM (Boyd et al. 2011, section 6.2) with the
+    threshold ``tau`` fixed to the mean |entry| of the start point q /
+    ||q||^2, q = P_N(D), so the iterates scale with the data. Each iterate
+    x in V gives lower = <D, x> / ||x||_1 and is kept in ``best`` when it
+    raises ``lower``. The dual side takes the scaled dual u: with t = <u,
+    q> / ||q||^2 > 0, a = P_N^perp(u) / t + q lies in D + N^perp, and is
+    kept in ``dual`` when ||a||_inf lowers ``upper``. q = 0 means
+    lambda_b = 0.
+    """
+
+    def __init__(self, null: NullSpace, diff: np.ndarray):
+        self.null, self.diff = null, diff
+        self.q = project_null(null, diff)
+        self.q_sq = _sq_norm(self.q)
+        # a = D and a = q both lie in D + N^perp.
+        self.dual = min(diff, self.q, key=norm_entrywise_linf)
+        self.upper = norm_entrywise_linf(self.dual)
+        self.lower = 0.0
+        self.iterations = 0
+        if self.q_sq == 0.0:
+            return
+        start = self.q / self.q_sq
+        self.z, self.u = start, np.zeros_like(diff)
+        self.tau = norm_entrywise_l1(start) / start.size
+        self.best, self.lower = start, self._gain(start)
+
+    def _gain(self, s: np.ndarray) -> float:
+        return float(np.vdot(self.diff, s)) / norm_entrywise_l1(s)
+
+    def separate(self, lam: float, max_iter: int) -> int:
+        """Advance until ``lam`` < ``lower`` or ``lam`` >= ``upper``, for at
+        most ``max_iter`` iterations; returns the iterations run."""
+        null, q, q_sq = self.null, self.q, self.q_sq
+        k = 0
+        while self.lower <= lam < self.upper and k < max_iter:
+            k += 1
+            x = project_null(null, self.z - self.u)
+            x += ((1.0 - float(np.vdot(q, x))) / q_sq) * q
+            x_u = x + self.u
+            self.z = soft_threshold(x_u, self.tau)
+            self.u = x_u - self.z
+            gain = self._gain(x)
+            if gain > self.lower:
+                self.lower, self.best = gain, x
+            t = float(np.vdot(self.u, q)) / q_sq
+            if t > 0.0:
+                a = (self.u - project_null(null, self.u)) / t + q
+                size = norm_entrywise_linf(a)
+                if size < self.upper:
+                    self.upper, self.dual = size, a
+        self.iterations += k
+        return k
+
+    @property
+    def direction(self) -> np.ndarray:
+        """The certificate of ``lower``: a unit-l1 S in N with <D, S> =
+        ``lower``."""
+        return self.best / norm_entrywise_l1(self.best)
+
+
 class PairFactors(NamedTuple):
-    """Eigendecompositions of (sigma_x, sigma_y) and the projector onto the
-    loss's flat directions (``linalg.null_space``), None for a pair of full
-    numerical rank."""
+    """Eigendecompositions of (sigma_x, sigma_y) and the no-minimizer
+    bracket of the pair, None for a pair of full numerical rank. The
+    bracket is advanced by the solves that share the factors."""
 
     x: EigenPair
     y: EigenPair
-    null: Optional[NullSpace]
+    bracket: Optional[ThresholdBracket]
 
 
 def factor_pair(pair: CovariancePair) -> PairFactors:
     """The factors shared by every solve on the pair."""
     eig_x, eig_y = psd_eig(pair.sigma_x, "sigma_x"), psd_eig(pair.sigma_y, "sigma_y")
-    return PairFactors(eig_x, eig_y, null_space(eig_x, eig_y))
-
-
-def _recession(null, sx, sy, lam, delta, previous):
-    """(gain, direction) of a certificate that the objective has no
-    minimizer at ``lam`` (see ``NoMinimizerError``), found by projecting
-    the step since ``previous`` or the iterate ``delta`` onto the flat
-    directions N; None when neither certifies.
-
-    Every S in N has H(S) = 0, so the loss is linear along it, falling by
-    <sigma_x - sigma_y, S> per unit; when that beats lam ||S||_1 the
-    objective falls without bound along S. The verdict is confirmed by an
-    exact objective drop at a point 1e3 times farther out than delta.
-    """
-    delta = (delta + delta.T) / 2.0
-    diff = sx - sy
-    for candidate in (delta - previous, delta):
-        direction = project_null(null, candidate)
-        size = norm_entrywise_l1(direction)
-        if size == 0.0:
-            continue
-        gain = float(np.vdot(diff, direction)) / size
-        if gain < 0.0:
-            direction, gain = -direction, -gain
-        if gain <= lam:
-            continue
-        t = 1e3 * max(1.0, norm_frobenius(delta) / norm_frobenius(direction))
-        far = penalized_objective(delta + t * direction, sx, sy, lam)
-        if far < penalized_objective(delta, sx, sy, lam):
-            return gain, direction / size
-    return None
+    null = null_space(eig_x, eig_y)
+    bracket = None if null is None else ThresholdBracket(null, pair.sigma_x - pair.sigma_y)
+    return PairFactors(eig_x, eig_y, bracket)
 
 
 def admm_solve(
@@ -245,12 +287,14 @@ def admm_solve(
 
     On a singular pair (a covariance below full numerical rank) the loss
     is flat along the nonzero symmetric S with sigma_x S sigma_y = 0, and
-    below some penalty the objective is unbounded below. Every
-    ``RECESSION_CHECK_EVERY`` sweeps, the step since the last check and the
-    iterate are projected onto those directions; when either certifies
-    that no minimizer exists (``_recession``), ``NoMinimizerError``
-    names the penalty. The check only reads the iterates, so it leaves the
-    sweeps unchanged, and a full-rank pair skips it.
+    below a threshold lambda_b the objective is unbounded below. Before
+    its first sweep the solve advances the pair's ``ThresholdBracket``
+    until it separates ``lam``, for at most ``cfg.max_iter`` iterations.
+    Below the bracket's lower bound, confirmed by an exact objective drop
+    along its certificate, ``NoMinimizerError`` names the penalty; at or
+    above the upper bound, or when still undecided, the solve sweeps. The
+    decision leaves the sweeps unchanged, and a full-rank pair has no
+    bracket.
 
     ``factors`` is ``factor_pair(pair)``, passed by callers that solve
     the same pair at several penalties; it is computed here otherwise.
@@ -263,7 +307,7 @@ def admm_solve(
     cfg = cfg or SolverConfig()
     sx, sy = pair.sigma_x, pair.sigma_y
     diff = sx - sy
-    eig_x, eig_y, null = factors if factors is not None else factor_pair(pair)
+    eig_x, eig_y, bracket = factors if factors is not None else factor_pair(pair)
 
     if lam >= norm_entrywise_linf(diff):
         state = _zero_state(pair)
@@ -278,10 +322,17 @@ def admm_solve(
         raise ValueError(
             f"penalty 0 needs nonsingular sigma_x, sigma_y: ranks {ranks}, p={pair.p}"
         )
+    if bracket is not None:
+        spent = bracket.separate(lam, cfg.max_iter)
+        if lam < bracket.lower:
+            gain, direction = bracket.lower, bracket.direction
+            # <D, far> = 1e3: the loss falls by 1e3 there, the penalty
+            # grows by 1e3 lam / gain.
+            if penalized_objective(1e3 / gain * direction, sx, sy, lam) < 0.0:
+                raise NoMinimizerError(lam, gain, direction, spent)
     rho = spectral_scale(eig_x, eig_y)
     state = warm if warm is not None else _zero_state(pair)
     d1, d2, d3 = state.delta1, state.delta2, state.delta3
-    checked = d3
     # Scaled duals u_i = lambda_i / rho. Each block equation divided by
     # 2 rho reads (S/2rho) X S' + 2 X = rhs; the scale is folded into the
     # first factor and its eigenvalues once per call, and each block
@@ -341,11 +392,6 @@ def admm_solve(
 
         if not np.isfinite(largest_sq) or largest_sq > limit_sq:
             raise SolverError(f"iterates diverged at iteration {iterations}")
-        if null is not None and iterations % RECESSION_CHECK_EVERY == 0:
-            found = _recession(null, sx, sy, lam, d3, checked)
-            if found is not None:
-                raise NoMinimizerError(lam, *found, iterations)
-            checked = d3
         if converged:
             break
 
@@ -360,17 +406,20 @@ def admm_solve(
     return estimate, out_state
 
 
-def kkt_check(delta, pair: CovariancePair, lam: float) -> float:
+def kkt_check(delta, pair: CovariancePair, lam: float, grad=None) -> float:
     """Max-norm violation of the stationarity conditions at ``delta``.
 
     On nonzero entries the gradient must equal -lam * sign(delta); on zero
     entries its magnitude may not exceed lam. Returns the largest violation,
-    zero exactly at a minimizer of the penalized objective.
+    zero exactly at a minimizer of the penalized objective. ``grad`` is
+    ``dtrace_gradient`` at ``delta``, passed by callers that also need it;
+    it is computed here otherwise.
     """
     if not lam >= 0:
         raise ValueError(f"penalty must be nonnegative, got {lam}")
     delta = np.asarray(delta, dtype=float)
-    grad = dtrace_gradient(delta, pair.sigma_x, pair.sigma_y)
+    if grad is None:
+        grad = dtrace_gradient(delta, pair.sigma_x, pair.sigma_y)
     nonzero = delta != 0
     violation = np.where(
         nonzero,

@@ -314,7 +314,7 @@ class TestPath:
         )
         assert code == 0
         lines = (out / "path.csv").read_text().strip().splitlines()
-        assert lines[0] == "lambda,nnz,bic_f,bic_inf,converged,iterations"
+        assert lines[0] == "lambda,nnz,bic_f,bic_inf,converged,iterations,kkt"
         assert len(lines) == 6
 
     def test_singular_pair_path_stops_at_first_penalty_without_minimizer(
@@ -670,7 +670,7 @@ class TestRefusedInput:
              "penalty 0 needs nonsingular sigma_x, sigma_y: ranks (5, 5), p=12"),
             (["estimate", "--x", "{wide_x}", "--y", "{wide_y}", "--lambda", "0.3",
               "--out", "{out}"],
-             "penalty 0.3 has no minimizer: the loss falls by 0.668274 per unit l1 "
+             "penalty 0.3 has no minimizer: the loss falls by 0.610569 per unit l1 "
              "along a direction its quadratic term does not see"),
             (["estimate", "--x", "{latin1}", "--y", "{y}", "--lambda", "0.05",
               "--out", "{out}"],

@@ -17,7 +17,13 @@ from difftrace.model_selection import (
 )
 from difftrace import model_selection, solver
 from difftrace.simulation import gen_sim1, sample_gaussian
-from difftrace.solver import NoMinimizerError, SolverConfig, admm_solve, kkt_check
+from difftrace.solver import (
+    NoMinimizerError,
+    SolverConfig,
+    admm_solve,
+    dtrace_gradient,
+    kkt_check,
+)
 from conftest import random_spd
 
 
@@ -230,9 +236,9 @@ class TestSolvePath:
         pair = sampled_pair(12, 80, 23)
         calls = []
 
-        def counting(delta, pair):
+        def counting(delta, pair, grad=None):
             calls.append(delta)
-            return bic_score(delta, pair)
+            return bic_score(delta, pair, grad)
 
         monkeypatch.setattr(model_selection, "bic_score", counting)
         path = solve_path(pair, lambda_grid(pair, count=7))
@@ -240,6 +246,35 @@ class TestSolvePath:
         for delta, est, f, inf in zip(calls, path.estimates, path.bic_f, path.bic_inf):
             assert delta is est.delta
             assert (f, inf) == bic_score(est.delta, pair)
+
+    def test_one_gradient_per_penalty(self, monkeypatch):
+        # The scores and the KKT residual share each solution's gradient.
+        pair = sampled_pair(12, 80, 23)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return dtrace_gradient(*args)
+
+        for module in (model_selection, solver):
+            monkeypatch.setattr(module, "dtrace_gradient", counting)
+        path = solve_path(pair, lambda_grid(pair, count=7))
+        assert len(calls) == len(path) == 7
+
+    @pytest.mark.parametrize("p, n, seed", [(12, 80, 23), (12, 6, 31)])
+    def test_kkt_is_residual_over_penalty(self, p, n, seed):
+        pair = sampled_pair(p, n, seed)
+        path = solve_path(pair, lambda_grid(pair, count=7))
+        assert path.kkt.shape == (len(path),)
+        assert path.kkt[0] == 0.0
+        for lam, est, kkt in zip(path.lambdas, path.estimates, path.kkt):
+            assert kkt == kkt_check(est.delta, pair, lam) / lam
+
+    def test_kkt_at_zero_penalty_is_the_residual(self):
+        rng = np.random.default_rng(24)
+        pair = pair_from_covariances(random_spd(4, rng), random_spd(4, rng), 30, 30)
+        path = solve_path(pair, [lambda_max(pair), 0.0])
+        assert path.kkt[1] == kkt_check(path.estimates[1].delta, pair, 0.0)
 
     def test_rejects_ascending_grid(self):
         pair = sampled_pair(10, 50, 12)
@@ -298,6 +333,7 @@ class TestSelectByBic:
             bic_f=scores,
             bic_inf=scores,
             nnz=np.zeros(4, dtype=int),
+            kkt=np.zeros(4),
         )
         lam, est = select_by_bic(path, "frobenius")
         assert lam == pytest.approx(0.3)
@@ -312,7 +348,8 @@ class TestSelectByBic:
             assert scores[idx] == scores.min()
 
     def test_empty_path_rejected(self):
-        path = RegPath(np.array([]), [], np.array([]), np.array([]), np.array([]))
+        empty = np.array([])
+        path = RegPath(empty, [], empty, empty, empty, empty)
         with pytest.raises(ValueError, match="empty"):
             select_by_bic(path)
 
@@ -329,3 +366,5 @@ class TestPathCsv:
         first = lines[1].split(",")
         assert float(first[0]) == pytest.approx(float(path.lambdas[0]))
         assert int(first[1]) == path.nnz[0]
+        for line, kkt in zip(lines[1:], path.kkt):
+            assert float(line.split(",")[6]) == kkt

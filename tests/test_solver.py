@@ -3,10 +3,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from difftrace import solver
+from difftrace import model_selection, solver
 from difftrace.covariance import CovariancePair, build_pair, pair_from_covariances
 from difftrace.linalg import (
     SolverError,
+    project_null,
     norm_entrywise_linf,
     soft_threshold,
     solve_axb_plus_gx,
@@ -14,10 +15,9 @@ from difftrace.linalg import (
     spectral_scale,
 )
 from difftrace.model_selection import lambda_grid, lambda_max, solve_path
-from difftrace.simulation import gen_sim1, sample_gaussian
+from difftrace.simulation import SimulationSpec, gen_sim1, generate, sample_gaussian
 from difftrace.solver import (
     DIVERGENCE_LIMIT,
-    RECESSION_CHECK_EVERY,
     DeltaEstimate,
     NoMinimizerError,
     SolverConfig,
@@ -130,6 +130,13 @@ def reference_admm_solve(pair, lam, rho, cfg=None, warm=None):
     objective = penalized_objective(delta, sx, sy, lam)
     out_state = SolverState(d1, d2, d3, l1, l2, l3, state.iterations + iterations)
     return DeltaEstimate(delta, float(lam), iterations, converged, objective), out_state
+
+
+def numerical_ranges(pair):
+    """Orthonormal bases of the ranges of sigma_x and sigma_y, by SVD."""
+    return [
+        np.linalg.svd(a)[0][:, : np.linalg.matrix_rank(a)] for a in (pair.sigma_x, pair.sigma_y)
+    ]
 
 
 def sampled_pair(p, n, seed):
@@ -356,22 +363,22 @@ class TestSweepMatchesReference:
                 assert np.linalg.norm(est.delta) > 1.0
 
     def test_singular_pair(self):
-        # None of the grid's penalties below lambda_max has a minimizer: the
-        # first, 0.198, is certified with a gain of 0.209 per unit l1. The
-        # sweeps are compared at penalties above the threshold.
+        # The pair's threshold is lambda_b = 0.6378 lambda_max: none of the
+        # grid's penalties below lambda_max has a minimizer, nor has 0.6
+        # lambda_max. The sweeps are compared at penalties above it.
         pair = sampled_pair(12, 6, 31)
         assert np.linalg.matrix_rank(pair.sigma_x) < pair.p
         cfg = SolverConfig(max_iter=2000)
         grid = lambda_grid(pair, count=4, ratio=0.1)
-        for lam in grid[1:]:
+        for lam in [0.6 * grid[0]] + list(grid[1:]):
             with pytest.raises(NoMinimizerError) as err:
                 admm_solve(pair, lam, cfg)
             assert err.value.lam == lam < err.value.gain
         assert str(err.value).startswith("penalty 0.0426708 has no minimizer")
-        for lam in (0.8 * grid[0], 0.6 * grid[0]):
+        for lam in (0.8 * grid[0], 0.7 * grid[0]):
             est, _ = admm_solve(pair, lam, cfg)
             ref = reference_admm_solve(pair, lam, effective_rho(pair), cfg)
-            assert est.iterations > RECESSION_CHECK_EVERY
+            assert est.iterations > 0
             assert_same_solve(est, ref[0])
 
     def test_warm_started_path(self):
@@ -436,30 +443,34 @@ class TestPathMatchesReferenceKernel:
     300-1600, where the two kernels' rounding exceeds the absolute 1e-10.
 
     A path stops at its first penalty without a minimizer (index ``stop``);
-    both kernels stop there, with the same certificate. The constant cases
-    have no minimizer below lambda_max, so only their certificates are
-    compared."""
+    both kernels stop there, with the same certificate. The n < p pair's
+    threshold is 0.6116 lambda_max, so the 0.05 grid stops at its third
+    penalty, 0.425 lambda_max. The constant-column pair's threshold is
+    0.9298 lambda_max, so its grid ends at 0.8 lambda_max to solve two
+    penalties below lambda_max. The constant-group pair has no minimizer
+    below lambda_max: its only work is the bracket's, and only its
+    certificates are compared."""
 
     @pytest.mark.parametrize(
-        "make_pair, rank_x, weight, stop",
+        "make_pair, rank_x, weight, ratio, stop",
         [
-            (lambda: sampled_pair(12, 6, 36), 5, 50.0, 3),
-            (lambda: sampled_pair(10, 40, 37), 10, None, None),
-            (lambda: constant_column_pair(8, 30, 38), 7, 50.0, 1),
-            (lambda: constant_group_pair(8, 30, 39), 0, 50.0, 1),
+            (lambda: sampled_pair(12, 6, 36), 5, 50.0, 0.05, 2),
+            (lambda: sampled_pair(10, 40, 37), 10, None, 0.05, None),
+            (lambda: constant_column_pair(8, 30, 38), 7, 50.0, 0.8, 3),
+            (lambda: constant_group_pair(8, 30, 39), 0, 50.0, 0.05, 1),
         ],
         ids=["n-below-p", "n-above-p", "constant-column", "constant-group"],
     )
-    def test_path(self, monkeypatch, make_pair, rank_x, weight, stop):
+    def test_path(self, monkeypatch, make_pair, rank_x, weight, ratio, stop):
         pair = make_pair()
         assert np.linalg.matrix_rank(pair.sigma_x) == rank_x
         if weight is not None:
             monkeypatch.setattr(solver, "spectral_scale", lambda a_eig, b_eig: weight)
-        grid = lambda_grid(pair, count=8, ratio=0.05)
+        grid = lambda_grid(pair, count=8, ratio=ratio)
         path, cert = solve_path(pair, grid), certificate(pair, grid, stop)
         monkeypatch.setattr(solver, "solve_axb_plus_gx", reference_kernel)
         ref, ref_cert = solve_path(pair, grid), certificate(pair, grid, stop)
-        sweeps = sum(est.iterations for est in path.estimates)
+        work = sum(est.iterations for est in path.estimates)
         if stop is None:
             assert path.no_minimizer_at is ref.no_minimizer_at is None
             assert len(path) == len(ref) == len(grid)
@@ -469,8 +480,8 @@ class TestPathMatchesReferenceKernel:
             assert cert.iterations == ref_cert.iterations
             assert cert.gain == pytest.approx(ref_cert.gain, rel=0, abs=1e-10)
             np.testing.assert_allclose(cert.direction, ref_cert.direction, rtol=0, atol=1e-10)
-            sweeps += cert.iterations
-        assert sweeps > 0
+            work += cert.iterations
+        assert work > 0
         for est, ref_est in zip(path.estimates, ref.estimates):
             assert est.iterations == ref_est.iterations
             assert est.converged == ref_est.converged
@@ -489,6 +500,8 @@ def test_cold_solve_is_second_solve_of_path(n, ratio):
     grid = [lambda_max(pair), lam]
     path = solve_path(pair, grid)
     if n < pair.p:
+        # Both are refused by a fresh bracket, which at 0.1 lambda_max
+        # needs no iteration: its start point already certifies it.
         assert path.no_minimizer_at == lam and len(path) == 1
         with pytest.raises(NoMinimizerError) as err:
             admm_solve(pair, lam)
@@ -496,11 +509,12 @@ def test_cold_solve_is_second_solve_of_path(n, ratio):
         assert cold.lam == second.lam == lam
         assert cold.gain == second.gain
         assert cold.direction.tobytes() == second.direction.tobytes()
+        assert cold.iterations == second.iterations
     else:
         cold, _ = admm_solve(pair, lam)
         second = path.estimates[1]
         assert cold.delta.tobytes() == second.delta.tobytes()
-    assert cold.iterations == second.iterations > 0
+        assert cold.iterations == second.iterations > 0
 
 
 class TestRecessionCertificate:
@@ -519,7 +533,7 @@ class TestRecessionCertificate:
         assert np.vdot(sx - sy, s) == pytest.approx(err.value.gain, rel=1e-12)
         assert err.value.gain > lam
         # S lies in the flat directions {S : Ux^T S Uy = 0} to rounding.
-        ranges = [np.linalg.svd(a)[0][:, : np.linalg.matrix_rank(a)] for a in (sx, sy)]
+        ranges = numerical_ranges(pair)
         assert np.linalg.norm(ranges[0].T @ s @ ranges[1]) <= 1e-13 * np.linalg.norm(s)
         # The exact objective falls along S, from zero and from a solution.
         solved, _ = admm_solve(pair, 0.5 * lambda_max(pair))
@@ -532,15 +546,21 @@ class TestRecessionCertificate:
     def test_flat_loss_is_certified_at_first_check(self):
         # sigma_x = 0 makes the loss <sigma_y, delta>, linear: every penalty
         # below lambda_max = max |sigma_y| has no minimizer, and the gain of
-        # any direction is at most lambda_max.
+        # any direction is at most lambda_max. Each is refused before its
+        # first sweep.
         pair = constant_group_pair(8, 30, 39)
         assert not pair.sigma_x.any()
         top = lambda_max(pair)
-        for lam in lambda_grid(pair, count=8, ratio=0.05)[1:]:
-            with pytest.raises(NoMinimizerError) as err:
-                admm_solve(pair, lam)
-            assert err.value.iterations == RECESSION_CHECK_EVERY
-            assert lam < err.value.gain <= top * (1 + 1e-12)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sweep at a penalty without a minimizer")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "solve_axb_plus_gx", refuse)
+            for lam in lambda_grid(pair, count=8, ratio=0.05)[1:]:
+                with pytest.raises(NoMinimizerError) as err:
+                    admm_solve(pair, lam)
+                assert lam < err.value.gain <= top * (1 + 1e-12)
 
     def test_constant_column_threshold_is_its_variance(self):
         # With column 1 constant in X only, the flat directions are the
@@ -573,30 +593,213 @@ class TestRecessionCertificate:
 
     def test_full_rank_pair_has_no_check(self, monkeypatch):
         pair = sampled_pair(10, 40, 37)
-        assert factor_pair(pair).null is None
+        assert factor_pair(pair).bracket is None
 
         def refuse(*args):
-            raise AssertionError("recession check on a full-rank pair")
+            raise AssertionError("null-space projection on a full-rank pair")
 
-        monkeypatch.setattr(solver, "_recession", refuse)
+        monkeypatch.setattr(solver, "project_null", refuse)
         path = solve_path(pair, lambda_grid(pair, count=8, ratio=0.05))
         assert path.no_minimizer_at is None
         assert sum(est.iterations for est in path.estimates) > 0
 
     def test_check_only_reads_the_sweeps(self, monkeypatch):
         # The solved part of a singular path is the same, bit for bit, with
-        # the check switched off.
+        # the bracket switched off.
         pair = sampled_pair(100, 50, 1)
         grid = lambda_grid(pair, count=6, ratio=0.1)
         path = solve_path(pair, grid)
         assert path.no_minimizer_at is not None
-        monkeypatch.setattr(solver, "_recession", lambda *args: None)
+        monkeypatch.setattr(
+            model_selection, "factor_pair", lambda pair: factor_pair(pair)._replace(bracket=None)
+        )
         unchecked = solve_path(pair, grid)
         assert len(unchecked) == len(grid) > len(path)
         assert sum(est.iterations for est in path.estimates) > 0
         for est, ref in zip(path.estimates, unchecked.estimates):
             assert est.iterations == ref.iterations
             assert est.delta.tobytes() == ref.delta.tobytes()
+
+    def test_penalty_solved_without_minimizer_is_refused(self):
+        # The threshold of this pair is 0.6594 lambda_max. A solve at 0.6518
+        # lambda_max used to stop on the step test, reported converged with
+        # KKT/lambda 0.083.
+        pair = sampled_pair(12, 6, 34)
+        lam = 0.6518 * lambda_max(pair)
+        with pytest.raises(NoMinimizerError) as err:
+            admm_solve(pair, lam)
+        assert lam < err.value.gain <= 0.6595 * lambda_max(pair)
+
+    def test_simulated_replicate_stops_at_its_threshold(self):
+        # Replicate 0 of the sim2 p=100 n=50 run at seed 7: its threshold
+        # lies between grid points 17 (0.2024 lambda_max), which has no
+        # minimizer, and 16 (0.2223 lambda_max), which is proven to have one.
+        truth = generate(SimulationSpec("sim2", 100, 50, 50, 7))
+        pair = build_pair(
+            sample_gaussian(truth.omega_x, 50, 8), sample_gaussian(truth.omega_y, 50, 9)
+        )
+        grid = lambda_grid(pair)
+        assert grid[16] / grid[0] == pytest.approx(0.2223, abs=1e-4)
+        assert grid[17] / grid[0] == pytest.approx(0.2024, abs=1e-4)
+        bracket = factor_pair(pair).bracket
+        bracket.separate(grid[16], 5000)
+        assert bracket.upper <= grid[16]
+        bracket.separate(grid[17], 5000)
+        assert grid[17] < bracket.lower
+        with pytest.raises(NoMinimizerError):
+            admm_solve(pair, grid[17])
+
+
+SINGULAR_PAIRS = [(12, 6, 31), (12, 6, 34), (12, 6, 36), (20, 10, 5), (30, 12, 3)]
+
+
+def lp_threshold(pair):
+    """lambda_b = max <D, S> over symmetric S with Ux^T S Uy = 0 and
+    ||S||_1 <= 1, as a linear program over the upper triangle of S = P - M,
+    P, M >= 0: the oracle for the bracket."""
+    optimize = pytest.importorskip("scipy.optimize")
+    p = pair.p
+    ranges = numerical_ranges(pair)
+    rows, cols = np.triu_indices(p)
+    basis = np.zeros((rows.size, p, p))
+    basis[np.arange(rows.size), rows, cols] = 1.0
+    basis[np.arange(rows.size), cols, rows] = 1.0
+    flat = np.einsum("ir,kij,js->krs", ranges[0], basis, ranges[1]).reshape(rows.size, -1).T
+    weight = np.where(rows == cols, 1.0, 2.0)
+    diff = (pair.sigma_x - pair.sigma_y)[rows, cols] * weight
+    result = optimize.linprog(
+        np.concatenate([-diff, diff]),
+        A_ub=np.concatenate([weight, weight])[None, :],
+        b_ub=[1.0],
+        A_eq=np.hstack([flat, -flat]),
+        b_eq=np.zeros(flat.shape[0]),
+        bounds=(0, None),
+    )
+    assert result.status == 0
+    return -result.fun
+
+
+def close(bracket, iterations):
+    """Advance ``bracket`` by ``iterations`` at the middle of its gap;
+    returns (lower, upper) after each one."""
+    history = []
+    for _ in range(iterations):
+        bracket.separate((bracket.lower + bracket.upper) / 2.0, 1)
+        history.append((bracket.lower, bracket.upper))
+    return history
+
+
+class TestThresholdBracket:
+    """Bounds on lambda_b, the smallest penalty with a minimizer, from
+    basis pursuit on the flat directions and its LP dual."""
+
+    @pytest.mark.parametrize("args", SINGULAR_PAIRS)
+    def test_weak_duality_at_every_iteration(self, args):
+        bracket = factor_pair(sampled_pair(*args)).bracket
+        assert bracket.lower <= bracket.upper
+        for lower, upper in close(bracket, 300):
+            assert lower <= upper
+
+    @pytest.mark.parametrize("args", SINGULAR_PAIRS)
+    def test_gap_closes_within_1000_iterations(self, args):
+        bracket = factor_pair(sampled_pair(*args)).bracket
+        close(bracket, 1000)
+        assert bracket.upper - bracket.lower <= 1e-3 * bracket.upper
+
+    @pytest.mark.parametrize("args", SINGULAR_PAIRS[:3])
+    def test_matches_linear_program(self, args):
+        pair = sampled_pair(*args)
+        exact = lp_threshold(pair)
+        bracket = factor_pair(pair).bracket
+        close(bracket, 5000)
+        assert bracket.lower <= exact * (1 + 1e-9)
+        assert exact <= bracket.upper * (1 + 1e-9)
+        assert bracket.upper - bracket.lower <= 1e-8 * exact
+
+    def test_certificates(self):
+        # lower is <D, S> / ||S||_1 for its S in N; upper is ||a||_inf for
+        # its a in D + N^perp.
+        pair = sampled_pair(20, 10, 5)
+        diff = pair.sigma_x - pair.sigma_y
+        bracket = factor_pair(pair).bracket
+        close(bracket, 200)
+        s, a = bracket.direction, bracket.dual
+        ranges = numerical_ranges(pair)
+        assert np.linalg.norm(ranges[0].T @ s @ ranges[1]) <= 1e-13 * np.linalg.norm(s)
+        assert np.vdot(diff, s) == pytest.approx(bracket.lower, rel=1e-12)
+        assert np.abs(a).max() == bracket.upper
+        assert np.linalg.norm(project_null(bracket.null, a - diff)) <= 1e-12 * np.linalg.norm(diff)
+        assert np.array_equal(a, a.T)
+
+    def test_constant_column_closes_on_its_variance(self):
+        pair = constant_column_pair(8, 30, 38)
+        bracket = factor_pair(pair).bracket
+        close(bracket, 100)
+        lam_b = pair.sigma_y[1, 1]
+        assert bracket.lower == pytest.approx(lam_b, rel=1e-12)
+        assert bracket.upper == pytest.approx(lam_b, rel=1e-12)
+
+    def test_zero_covariance_closes_on_lambda_max(self):
+        pair = constant_group_pair(8, 30, 39)
+        bracket = factor_pair(pair).bracket
+        close(bracket, 1000)
+        assert bracket.lower == pytest.approx(lambda_max(pair), rel=1e-12)
+        assert bracket.upper == lambda_max(pair)
+
+    def test_scales_by_c_squared(self):
+        # Samples x4 scale the covariances, and so lambda_b, by 16; powers of
+        # two keep the scaling exact in floating point.
+        truth = gen_sim1(12)
+        x, y = sample_gaussian(truth.omega_x, 6, 34), sample_gaussian(truth.omega_y, 6, 36)
+        bounds = []
+        for c in (1.0, 4.0):
+            bracket = factor_pair(build_pair(c * x, c * y)).bracket
+            close(bracket, 50)
+            bounds.append(np.array([bracket.lower, bracket.upper]))
+        np.testing.assert_allclose(bounds[1], 16.0 * bounds[0], rtol=1e-12)
+
+    def test_undecided_penalty_is_swept(self):
+        # One bracket iteration does not separate a penalty just below the
+        # threshold, so the solve sweeps, up to the same cap.
+        pair = sampled_pair(12, 6, 34)
+        bracket = factor_pair(pair).bracket
+        close(bracket, 5000)
+        lam = bracket.lower * (1 - 1e-6)
+        factors = factor_pair(pair)
+        est, _ = admm_solve(pair, lam, SolverConfig(max_iter=1), factors=factors)
+        assert factors.bracket.iterations == 1
+        assert factors.bracket.lower <= lam < factors.bracket.upper
+        assert est.iterations == 1 and not est.converged
+
+    def test_refusal_needs_an_objective_drop(self):
+        # A lower bound overstating lambda_b does not refuse a penalty that
+        # has a minimizer: the exact objective does not fall along the
+        # certificate there, so the solve sweeps.
+        pair = sampled_pair(12, 6, 34)
+        lam = 0.8 * lambda_max(pair)
+        factors = factor_pair(pair)
+        factors.bracket.lower = 2.0 * lambda_max(pair)
+        est, _ = admm_solve(pair, lam, factors=factors)
+        assert est.converged and est.iterations > 0
+
+    def test_descending_path_advances_one_bracket(self):
+        # The solves of a path share the bracket, so it runs only as far as
+        # the hardest separation needs.
+        pair = sampled_pair(12, 6, 36)
+        factors = factor_pair(pair)
+        grid = lambda_grid(pair, count=8, ratio=0.05)
+        spent = []
+        state = None
+        for lam in grid[:2]:
+            _, state = admm_solve(pair, lam, warm=state, factors=factors)
+            spent.append(factors.bracket.iterations)
+        with pytest.raises(NoMinimizerError) as err:
+            admm_solve(pair, grid[2], warm=state, factors=factors)
+        assert spent[0] == 0
+        assert factors.bracket.iterations == spent[1] + err.value.iterations
+        fresh = factor_pair(pair).bracket
+        fresh.separate(grid[1], 5000)
+        assert fresh.iterations == spent[1]
 
 
 def test_sweep_calls_go_through_solver_namespace(monkeypatch):
