@@ -1,4 +1,4 @@
-"""Penalty grids, regularization-path solves with warm starts, and BIC tuning."""
+"""Penalty grids, predicted regularization-path solves, and BIC tuning."""
 
 from __future__ import annotations
 
@@ -17,13 +17,17 @@ from .solver import (
     admm_solve,
     dtrace_gradient,
     factor_pair,
+    fista_predict,
+    fixed_point_state,
     kkt_check,
 )
 
 # Residual norms of the two information criteria: Frobenius and max-abs.
 BIC_NORMS = ("frobenius", "max")
 
-PATH_CSV_COLUMNS = ("lambda", "nnz", "bic_f", "bic_inf", "converged", "iterations", "kkt")
+PATH_CSV_COLUMNS = (
+    "lambda", "nnz", "bic_f", "bic_inf", "converged", "iterations", "kkt", "predict_iterations",
+)
 
 # Default penalty grid: point count and end-to-start ratio.
 GRID_COUNT = 50
@@ -78,7 +82,9 @@ def bic_score(delta, pair: CovariancePair, grad=None) -> Tuple[float, float]:
 class RegPath:
     """Solutions along a descending penalty grid with both BIC variants and
     each solution's KKT residual over its penalty (``kkt_check`` / lambda;
-    the residual itself at lambda = 0). ``no_minimizer_at`` is the grid's
+    the residual itself at lambda = 0). ``predict_iterations`` counts the
+    ``fista_predict`` iterations run before each solve's sweeps (0 where
+    none ran). ``no_minimizer_at`` is the grid's
     first penalty certified to have no minimizer, where the path stops,
     None when every penalty was solved."""
 
@@ -88,6 +94,7 @@ class RegPath:
     bic_inf: np.ndarray
     nnz: np.ndarray
     kkt: np.ndarray
+    predict_iterations: np.ndarray
     no_minimizer_at: Optional[float] = None
 
     def __len__(self) -> int:
@@ -105,8 +112,11 @@ def solve_path(
     lambdas: Sequence[float],
     cfg: Optional[SolverConfig] = None,
 ) -> RegPath:
-    """Solve at every penalty in descending order, warm-starting each solve
-    from the previous one's state and sharing one factorization of the pair.
+    """Solve at every penalty in descending order, sharing one
+    factorization of the pair. Each penalty 0 < lambda < lambda_max is
+    first predicted by ``fista_predict``, started from the line through the
+    last two estimates (the path is piecewise linear in lambda), and
+    ``admm_solve`` finishes from the prediction's ``fixed_point_state``.
     Records both BIC variants and the KKT residual per entry, from one
     gradient of the loss. The path stops at the first penalty
     certified to have no minimizer (``NoMinimizerError``), since no smaller
@@ -123,12 +133,17 @@ def solve_path(
     bic_inf = np.empty(lambdas.size)
     nnz = np.empty(lambdas.size, dtype=int)
     kkt = np.empty(lambdas.size)
+    predicted = np.zeros(lambdas.size, dtype=int)
     factors = factor_pair(pair)
-    state = None
+    top = lambda_max(pair)
     no_minimizer_at = None
     for i, lam in enumerate(lambdas):
+        guess = _extrapolate(lambdas[:i], estimates, lam, pair.p)
+        if 0.0 < lam < top:
+            guess, predicted[i] = fista_predict(pair, float(lam), guess, cfg, factors)
+        warm = fixed_point_state(pair, guess)
         try:
-            est, state = admm_solve(pair, float(lam), cfg, warm=state, factors=factors)
+            est, _ = admm_solve(pair, float(lam), cfg, warm=warm, factors=factors)
         except NoMinimizerError:
             if i == 0:
                 raise
@@ -143,8 +158,20 @@ def solve_path(
         nnz[i] = est.nnz
     k = len(estimates)
     return RegPath(
-        lambdas[:k], estimates, bic_f[:k], bic_inf[:k], nnz[:k], kkt[:k], no_minimizer_at
+        lambdas[:k], estimates, bic_f[:k], bic_inf[:k], nnz[:k], kkt[:k], predicted[:k],
+        no_minimizer_at,
     )
+
+
+def _extrapolate(lambdas, estimates: List[DeltaEstimate], lam: float, p: int) -> np.ndarray:
+    """The line through the last two estimates, at ``lam``; the last
+    estimate when there is one, zero when there is none."""
+    if not estimates:
+        return np.zeros((p, p))
+    if len(estimates) == 1:
+        return estimates[-1].delta
+    (lam1, lam2), (d1, d2) = lambdas[-2:], (est.delta for est in estimates[-2:])
+    return d2 + ((lam - lam2) / (lam1 - lam2)) * (d1 - d2)
 
 
 def select_by_bic(path: RegPath, norm: str = "frobenius") -> Tuple[float, DeltaEstimate]:
@@ -173,5 +200,6 @@ def write_path_csv(path: RegPath, fileobj) -> None:
                 est.converged,
                 est.iterations,
                 repr(float(path.kkt[i])),
+                int(path.predict_iterations[i]),
             ]
         )

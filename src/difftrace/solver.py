@@ -36,6 +36,12 @@ from .linalg import (
 )
 
 DIVERGENCE_LIMIT = 1e12
+# Sweeps between the ADMM's KKT stopping checks.
+KKT_PERIOD = 100
+# The predictor stops at a KKT residual of PREDICT_KKT * lambda, checked
+# every PREDICT_PERIOD iterations.
+PREDICT_KKT = 0.01
+PREDICT_PERIOD = 10
 
 
 class NoMinimizerError(ValueError):
@@ -60,8 +66,9 @@ class NoMinimizerError(ValueError):
 class SolverConfig:
     """ADMM parameters: relative stopping tolerance 1e-3 and a 5000-sweep
     cap by default; the cap also bounds the bracket iterations that decide
-    a penalty on a singular pair. The augmented-Lagrangian weight is not a
-    parameter: it comes from the pair (see ``admm_solve``)."""
+    a penalty on a singular pair and the iterations of ``fista_predict``.
+    The augmented-Lagrangian weight is not a parameter: it comes from the
+    pair (see ``admm_solve``)."""
 
     tol: float = 1e-3
     max_iter: int = 5000
@@ -146,14 +153,22 @@ def _sq_norm(a: np.ndarray) -> float:
     return float(flat.dot(flat))
 
 
-def _zero_state(pair: CovariancePair) -> SolverState:
-    # Fixed point of the iteration at the all-zero solution: the dual
-    # differences must cancel the linear term of each block update.
-    p = pair.p
+def fixed_point_state(pair: CovariancePair, delta) -> SolverState:
+    """The ADMM state that a sweep leaves in place when ``delta`` (symmetric)
+    is a minimizer: every block at ``delta``, lambda_1 = (sigma_x delta
+    sigma_y - D)/2, lambda_2 = (D - sigma_y delta sigma_x)/2 and lambda_3 =
+    0, D = sigma_x - sigma_y. The dual differences then cancel the linear
+    term of each block update, and the first sweep from any ``delta`` is a
+    proximal-gradient step of size 1/2rho. ``delta`` = 0 is the cold start,
+    the fixed point at lambda_max."""
     diff = pair.sigma_x - pair.sigma_y
-    zeros = np.zeros((p, p))
+    delta = np.array(delta, dtype=float)
+    # sigma_y delta sigma_x = (sigma_x delta sigma_y)^T for symmetric delta;
+    # -(D - m) rather than m - D keeps the sign of D's zeros at delta = 0.
+    m = pair.sigma_x @ delta @ pair.sigma_y
     return SolverState(
-        zeros, zeros.copy(), zeros.copy(), -diff / 2.0, diff / 2.0, zeros.copy()
+        delta, delta.copy(), delta.copy(), -(diff - m) / 2.0, (diff - m.T) / 2.0,
+        np.zeros_like(diff),
     )
 
 
@@ -261,11 +276,15 @@ def admm_solve(
     matrix-equation solves (see ``solve_axb_plus_gx``) and one soft
     threshold -- followed by the three dual ascent steps. Iteration stops
     when no block moves more than ``cfg.tol`` times the larger of its
-    Frobenius norms before and after the sweep, or at ``cfg.max_iter`` with
-    ``converged=False``. ``SolverError`` is raised when a block or the
-    scaled dual lambda_1/rho grows beyond ``DIVERGENCE_LIMIT`` times the
-    norm of (sigma_x - sigma_y)/2rho, the scaled dual of the zero solution:
-    the limit is a ratio, both sides in the units of the estimate.
+    Frobenius norms before and after the sweep, or, at a positive penalty,
+    when the estimate's KKT residual (``kkt_check``, every ``KKT_PERIOD``
+    sweeps) is at most ``cfg.tol`` times ``lam``: a minimizer sitting at
+    the block solves' rounding level never passes the step test. Otherwise
+    it stops at ``cfg.max_iter`` with ``converged=False``. ``SolverError``
+    is raised when a block or the scaled dual lambda_1/rho grows beyond
+    ``DIVERGENCE_LIMIT`` times the norm of (sigma_x - sigma_y)/2rho, the
+    scaled dual of the zero solution: the limit is a ratio, both sides in
+    the units of the estimate.
 
     The sweeps run at the weight rho = sqrt(a_1 b_1 a_r b_s)
     (``spectral_scale`` of the pair's eigenvalues): the geometric mean of
@@ -310,7 +329,7 @@ def admm_solve(
     eig_x, eig_y, bracket = factors if factors is not None else factor_pair(pair)
 
     if lam >= norm_entrywise_linf(diff):
-        state = _zero_state(pair)
+        state = fixed_point_state(pair, np.zeros_like(diff))
         delta = state.delta3.copy()
         return (
             DeltaEstimate(delta, float(lam), 0, True, 0.0),
@@ -331,7 +350,7 @@ def admm_solve(
             if penalized_objective(1e3 / gain * direction, sx, sy, lam) < 0.0:
                 raise NoMinimizerError(lam, gain, direction, spent)
     rho = spectral_scale(eig_x, eig_y)
-    state = warm if warm is not None else _zero_state(pair)
+    state = warm if warm is not None else fixed_point_state(pair, np.zeros_like(diff))
     d1, d2, d3 = state.delta1, state.delta2, state.delta3
     # Scaled duals u_i = lambda_i / rho. Each block equation divided by
     # 2 rho reads (S/2rho) X S' + 2 X = rhs; the scale is folded into the
@@ -394,6 +413,10 @@ def admm_solve(
             raise SolverError(f"iterates diverged at iteration {iterations}")
         if converged:
             break
+        if iterations % KKT_PERIOD == 0 and lam > 0:
+            converged = kkt_check((d3 + d3.T) / 2.0, pair, lam) <= cfg.tol * lam
+            if converged:
+                break
 
     delta = (d3 + d3.T) / 2.0
     objective = penalized_objective(delta, sx, sy, lam)
@@ -427,3 +450,70 @@ def kkt_check(delta, pair: CovariancePair, lam: float, grad=None) -> float:
         np.maximum(0.0, np.abs(grad) - lam),
     )
     return float(violation.max())
+
+
+def fista_predict(
+    pair: CovariancePair,
+    lam: float,
+    start,
+    cfg: Optional[SolverConfig] = None,
+    factors: Optional[PairFactors] = None,
+) -> Tuple[np.ndarray, int]:
+    """Approximate minimizer at ``lam`` > 0 from the symmetric ``start``, by
+    accelerated proximal gradient (FISTA, Beck & Teboulle 2009) with the
+    gradient restart of O'Donoghue & Candes (2015). Returns it with the
+    iterations run; ``admm_solve`` finishes from its ``fixed_point_state``.
+
+    The step is 1/(a_1 b_1), from the covariances' largest eigenvalues: the
+    loss's Hessian S -> (sigma_x S sigma_y + sigma_y S sigma_x)/2 has norm
+    at most a_1 b_1. An iteration costs two matrix products, since
+    sigma_y S sigma_x = (sigma_x S sigma_y)^T for symmetric S. The
+    iteration stops once the KKT residual (``kkt_check``, every
+    ``PREDICT_PERIOD`` iterations, ``start`` included) is at most
+    ``PREDICT_KKT`` * ``lam``, or after ``cfg.max_iter`` iterations.
+
+    On a singular pair the pair's ``ThresholdBracket`` is advanced first,
+    and a penalty it does not certify to have a minimizer (below its upper
+    bound) returns ``start`` with 0 iterations: there the objective may be
+    unbounded below, and ``admm_solve`` decides it. ``factors`` is
+    ``factor_pair(pair)``, computed here when not given.
+    """
+    if not lam > 0:
+        raise ValueError(f"penalty must be positive, got {lam}")
+    cfg = cfg or SolverConfig()
+    eig_x, eig_y, bracket = factors if factors is not None else factor_pair(pair)
+    x = np.asarray(start, dtype=float)
+    if bracket is not None:
+        bracket.separate(lam, cfg.max_iter)
+        if lam < bracket.upper:
+            return x, 0
+    sx, sy = pair.sigma_x, pair.sigma_y
+    diff = sx - sy
+    step = 1.0 / (eig_x.values[0] * eig_y.values[0])
+
+    def gradient(s):
+        m = sx @ s @ sy
+        g = m + m.T
+        g *= 0.5
+        g -= diff
+        return g
+
+    y, t = x, 1.0
+    for k in range(cfg.max_iter):
+        if k % PREDICT_PERIOD == 0 and kkt_check(x, pair, lam, gradient(x)) <= PREDICT_KKT * lam:
+            return x, k
+        work = gradient(y)
+        work *= -step
+        work += y
+        x_new = soft_threshold(work, step * lam)
+        move = x_new - x
+        if np.vdot(np.subtract(y, x_new, out=work), move) > 0.0:
+            # The step opposes the momentum: restart from x_new.
+            y, t = x_new, 1.0
+        else:
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            move *= (t - 1.0) / t_new
+            y = np.add(x_new, move, out=work)
+            t = t_new
+        x = x_new
+    return x, cfg.max_iter

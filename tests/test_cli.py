@@ -314,7 +314,7 @@ class TestPath:
         )
         assert code == 0
         lines = (out / "path.csv").read_text().strip().splitlines()
-        assert lines[0] == "lambda,nnz,bic_f,bic_inf,converged,iterations,kkt"
+        assert lines[0] == "lambda,nnz,bic_f,bic_inf,converged,iterations,kkt,predict_iterations"
         assert len(lines) == 6
 
     def test_singular_pair_path_stops_at_first_penalty_without_minimizer(

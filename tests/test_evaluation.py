@@ -22,7 +22,7 @@ def fake_path(deltas):
     ]
     nnz = np.array([np.count_nonzero(d) for d in deltas])
     zeros = np.zeros(len(deltas))
-    return RegPath(lams, ests, zeros, zeros, nnz, zeros)
+    return RegPath(lams, ests, zeros, zeros, nnz, zeros, np.zeros(len(deltas), dtype=int))
 
 
 class TestSupportMetrics:

@@ -25,6 +25,7 @@ from difftrace.solver import (
     kkt_check,
 )
 from conftest import random_spd
+from test_solver import path_warm_states
 
 
 def sampled_pair(p, n, seed):
@@ -187,13 +188,15 @@ class TestSolvePath:
         monkeypatch.setattr(solver, "psd_eig", counting)
         path = solve_path(pair, lams)
         assert calls == ["sigma_x", "sigma_y"]
-        # Bitwise the same as refactoring the pair in every solve.
-        state = None
-        for lam, est in zip(lams, path.estimates):
-            alone, state = admm_solve(pair, float(lam), warm=state)
+        # Bitwise the same as refactoring the pair in every solve, each
+        # from its predicted warm state (whose replay factors it once).
+        states = path_warm_states(pair, path)
+        del calls[:]
+        for lam, est, state in zip(lams, path.estimates, states):
+            alone, _ = admm_solve(pair, float(lam), warm=state)
             assert alone.delta.tobytes() == est.delta.tobytes()
         # Each lone solve factors the pair, the one at lambda_max included.
-        assert len(calls) == 2 + 2 * len(lams)
+        assert len(calls) == 2 * len(lams)
 
     def test_path_builds_the_null_space_once(self, monkeypatch):
         pair = sampled_pair(12, 6, 31)
@@ -334,6 +337,7 @@ class TestSelectByBic:
             bic_inf=scores,
             nnz=np.zeros(4, dtype=int),
             kkt=np.zeros(4),
+            predict_iterations=np.zeros(4, dtype=int),
         )
         lam, est = select_by_bic(path, "frobenius")
         assert lam == pytest.approx(0.3)
@@ -349,7 +353,7 @@ class TestSelectByBic:
 
     def test_empty_path_rejected(self):
         empty = np.array([])
-        path = RegPath(empty, [], empty, empty, empty, empty)
+        path = RegPath(empty, [], empty, empty, empty, empty, empty)
         with pytest.raises(ValueError, match="empty"):
             select_by_bic(path)
 
@@ -368,3 +372,6 @@ class TestPathCsv:
         assert int(first[1]) == path.nnz[0]
         for line, kkt in zip(lines[1:], path.kkt):
             assert float(line.split(",")[6]) == kkt
+        predicted = [int(line.split(",")[7]) for line in lines[1:]]
+        assert predicted == list(path.predict_iterations)
+        assert predicted[0] == 0 and sum(predicted) > 0

@@ -22,9 +22,10 @@ from difftrace.solver import (
     NoMinimizerError,
     SolverConfig,
     SolverState,
-    _zero_state,
     admm_solve,
     factor_pair,
+    fista_predict,
+    fixed_point_state,
     dtrace_gradient,
     dtrace_loss,
     kkt_check,
@@ -70,6 +71,37 @@ def effective_rho(pair):
     return spectral_scale(factors.x, factors.y)
 
 
+def zero_state(pair):
+    """The cold-start state ``admm_solve`` used to build, body unchanged:
+    the reference for ``fixed_point_state`` at zero."""
+    p = pair.p
+    diff = pair.sigma_x - pair.sigma_y
+    zeros = np.zeros((p, p))
+    return SolverState(
+        zeros, zeros.copy(), zeros.copy(), -diff / 2.0, diff / 2.0, zeros.copy()
+    )
+
+
+def path_warm_states(pair, path, cfg=None):
+    """The warm state of each solve of ``path``: the predictor's point at
+    every 0 < lambda < lambda_max, started from the line through the last
+    two estimates, or that start itself elsewhere. Checks the recorded
+    predictor iterations on the way."""
+    factors = factor_pair(pair)
+    deltas = [np.zeros((pair.p, pair.p))] + [est.delta for est in path.estimates]
+    states = []
+    for i, lam in enumerate(path.lambdas):
+        start = deltas[i] if i < 2 else deltas[i] + (
+            (lam - path.lambdas[i - 1]) / (path.lambdas[i - 2] - path.lambdas[i - 1])
+        ) * (deltas[i - 1] - deltas[i])
+        used = 0
+        if 0 < lam < lambda_max(pair):
+            start, used = fista_predict(pair, lam, start, cfg, factors)
+        assert used == path.predict_iterations[i]
+        states.append(fixed_point_state(pair, start))
+    return states
+
+
 def reference_admm_solve(pair, lam, rho, cfg=None, warm=None):
     """The unscaled, allocating sweep loop ``admm_solve`` used to run, with
     the old soft-threshold formula and the current relative step test and
@@ -80,7 +112,7 @@ def reference_admm_solve(pair, lam, rho, cfg=None, warm=None):
     diff = sx - sy
 
     if lam >= norm_entrywise_linf(diff):
-        state = _zero_state(pair)
+        state = zero_state(pair)
         delta = state.delta3.copy()
         return (
             DeltaEstimate(delta, float(lam), 0, True, 0.0),
@@ -88,7 +120,7 @@ def reference_admm_solve(pair, lam, rho, cfg=None, warm=None):
         )
 
     eig_x, eig_y, _ = factor_pair(pair)
-    state = warm if warm is not None else _zero_state(pair)
+    state = warm if warm is not None else zero_state(pair)
     d1, d2, d3 = state.delta1, state.delta2, state.delta3
     l1, l2, l3 = state.lambda1, state.lambda2, state.lambda3
     plan1, plan2 = solve_plan(eig_x, eig_y, 4 * rho), solve_plan(eig_y, eig_x, 4 * rho)
@@ -382,13 +414,15 @@ class TestSweepMatchesReference:
             assert_same_solve(est, ref[0])
 
     def test_warm_started_path(self):
+        # Each solve of a path starts from the fixed-point state of its
+        # prediction.
         pair = sampled_pair(10, 40, 32)
         grid = lambda_grid(pair, count=10, ratio=0.05)
         path = solve_path(pair, grid)
-        state = None
+        assert len(path) == len(grid) and path.predict_iterations.sum() > 0
         rho = effective_rho(pair)
-        for lam, est in zip(grid, path.estimates):
-            ref, state = reference_admm_solve(pair, lam, rho, warm=state)
+        for lam, est, warm in zip(grid, path.estimates, path_warm_states(pair, path)):
+            ref, _ = reference_admm_solve(pair, lam, rho, warm=warm)
             assert_same_solve(est, ref)
 
     def test_warm_state_is_unscaled(self):
@@ -492,9 +526,9 @@ class TestPathMatchesReferenceKernel:
 @pytest.mark.parametrize("ratio", [0.5, 0.1])
 @pytest.mark.parametrize("n", [6, 60], ids=["n-below-p", "n-above-p"])
 def test_cold_solve_is_second_solve_of_path(n, ratio):
-    # A cold solve starts from the lambda_max fixed point every path starts
-    # from. At n < p neither penalty has a minimizer, and both solves
-    # reach the same certificate.
+    # A cold solve starts from the lambda_max fixed point, where a path's
+    # second solve starts its prediction. At n < p neither penalty has a
+    # minimizer, and both solves reach the same certificate.
     pair = sampled_pair(12, n, 34)
     lam = ratio * lambda_max(pair)
     grid = [lambda_max(pair), lam]
@@ -512,9 +546,15 @@ def test_cold_solve_is_second_solve_of_path(n, ratio):
         assert cold.iterations == second.iterations
     else:
         cold, _ = admm_solve(pair, lam)
+        at_zero, _ = admm_solve(pair, lam, warm=fixed_point_state(pair, np.zeros((12, 12))))
+        assert cold.delta.tobytes() == at_zero.delta.tobytes()
+        assert cold.iterations == at_zero.iterations > 0
+        guess, used = fista_predict(pair, lam, np.zeros((12, 12)))
         second = path.estimates[1]
-        assert cold.delta.tobytes() == second.delta.tobytes()
-        assert cold.iterations == second.iterations > 0
+        finish, _ = admm_solve(pair, lam, warm=fixed_point_state(pair, guess))
+        assert finish.delta.tobytes() == second.delta.tobytes()
+        assert finish.iterations == second.iterations > 0
+        assert used == path.predict_iterations[1] > 0
 
 
 class TestRecessionCertificate:
@@ -816,8 +856,12 @@ def test_sweep_calls_go_through_solver_namespace(monkeypatch):
     pair = sampled_pair(10, 40, 35)
     path = solve_path(pair, lambda_grid(pair, count=5, ratio=0.1))
     sweeps = sum(est.iterations for est in path.estimates)
-    assert sweeps > 0
-    assert counts == {"psd_eig": 2, "solve_axb_plus_gx": 2 * sweeps, "soft_threshold": sweeps}
+    predicted = int(path.predict_iterations.sum())
+    assert sweeps > 0 and predicted > 0
+    # The predictor's iterations each threshold once too.
+    assert counts == {
+        "psd_eig": 2, "solve_axb_plus_gx": 2 * sweeps, "soft_threshold": sweeps + predicted
+    }
 
 
 def test_sweep_is_scale_equivariant():
@@ -830,7 +874,7 @@ def test_sweep_is_scale_equivariant():
     deltas = []
     for c in (1.0, 4.0):
         pair = build_pair(c * x, c * y)
-        est, _ = admm_solve(pair, 0.3 * lambda_max(pair), cfg, warm=_zero_state(pair))
+        est, _ = admm_solve(pair, 0.3 * lambda_max(pair), cfg, warm=zero_state(pair))
         assert est.iterations == 30
         deltas.append(est.delta)
     assert np.count_nonzero(deltas[0]) > 0
@@ -885,6 +929,60 @@ def test_default_path_kkt_bound_when_n_above_p(p):
         for est in path.estimates:
             worst = max(worst, kkt_check(est.delta, pair, est.lam) / est.lam)
     assert worst <= 0.5
+
+
+def test_default_path_kkt_bound_when_n_below_p():
+    # Replicate 0 of the n < p simulate benchmark: every penalty the path
+    # solves is within 0.01 lambda of stationarity, and the path stops at
+    # its first penalty without a minimizer, index 17.
+    spec = SimulationSpec("sim2", 100, 50, 50, 7)
+    truth = generate(spec)
+    pair = build_pair(
+        sample_gaussian(truth.omega_x, 50, 8), sample_gaussian(truth.omega_y, 50, 9)
+    )
+    grid = lambda_grid(pair)
+    path = solve_path(pair, grid)
+    assert len(path) == 17 and path.no_minimizer_at == grid[17]
+    assert all(est.converged for est in path.estimates)
+    assert max(kkt_check(est.delta, pair, est.lam) / est.lam for est in path.estimates) <= 0.01
+
+
+@pytest.mark.parametrize("n", [50, 500], ids=["n-below-p", "n-above-p"])
+def test_kkt_stop_certifies_a_minimizer_at_rounding_level(n):
+    # Just below lambda_max the minimizer is at the block solves' rounding
+    # level, where the relative step test never passes; the KKT check
+    # after the first 100 sweeps ends the solve as converged.
+    truth = gen_sim1(100)
+    pair = build_pair(
+        sample_gaussian(truth.omega_x, n, 1), sample_gaussian(truth.omega_y, n, 101)
+    )
+    for k in (13, 14):
+        lam = lambda_max(pair) * (1.0 - 10.0**-k)
+        est, _ = admm_solve(pair, lam)
+        assert est.converged and est.iterations == solver.KKT_PERIOD
+        assert kkt_check(est.delta, pair, lam) <= 1e-15 * lam
+
+
+class TestFixedPointState:
+    def test_zero_is_the_cold_start(self):
+        for pair in (make_pair(6, np.random.default_rng(41)), sampled_pair(12, 6, 36)):
+            state, ref = fixed_point_state(pair, np.zeros((pair.p, pair.p))), zero_state(pair)
+            for name in ("delta1", "delta2", "delta3", "lambda1", "lambda2", "lambda3"):
+                assert getattr(state, name).tobytes() == getattr(ref, name).tobytes(), name
+            assert state.iterations == ref.iterations == 0
+
+    @pytest.mark.parametrize("ratio", [0.3, 0.1])
+    def test_one_sweep_leaves_a_minimizer_in_place(self, ratio):
+        pair = make_pair(5, np.random.default_rng(40))
+        lam = ratio * lambda_max(pair)
+        delta = prox_grad_oracle(pair, lam, tol=0.0, max_iter=5000)
+        assert np.count_nonzero(delta) > 0
+        start = fixed_point_state(pair, delta)
+        _, state = admm_solve(pair, lam, SolverConfig(max_iter=1), warm=start)
+        assert state.iterations == 1
+        for name in ("delta1", "delta2", "delta3", "lambda1", "lambda2", "lambda3"):
+            moved = np.abs(getattr(state, name) - getattr(start, name)).max()
+            assert moved <= 1e-10, name
 
 
 class TestKktCheck:

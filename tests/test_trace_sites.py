@@ -135,3 +135,9 @@ def test_every_eigendecomposition_goes_through_psd_eig(monkeypatch, tmp_path, mo
                      str(tmp_path / "y.csv"), "--out", str(tmp_path / "out")] + mode)
     assert code == 0
     assert sum(map(len, eig_calls)) == len(psd_calls) == 2
+
+
+def test_path_csv_leads_with_the_columns_the_benchmark_reads():
+    # perfbench/run.py's check_estimate reads path.csv's lambda, nnz and
+    # bic_f by position.
+    assert model_selection.PATH_CSV_COLUMNS[:3] == ("lambda", "nnz", "bic_f")
