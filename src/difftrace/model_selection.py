@@ -116,7 +116,9 @@ def solve_path(
     factorization of the pair. Each penalty 0 < lambda < lambda_max is
     first predicted by ``fista_predict``, started from the line through the
     last two estimates (the path is piecewise linear in lambda), and
-    ``admm_solve`` finishes from the prediction's ``fixed_point_state``.
+    ``admm_solve`` starts from the prediction's ``fixed_point_state``: it
+    returns a prediction certified at ``cfg.tol`` without a sweep, and
+    sweeps from any other.
     Records both BIC variants and the KKT residual per entry, from one
     gradient of the loss. The path stops at the first penalty
     certified to have no minimizer (``NoMinimizerError``), since no smaller

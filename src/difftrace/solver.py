@@ -38,10 +38,8 @@ from .linalg import (
 DIVERGENCE_LIMIT = 1e12
 # Sweeps between the ADMM's KKT stopping checks.
 KKT_PERIOD = 100
-# The predictor stops at a KKT residual of PREDICT_KKT * lambda, checked
-# every PREDICT_PERIOD iterations.
-PREDICT_KKT = 0.01
-PREDICT_PERIOD = 10
+# Factor by which the predictor's step grows after each accepted iteration.
+STEP_GROWTH = 1.25
 
 
 class NoMinimizerError(ValueError):
@@ -315,6 +313,12 @@ def admm_solve(
     decision leaves the sweeps unchanged, and a full-rank pair has no
     bracket.
 
+    A warm start at a positive penalty is certified before the first
+    sweep: when its symmetrized third block passes ``kkt_check`` at
+    ``cfg.tol`` * ``lam``, that block is returned with 0 sweeps,
+    ``converged=True`` and ``rho`` None, together with ``warm`` itself.
+    Otherwise the sweeps run from ``warm`` as from any other state.
+
     ``factors`` is ``factor_pair(pair)``, passed by callers that solve
     the same pair at several penalties; it is computed here otherwise.
 
@@ -349,6 +353,11 @@ def admm_solve(
             # grows by 1e3 lam / gain.
             if penalized_objective(1e3 / gain * direction, sx, sy, lam) < 0.0:
                 raise NoMinimizerError(lam, gain, direction, spent)
+    if warm is not None and lam > 0:
+        delta = (warm.delta3 + warm.delta3.T) / 2.0
+        if kkt_check(delta, pair, lam) <= cfg.tol * lam:
+            objective = penalized_objective(delta, sx, sy, lam)
+            return DeltaEstimate(delta, float(lam), 0, True, objective), warm
     rho = spectral_scale(eig_x, eig_y)
     state = warm if warm is not None else fixed_point_state(pair, np.zeros_like(diff))
     d1, d2, d3 = state.delta1, state.delta2, state.delta3
@@ -461,16 +470,27 @@ def fista_predict(
 ) -> Tuple[np.ndarray, int]:
     """Approximate minimizer at ``lam`` > 0 from the symmetric ``start``, by
     accelerated proximal gradient (FISTA, Beck & Teboulle 2009) with the
-    gradient restart of O'Donoghue & Candes (2015). Returns it with the
-    iterations run; ``admm_solve`` finishes from its ``fixed_point_state``.
+    gradient restart of O'Donoghue & Candes (2015) and a step that
+    backtracks and grows (Scheinberg, Goldfarb & Bai 2014). Returns it with
+    the iterations run; ``admm_solve`` checks it again before any sweep.
 
-    The step is 1/(a_1 b_1), from the covariances' largest eigenvalues: the
-    loss's Hessian S -> (sigma_x S sigma_y + sigma_y S sigma_x)/2 has norm
-    at most a_1 b_1. An iteration costs two matrix products, since
-    sigma_y S sigma_x = (sigma_x S sigma_y)^T for symmetric S. The
-    iteration stops once the KKT residual (``kkt_check``, every
-    ``PREDICT_PERIOD`` iterations, ``start`` included) is at most
-    ``PREDICT_KKT`` * ``lam``, or after ``cfg.max_iter`` iterations.
+    The loss is quadratic, so its gradient is affine: the Hessian product
+    H(x) = (sigma_x x sigma_y + sigma_y x sigma_x)/2 of each iterate is
+    kept, and the gradient at the extrapolated point y is the same affine
+    combination of those products. An iteration's one product H(x+), two
+    matrix products since sigma_y S sigma_x = (sigma_x S sigma_y)^T for
+    symmetric S, then gives the next gradient, the curvature <d, Hd> of
+    the step d = x+ - y, and, from the optimality of the proximal step,
+    ||Hd - d/step||_inf, a bound on the KKT residual (``kkt_check``) at x+.
+    The iteration stops at the first bound at most ``cfg.tol`` * ``lam``,
+    which certifies x+, or after ``cfg.max_iter`` iterations.
+
+    The step starts at 1/(a_1 b_1), from the covariances' largest
+    eigenvalues, which bound the Hessian's norm, and never falls below it.
+    It grows by ``STEP_GROWTH`` after each accepted iteration. A step along
+    which the curvature exceeds 1/step is cut to the larger of 1/(a_1 b_1)
+    and min(step/2, 0.9 ||d||^2 / <d, Hd>), and the iteration is redone;
+    a redone iteration counts as one.
 
     On a singular pair the pair's ``ThresholdBracket`` is advanced first,
     and a penalty it does not certify to have a minimizer (below its upper
@@ -489,31 +509,44 @@ def fista_predict(
             return x, 0
     sx, sy = pair.sigma_x, pair.sigma_y
     diff = sx - sy
-    step = 1.0 / (eig_x.values[0] * eig_y.values[0])
+    floor = 1.0 / (eig_x.values[0] * eig_y.values[0])
+    target = cfg.tol * lam
+    # (sigma_x / 2) s sigma_y is exactly half of sigma_x s sigma_y: halving
+    # commutes with rounding.
+    half_x = 0.5 * sx
 
-    def gradient(s):
-        m = sx @ s @ sy
-        g = m + m.T
-        g *= 0.5
-        g -= diff
-        return g
+    def hessian(s):
+        m = half_x @ s @ sy
+        return m + m.T
 
-    y, t = x, 1.0
+    hx = hessian(x)
+    y, hy = x, hx
+    step, t = floor, 1.0
     for k in range(cfg.max_iter):
-        if k % PREDICT_PERIOD == 0 and kkt_check(x, pair, lam, gradient(x)) <= PREDICT_KKT * lam:
-            return x, k
-        work = gradient(y)
+        work = hy - diff
         work *= -step
         work += y
         x_new = soft_threshold(work, step * lam)
+        d = np.subtract(x_new, y, out=work)
+        hx_new = hessian(x_new)
+        hd = hx_new - hy
+        d_sq, curvature = _sq_norm(d), float(np.vdot(d, hd))
+        if curvature * step > d_sq and step > floor:
+            step = max(floor, min(step / 2.0, 0.9 * d_sq / curvature))
+            continue
+        hd -= d / step
+        if norm_entrywise_linf(hd) <= target:
+            return x_new, k + 1
         move = x_new - x
-        if np.vdot(np.subtract(y, x_new, out=work), move) > 0.0:
+        if np.vdot(d, move) < 0.0:
             # The step opposes the momentum: restart from x_new.
-            y, t = x_new, 1.0
+            y, hy, t = x_new, hx_new, 1.0
         else:
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            move *= (t - 1.0) / t_new
-            y = np.add(x_new, move, out=work)
+            beta = (t - 1.0) / t_new
+            y = x_new + beta * move
+            hy = hx_new + beta * (hx_new - hx)
             t = t_new
-        x = x_new
+        x, hx = x_new, hx_new
+        step *= STEP_GROWTH
     return x, cfg.max_iter

@@ -209,7 +209,12 @@ class TestEstimate:
                     "objective", "bic_f", "bic_inf", "nnz", "wallclock_ms",
                     "no_minimizer_at"):
             assert key in record
-        assert record["rho_effective"] > 0
+        # The ADMM weight is recorded when the path swept, null when every
+        # penalty was certified without a sweep.
+        with open(out / "path.csv") as fh:
+            sweeps = sum(int(row["iterations"]) for row in csv.DictReader(fh))
+        assert (record["rho_effective"] is None) == (sweeps == 0)
+        assert record["rho_effective"] is None or record["rho_effective"] > 0
         assert record["no_minimizer_at"] is None
         assert (out / "delta.csv").exists()
         assert (out / "support.csv").exists()

@@ -211,7 +211,7 @@ class TestSolvePath:
         path = solve_path(pair, lambda_grid(pair, count=10, ratio=0.1))
         assert len(calls) == 1
         assert path.no_minimizer_at is not None
-        assert sum(est.iterations for est in path.estimates) > 0
+        assert sum(est.iterations for est in path.estimates) + path.predict_iterations.sum() > 0
 
     def test_stops_at_first_penalty_without_minimizer(self):
         pair = sampled_pair(12, 6, 31)
@@ -251,18 +251,22 @@ class TestSolvePath:
             assert (f, inf) == bic_score(est.delta, pair)
 
     def test_one_gradient_per_penalty(self, monkeypatch):
-        # The scores and the KKT residual share each solution's gradient.
+        # The scores and the KKT residual share each solution's gradient;
+        # the solver takes one more below lambda_max, to certify the
+        # prediction it starts from.
         pair = sampled_pair(12, 80, 23)
-        calls = []
+        calls = {model_selection: [], solver: []}
 
-        def counting(*args):
-            calls.append(args)
-            return dtrace_gradient(*args)
+        for module in calls:
+            def counting(*args, _calls=calls[module]):
+                _calls.append(args)
+                return dtrace_gradient(*args)
 
-        for module in (model_selection, solver):
             monkeypatch.setattr(module, "dtrace_gradient", counting)
         path = solve_path(pair, lambda_grid(pair, count=7))
-        assert len(calls) == len(path) == 7
+        assert len(calls[model_selection]) == len(path) == 7
+        assert sum(est.iterations for est in path.estimates) == 0
+        assert len(calls[solver]) == 6
 
     @pytest.mark.parametrize("p, n, seed", [(12, 80, 23), (12, 6, 31)])
     def test_kkt_is_residual_over_penalty(self, p, n, seed):

@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 
 import numpy as np
@@ -415,15 +416,20 @@ class TestSweepMatchesReference:
 
     def test_warm_started_path(self):
         # Each solve of a path starts from the fixed-point state of its
-        # prediction.
+        # prediction: a prediction certified at tol is the estimate, bit for
+        # bit; any other is swept as the reference sweeps it.
         pair = sampled_pair(10, 40, 32)
         grid = lambda_grid(pair, count=10, ratio=0.05)
         path = solve_path(pair, grid)
         assert len(path) == len(grid) and path.predict_iterations.sum() > 0
         rho = effective_rho(pair)
         for lam, est, warm in zip(grid, path.estimates, path_warm_states(pair, path)):
-            ref, _ = reference_admm_solve(pair, lam, rho, warm=warm)
-            assert_same_solve(est, ref)
+            if est.iterations == 0 and lam < lambda_max(pair):
+                assert est.delta.tobytes() == warm.delta3.tobytes()
+                assert kkt_check(est.delta, pair, lam) <= SolverConfig().tol * lam
+            else:
+                ref, _ = reference_admm_solve(pair, lam, rho, warm=warm)
+                assert_same_solve(est, ref)
 
     def test_warm_state_is_unscaled(self):
         pair = make_pair(6, np.random.default_rng(33))
@@ -515,7 +521,7 @@ class TestPathMatchesReferenceKernel:
             assert cert.gain == pytest.approx(ref_cert.gain, rel=0, abs=1e-10)
             np.testing.assert_allclose(cert.direction, ref_cert.direction, rtol=0, atol=1e-10)
             work += cert.iterations
-        assert work > 0
+        assert work + path.predict_iterations.sum() > 0
         for est, ref_est in zip(path.estimates, ref.estimates):
             assert est.iterations == ref_est.iterations
             assert est.converged == ref_est.converged
@@ -553,7 +559,7 @@ def test_cold_solve_is_second_solve_of_path(n, ratio):
         second = path.estimates[1]
         finish, _ = admm_solve(pair, lam, warm=fixed_point_state(pair, guess))
         assert finish.delta.tobytes() == second.delta.tobytes()
-        assert finish.iterations == second.iterations > 0
+        assert finish.iterations == second.iterations
         assert used == path.predict_iterations[1] > 0
 
 
@@ -641,7 +647,7 @@ class TestRecessionCertificate:
         monkeypatch.setattr(solver, "project_null", refuse)
         path = solve_path(pair, lambda_grid(pair, count=8, ratio=0.05))
         assert path.no_minimizer_at is None
-        assert sum(est.iterations for est in path.estimates) > 0
+        assert sum(est.iterations for est in path.estimates) + path.predict_iterations.sum() > 0
 
     def test_check_only_reads_the_sweeps(self, monkeypatch):
         # The solved part of a singular path is the same, bit for bit, with
@@ -655,7 +661,7 @@ class TestRecessionCertificate:
         )
         unchecked = solve_path(pair, grid)
         assert len(unchecked) == len(grid) > len(path)
-        assert sum(est.iterations for est in path.estimates) > 0
+        assert sum(est.iterations for est in path.estimates) + path.predict_iterations.sum() > 0
         for est, ref in zip(path.estimates, unchecked.estimates):
             assert est.iterations == ref.iterations
             assert est.delta.tobytes() == ref.delta.tobytes()
@@ -854,13 +860,17 @@ def test_sweep_calls_go_through_solver_namespace(monkeypatch):
 
         monkeypatch.setattr(solver, name, counted)
     pair = sampled_pair(10, 40, 35)
-    path = solve_path(pair, lambda_grid(pair, count=5, ratio=0.1))
-    sweeps = sum(est.iterations for est in path.estimates)
+    grid = lambda_grid(pair, count=5, ratio=0.1)
+    path = solve_path(pair, grid)
+    # The path's predictions are certified without a sweep; a cold solve
+    # sweeps.
+    cold, _ = admm_solve(pair, grid[-1])
+    sweeps = sum(est.iterations for est in path.estimates) + cold.iterations
     predicted = int(path.predict_iterations.sum())
-    assert sweeps > 0 and predicted > 0
-    # The predictor's iterations each threshold once too.
+    assert cold.iterations > 0 and predicted > 0
+    # The predictor's iterations, redone ones included, each threshold once.
     assert counts == {
-        "psd_eig": 2, "solve_axb_plus_gx": 2 * sweeps, "soft_threshold": sweeps + predicted
+        "psd_eig": 4, "solve_axb_plus_gx": 2 * sweeps, "soft_threshold": sweeps + predicted
     }
 
 
@@ -883,21 +893,26 @@ def test_sweep_is_scale_equivariant():
 
 
 def path_summary(path):
-    return [(est.iterations, est.converged, est.nnz) for est in path.estimates]
+    return [
+        (est.iterations, est.converged, est.nnz, used)
+        for est, used in zip(path.estimates, path.predict_iterations)
+    ]
 
 
 @pytest.mark.parametrize("n", [50, 500], ids=["n-below-p", "n-above-p"])
 def test_path_is_scale_free(n):
-    # The step test, the divergence guard and the PSD check are relative to
-    # the pair, so data in other units give the same sweeps and supports.
-    # Powers of two scale the covariances and the grid exactly.
+    # The step test, the divergence guard, the PSD check and the
+    # predictor's step, backtracking and KKT bound are relative to the
+    # pair, so data in other units give the same sweeps, predictor
+    # iterations and supports. Powers of two scale the covariances and the
+    # grid exactly.
     truth = gen_sim1(100)
     x = sample_gaussian(truth.omega_x, n, 1)
     y = sample_gaussian(truth.omega_y, n, 101)
     pair = build_pair(x, y)
     grid = lambda_grid(pair, count=6, ratio=0.1)
     base = solve_path(pair, grid)
-    assert sum(est.iterations for est in base.estimates) > 0
+    assert sum(est.iterations for est in base.estimates) + base.predict_iterations.sum() > 0
     # At n < p the path stops at a certified penalty, at every scale.
     assert (base.no_minimizer_at is None) == (n > 100)
     for c in (2.0**-20, 2.0**-10, 2.0**10, 2.0**20):
@@ -911,13 +926,23 @@ def test_path_is_scale_free(n):
         scaled = build_pair(c * x, c * y)
         path = solve_path(scaled, lambda_grid(scaled, count=6, ratio=0.1))
         assert list(path.nnz) == list(base.nnz)
+    # At the scales the certificate tests use, not exact in floating point,
+    # the predictor takes the same iterations, and the path keeps the same
+    # supports and stops at the same index.
+    for c in (1e-3, 1e3):
+        scaled = build_pair(c * x, c * y)
+        path = solve_path(scaled, lambda_grid(scaled, count=6, ratio=0.1))
+        assert list(path.predict_iterations) == list(base.predict_iterations)
+        assert [np.flatnonzero(est.delta).tolist() for est in path.estimates] == [
+            np.flatnonzero(est.delta).tolist() for est in base.estimates
+        ]
+        assert (path.no_minimizer_at is None) == (base.no_minimizer_at is None)
 
 
 @pytest.mark.parametrize("p", [20, 30])
 def test_default_path_kkt_bound_when_n_above_p(p):
-    # The stopping rule is a relative step, not a certificate; at n > p the
-    # spectrally scaled weight keeps the default path within 0.5 lambda of
-    # stationarity. The n < p regime is not covered by this bound.
+    # Every penalty of the default path is certified within tol lambda of
+    # stationarity, by its prediction or by the sweeps' KKT stop.
     truth = gen_sim1(p)
     worst = 0.0
     for draw in range(3):
@@ -928,12 +953,12 @@ def test_default_path_kkt_bound_when_n_above_p(p):
         assert all(est.converged for est in path.estimates)
         for est in path.estimates:
             worst = max(worst, kkt_check(est.delta, pair, est.lam) / est.lam)
-    assert worst <= 0.5
+    assert worst <= SolverConfig().tol
 
 
 def test_default_path_kkt_bound_when_n_below_p():
     # Replicate 0 of the n < p simulate benchmark: every penalty the path
-    # solves is within 0.01 lambda of stationarity, and the path stops at
+    # solves is within tol lambda of stationarity, and the path stops at
     # its first penalty without a minimizer, index 17.
     spec = SimulationSpec("sim2", 100, 50, 50, 7)
     truth = generate(spec)
@@ -944,7 +969,8 @@ def test_default_path_kkt_bound_when_n_below_p():
     path = solve_path(pair, grid)
     assert len(path) == 17 and path.no_minimizer_at == grid[17]
     assert all(est.converged for est in path.estimates)
-    assert max(kkt_check(est.delta, pair, est.lam) / est.lam for est in path.estimates) <= 0.01
+    worst = max(kkt_check(est.delta, pair, est.lam) / est.lam for est in path.estimates)
+    assert worst <= SolverConfig().tol
 
 
 @pytest.mark.parametrize("n", [50, 500], ids=["n-below-p", "n-above-p"])
@@ -978,11 +1004,164 @@ class TestFixedPointState:
         delta = prox_grad_oracle(pair, lam, tol=0.0, max_iter=5000)
         assert np.count_nonzero(delta) > 0
         start = fixed_point_state(pair, delta)
-        _, state = admm_solve(pair, lam, SolverConfig(max_iter=1), warm=start)
+        # At the default tol the minimizer is certified before any sweep;
+        # at tol 1e-300 the certificate fails and the sweep runs.
+        est, _ = admm_solve(pair, lam, SolverConfig(max_iter=1), warm=start)
+        assert est.iterations == 0 and est.converged
+        _, state = admm_solve(pair, lam, SolverConfig(tol=1e-300, max_iter=1), warm=start)
         assert state.iterations == 1
         for name in ("delta1", "delta2", "delta3", "lambda1", "lambda2", "lambda3"):
             moved = np.abs(getattr(state, name) - getattr(start, name)).max()
             assert moved <= 1e-10, name
+
+
+def sim2_replicate_zero():
+    """Replicate 0 of the sim2 p=100 n=50 run at seed 7: the n < p
+    benchmark's first path."""
+    truth = generate(SimulationSpec("sim2", 100, 50, 50, 7))
+    return build_pair(
+        sample_gaussian(truth.omega_x, 50, 8), sample_gaussian(truth.omega_y, 50, 9)
+    )
+
+
+def record_predictions(monkeypatch):
+    """Record every prediction a path makes: its penalty, the pair's step
+    floor times the penalty, each iteration's soft threshold (its step
+    times the penalty, redone iterations included) and what it returned.
+    The bracket's own thresholds are left out. Returns the records and the
+    recording predictor the path calls."""
+    calls = []
+
+    def threshold(a, tau):
+        if sys._getframe(1).f_code.co_name == "fista_predict":
+            calls[-1]["taus"].append(tau)
+        return soft_threshold(a, tau)
+
+    def predict(pair, lam, start, cfg=None, factors=None):
+        floor = 1.0 / (factors.x.values[0] * factors.y.values[0])
+        call = {"lam": lam, "floor_tau": floor * lam, "taus": []}
+        calls.append(call)
+        call["x"], call["used"] = fista_predict(pair, lam, start, cfg, factors)
+        return call["x"], call["used"]
+
+    monkeypatch.setattr(solver, "soft_threshold", threshold)
+    monkeypatch.setattr(model_selection, "fista_predict", predict)
+    return calls, predict
+
+
+def backtracks(taus):
+    """Iterations whose step is below the previous one's."""
+    return sum(later < earlier for earlier, later in zip(taus, taus[1:]))
+
+
+class TestFistaPredict:
+    """The predictor's KKT bound, step floor and backtracking."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("n", [50, 500], ids=["n-below-p", "n-above-p"])
+    def test_returns_are_certified(self, monkeypatch, n, scale):
+        # Every prediction that stops before max_iter passes the exact KKT
+        # check at tol, and no step is below 1/(a_1 b_1), where each starts.
+        truth = gen_sim1(100)
+        pair = build_pair(
+            scale * sample_gaussian(truth.omega_x, n, 1),
+            scale * sample_gaussian(truth.omega_y, n, 101),
+        )
+        calls, _ = record_predictions(monkeypatch)
+        solve_path(pair, lambda_grid(pair))
+        cfg = SolverConfig()
+        stopped = [call for call in calls if 0 < call["used"] < cfg.max_iter]
+        assert len(stopped) >= 10
+        for call in stopped:
+            assert kkt_check(call["x"], pair, call["lam"]) <= cfg.tol * call["lam"]
+            assert len(call["taus"]) == call["used"]
+            assert call["taus"][0] == call["floor_tau"]
+            assert min(call["taus"]) >= call["floor_tau"]
+        assert sum(backtracks(call["taus"]) for call in calls) > 0
+
+    def test_backtracks_before_the_stop(self, monkeypatch):
+        # The last penalty before the n < p benchmark path's stop, just above
+        # the no-minimizer threshold, is where the step is cut.
+        pair = sim2_replicate_zero()
+        grid = lambda_grid(pair)
+        calls, _ = record_predictions(monkeypatch)
+        path = solve_path(pair, grid)
+        assert len(path) == 17
+        (last,) = [call for call in calls if call["lam"] == grid[16]]
+        assert 0 < last["used"] < SolverConfig().max_iter
+        assert backtracks(last["taus"]) > 0
+        assert min(last["taus"]) >= last["floor_tau"]
+
+    def test_step_is_cut_to_its_floor(self, monkeypatch):
+        # With both covariances' eigenvalues in [1, 1.1], every direction's
+        # curvature is within 1.21 of a_1 b_1, so the step grown from
+        # 1/(a_1 b_1) is too long and is cut back to that floor, not below.
+        pair = make_pair(6, np.random.default_rng(42), cond=1.1)
+        lam = 0.1 * lambda_max(pair)
+        calls, predict = record_predictions(monkeypatch)
+        x, used = predict(pair, lam, np.zeros((6, 6)), None, factor_pair(pair))
+        (call,) = calls
+        assert 1 < used < SolverConfig().max_iter
+        assert kkt_check(x, pair, lam) <= SolverConfig().tol * lam
+        assert backtracks(call["taus"]) > 0
+        assert min(call["taus"]) == call["floor_tau"]
+
+    def test_bound_is_the_proximal_residual(self):
+        # The first iteration is the proximal-gradient step d from the start
+        # at 1/(a_1 b_1). Its bound is ||H d - d / step||_inf, and the
+        # predictor returns after it exactly when the bound meets tol * lam.
+        pair = sampled_pair(12, 80, 23)
+        sx, sy = pair.sigma_x, pair.sigma_y
+        lam = 0.3 * lambda_max(pair)
+        factors = factor_pair(pair)
+        step = 1.0 / (factors.x.values[0] * factors.y.values[0])
+        start = np.zeros((12, 12))
+        first = soft_threshold(start - step * dtrace_gradient(start, sx, sy), step * lam)
+        d = first - start
+        hd = dtrace_gradient(first, sx, sy) - dtrace_gradient(start, sx, sy)
+        bound = norm_entrywise_linf(hd - d / step)
+        # The sign of d / step matters at this step.
+        assert abs(norm_entrywise_linf(hd + d / step) - bound) > 1e-3 * bound
+        x, used = fista_predict(pair, lam, start, SolverConfig(tol=(1 + 1e-6) * bound / lam))
+        assert used == 1
+        np.testing.assert_allclose(x, first, rtol=0, atol=1e-14 * np.abs(first).max())
+        _, used = fista_predict(pair, lam, start, SolverConfig(tol=(1 - 1e-6) * bound / lam))
+        assert used > 1
+
+
+class TestWarmCertificate:
+    """``admm_solve`` returns a warm start certified at tol without a
+    sweep, and sweeps from any other."""
+
+    def test_certified_warm_start_is_returned_without_a_sweep(self):
+        pair = sampled_pair(12, 80, 23)
+        lam = 0.3 * lambda_max(pair)
+        guess, used = fista_predict(pair, lam, np.zeros((12, 12)))
+        assert 0 < used < SolverConfig().max_iter
+        warm = fixed_point_state(pair, guess)
+        # A third block off by rounding from symmetric is symmetrized.
+        warm.delta3 = warm.delta3 * (1.0 + np.triu(np.full((12, 12), 1e-15), 1))
+        symmetrized = (warm.delta3 + warm.delta3.T) / 2.0
+        assert not np.array_equal(warm.delta3, warm.delta3.T)
+        est, state = admm_solve(pair, lam, warm=warm)
+        assert est.iterations == 0 and est.converged and est.rho is None
+        assert est.delta.tobytes() == symmetrized.tobytes()
+        assert est.objective == penalized_objective(est.delta, pair.sigma_x, pair.sigma_y, lam)
+        assert state is warm
+
+    def test_uncertified_warm_start_is_swept(self):
+        # A prediction cut short fails the certificate, and the sweeps run
+        # from it as the reference runs them.
+        pair = sampled_pair(12, 80, 23)
+        lam = 0.3 * lambda_max(pair)
+        guess, used = fista_predict(pair, lam, np.zeros((12, 12)), SolverConfig(max_iter=3))
+        assert used == 3
+        assert kkt_check(guess, pair, lam) > SolverConfig().tol * lam
+        warm = fixed_point_state(pair, guess)
+        est, _ = admm_solve(pair, lam, warm=warm)
+        ref, _ = reference_admm_solve(pair, lam, effective_rho(pair), warm=warm)
+        assert est.iterations > 0 and est.rho == effective_rho(pair)
+        assert_same_solve(est, ref)
 
 
 class TestKktCheck:
