@@ -1,6 +1,6 @@
-"""Command-line front end: estimate from data files at one penalty or over
-a BIC-tuned penalty path, run simulation benchmarks, score estimates, and
-emit plot-ready CSVs.
+"""Command-line front end: estimate from data files over a BIC-tuned
+penalty path (a fixed penalty is a one-point path), run simulation
+benchmarks, score estimates, and emit plot-ready CSVs.
 
 Exit codes: 0 on success with all solves converged, 1 on a failed or
 unconverged solve (``SolverError``), 2 on bad input (any ``ValueError``, a
@@ -33,7 +33,7 @@ from .model_selection import (
     BIC_NORMS,
     GRID_COUNT,
     GRID_RATIO,
-    bic_score,
+    bic_score,  # noqa: F401  unused here, but perfbench/traced.py rebinds it
     check_grid,
     lambda_grid,
     select_by_bic,
@@ -47,7 +47,8 @@ from .simulation import (
     sample_gaussian,
     write_ground_truth,
 )
-from .solver import SolverConfig, admm_solve
+from .solver import SolverConfig
+from .solver import admm_solve  # noqa: F401  unused here, but perfbench/traced.py rebinds it
 
 
 class InputError(ValueError):
@@ -250,43 +251,33 @@ def cmd_estimate(args) -> int:
     pair, cfg = _load_pair(args)
     if args.lam is None:
         grid = lambda_grid(pair, count=args.grid_count, ratio=args.grid_ratio)
+    else:
+        grid = [args.lam]  # a one-point path
     start = time.perf_counter()
-    if args.lam is not None:
-        estimate, _ = admm_solve(pair, args.lam, cfg)
-        lam, rho = args.lam, estimate.rho
-    else:
-        path = solve_path(pair, grid, cfg)
-        lam, estimate = select_by_bic(path, args.bic)
-        rho = path.rho
+    path = solve_path(pair, grid, cfg)
+    lam, estimate = select_by_bic(path, args.bic)
     wallclock_ms = int(1000 * (time.perf_counter() - start))
-    if args.lam is not None:
-        bic_f, bic_inf = bic_score(estimate.delta, pair)
-    else:
-        # The path scored every penalty once; reuse the selected scores.
-        best = path.lambdas.tolist().index(lam)
-        bic_f, bic_inf = float(path.bic_f[best]), float(path.bic_inf[best])
+    # The path scored every penalty once; reuse the selected scores.
+    best = path.lambdas.tolist().index(lam)
 
     # After the solve, so that a refused penalty leaves no --out behind.
     out = _out_dir(args)
-    if args.lam is None:
-        with open(out / "path.csv", "w", newline="") as fh:
-            write_path_csv(path, fh)
+    with open(out / "path.csv", "w", newline="") as fh:
+        write_path_csv(path, fh)
     write_matrix_csv(estimate.delta, out / "delta.csv")
     write_support_csv(estimate.delta, out / "support.csv")
     record = {
-        "lambda": float(lam),
-        "rho_effective": rho,
+        "lambda": lam,
         "tol": cfg.tol,
         "iterations": estimate.iterations,
         "converged": estimate.converged,
         "objective": estimate.objective,
-        "bic_f": bic_f,
-        "bic_inf": bic_inf,
+        "bic_f": float(path.bic_f[best]),
+        "bic_inf": float(path.bic_inf[best]),
         "nnz": estimate.nnz,
         "wallclock_ms": wallclock_ms,
+        "no_minimizer_at": path.no_minimizer_at,
     }
-    if args.lam is None:
-        record["no_minimizer_at"] = path.no_minimizer_at
     (out / "run.json").write_text(json.dumps(record, indent=2) + "\n")
     return 0 if estimate.converged else 1
 

@@ -100,12 +100,6 @@ class RegPath:
     def __len__(self) -> int:
         return len(self.estimates)
 
-    @property
-    def rho(self) -> Optional[float]:
-        """The absolute ADMM weight the path's sweeps share (one per pair),
-        None when no sweep ran."""
-        return next((est.rho for est in self.estimates if est.rho is not None), None)
-
 
 def solve_path(
     pair: CovariancePair,

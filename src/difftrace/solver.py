@@ -97,15 +97,13 @@ class SolverState:
 
 @dataclass
 class DeltaEstimate:
-    """A solved difference estimate and its solve metadata. ``rho`` is the
-    absolute ADMM weight of the sweeps, None when no sweep ran."""
+    """A solved difference estimate and its solve metadata."""
 
     delta: np.ndarray
     lam: float
     iterations: int
     converged: bool
     objective: float
-    rho: Optional[float] = None
 
     @property
     def nnz(self) -> int:
@@ -316,7 +314,7 @@ def admm_solve(
     A warm start at a positive penalty is certified before the first
     sweep: when its symmetrized third block passes ``kkt_check`` at
     ``cfg.tol`` * ``lam``, that block is returned with 0 sweeps,
-    ``converged=True`` and ``rho`` None, together with ``warm`` itself.
+    ``converged=True``, together with ``warm`` itself.
     Otherwise the sweeps run from ``warm`` as from any other state.
 
     ``factors`` is ``factor_pair(pair)``, passed by callers that solve
@@ -434,8 +432,7 @@ def admm_solve(
     out_state = SolverState(
         d1, d2, d3, rho * u1, rho * u2, rho * u3, state.iterations + iterations
     )
-    estimate = DeltaEstimate(delta, float(lam), iterations, converged, objective, rho)
-    return estimate, out_state
+    return DeltaEstimate(delta, float(lam), iterations, converged, objective), out_state
 
 
 def kkt_check(delta, pair: CovariancePair, lam: float, grad=None) -> float:

@@ -109,15 +109,15 @@ def test_path_solves_each_penalty_through_model_selection(monkeypatch):
 
 
 def test_fixed_penalty_estimate_solves_once_through_cli(monkeypatch, tmp_path):
-    calls = count_calls(monkeypatch, cli, "admm_solve")
-    path_calls = count_calls(monkeypatch, model_selection, "admm_solve")
+    cli_calls = count_calls(monkeypatch, cli, "admm_solve")
+    calls = count_calls(monkeypatch, model_selection, "admm_solve")
     truth = gen_sim1(10)
     for name, omega, seed in (("x", truth.omega_x, 1), ("y", truth.omega_y, 2)):
         np.savetxt(tmp_path / f"{name}.csv", sample_gaussian(omega, 60, seed), delimiter=",")
     code = cli.main(["estimate", "--x", str(tmp_path / "x.csv"), "--y",
                      str(tmp_path / "y.csv"), "--lambda", "0.05", "--out", str(tmp_path)])
     assert code == 0
-    assert len(calls) == 1 and not path_calls
+    assert len(calls) == 1 and not cli_calls
 
 
 @pytest.mark.parametrize(
