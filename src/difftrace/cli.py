@@ -10,9 +10,12 @@ penalty certified to have no minimizer included).
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import itertools
 import json
+import os
+import pickle
 import sys
 import time
 from pathlib import Path
@@ -130,15 +133,18 @@ def _load_numeric(fh, allow_header: bool) -> np.ndarray:
 
 
 def _read_lines(path: Path) -> List[str]:
-    """Lines of a UTF-8 file; InputError names the file and its first bad line."""
+    """Lines of a UTF-8 file, less one leading byte-order mark; InputError
+    names the file and its first bad line."""
     try:
         data = path.read_bytes()
-        return data.decode("utf-8").splitlines()
+        return data.decode("utf-8-sig").splitlines()
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from err
     except UnicodeDecodeError as err:
-        # The sentinel counts a bad byte at the start of a line.
-        lineno = len((data[: err.start].decode("utf-8") + "x").splitlines())
+        # The error's offset does not count the mark. The sentinel counts a
+        # bad byte at the start of a line.
+        text = data.removeprefix(codecs.BOM_UTF8)[: err.start].decode("utf-8")
+        lineno = len((text + "x").splitlines())
         raise InputError(f"{path}: line {lineno} is not UTF-8 text") from err
 
 
@@ -182,7 +188,7 @@ def read_matrix_csv(path, allow_header: bool = False) -> np.ndarray:
     """
     path = Path(path)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return _load_numeric(fh, allow_header)
     except (OSError, ValueError):
         pass
@@ -240,10 +246,71 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _fork_reader(path) -> Tuple[int, int]:
+    """Fork a child that reads the observation file ``path``.
+
+    Returns the child's pid and the read end of a pipe that carries back the
+    pickled pair (array, None), or (None, exception) when the read raised.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    # The child: os._exit skips the parent's exit handlers and buffered
+    # output, which the fork copied.
+    try:
+        os.close(read_fd)
+        with open(write_fd, "wb") as pipe:
+            try:
+                result = (read_matrix_csv(path, allow_header=True), None)
+            except BaseException as err:
+                result = (None, err)
+            pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+    finally:
+        os._exit(0)
+
+
+def _receive(pipe, path) -> np.ndarray:
+    """The array the child reading ``path`` sent, or raise its error."""
+    try:
+        data, err = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError) as exc:
+        raise RuntimeError(f"the process reading {path} ended without a result") from exc
+    if err is not None:
+        raise err
+    return data
+
+
 def _load_pair(args) -> Tuple[CovariancePair, SolverConfig]:
-    """Covariance pair of the --x/--y files and the flags' solver settings."""
-    x = read_matrix_csv(args.x, allow_header=True)
-    y = read_matrix_csv(args.y, allow_header=True)
+    """Covariance pair of the --x/--y files and the flags' solver settings.
+
+    Where the platform has ``os.fork``, --x is parsed in a child process
+    while this one parses --y, on a second core. Either way, --x's error is
+    raised before --y's.
+    """
+    if hasattr(os, "fork"):
+        pid, read_fd = _fork_reader(args.x)
+        try:
+            with open(read_fd, "rb") as pipe:
+                try:
+                    y = read_matrix_csv(args.y, allow_header=True)
+                except Exception:
+                    _receive(pipe, args.x)
+                    raise
+                x = _receive(pipe, args.x)
+        finally:
+            # An interrupted parent closes the pipe unread, so the child
+            # ends at its write.
+            os.waitpid(pid, 0)
+    else:
+        x = read_matrix_csv(args.x, allow_header=True)
+        y = read_matrix_csv(args.y, allow_header=True)
     return build_pair(x, y), _solver_config(args)
 
 

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -54,6 +56,11 @@ class TestReadMatrixCsv:
         f.write_text("i,j,value\n1,2,0.5\n2,1,0.5\n")
         assert read_support_csv(f, p=4) == {(0, 1), (1, 0)}
 
+    def test_support_ignores_byte_order_mark(self, tmp_path):
+        f = tmp_path / "support.csv"
+        f.write_text("\ufeff1,2\n2,1\n", encoding="utf-8")
+        assert read_support_csv(f, p=4) == {(0, 1), (1, 0)}
+
     def test_support_accepts_integral_floats(self, tmp_path):
         f = tmp_path / "support.csv"
         f.write_text("1.0,2.0\n")
@@ -87,6 +94,10 @@ class TestReadMatrixCsv:
             ("g1,g2\n1,2\n", False, "line 1 is not numeric"),
             ("", False, "no numeric rows found"),
             ("1,2\n,\n3,4\n", False, "line 2 is not numeric"),
+            ("\ufeff1,2\n3,5\n4,1\n", True, [[1.0, 2.0], [3.0, 5.0], [4.0, 1.0]]),
+            ("\ufeff1,2\n3,5\n4,1\n", False, [[1.0, 2.0], [3.0, 5.0], [4.0, 1.0]]),
+            ("\ufeffg1,g2\n1,2\n", True, [[1.0, 2.0]]),
+            ("\ufeff\ufeff1,2\n", False, "line 1 is not numeric"),
         ],
         ids=[
             "comma", "tab", "whitespace", "header-then-blank-lines", "crlf",
@@ -94,7 +105,8 @@ class TestReadMatrixCsv:
             "underscore-literal", "hash-line-as-header", "form-feed-line-break",
             "non-ascii-header", "hash-line-after-data",
             "ragged-after-header", "non-numeric-after-header", "header-refused",
-            "empty", "delimiter-only-line",
+            "empty", "delimiter-only-line", "byte-order-mark-observations",
+            "byte-order-mark-matrix", "byte-order-mark-header", "second-byte-order-mark",
         ],
     )
     def test_reader_table(self, tmp_path, text, allow_header, expected):
@@ -113,8 +125,8 @@ class TestReadMatrixCsv:
     @pytest.mark.parametrize(
         "data, line",
         [(b"\xff1,2\n", 1), (b"1,2\n\xff", 2), (b"1,2\r\n3,4\r\n5,\xe9\n", 3),
-         (b"1,2\r3,4\n\n5,6\xff\n", 4)],
-        ids=["first-byte", "line-start", "crlf", "cr-and-blank-line"],
+         (b"1,2\r3,4\n\n5,6\xff\n", 4), (b"\xef\xbb\xbf1,2\n3,4\n5,\xff\n", 3)],
+        ids=["first-byte", "line-start", "crlf", "cr-and-blank-line", "after-byte-order-mark"],
     )
     def test_non_utf8_byte_is_named(self, tmp_path, data, line):
         f = tmp_path / "m.csv"
@@ -172,6 +184,8 @@ class TestReadMatrixCsv:
             width = rng.integers(1, 4)
             sep = seps[rng.integers(0, 4)]
             lines = ["g1,g2\n"] if rng.random() < 0.3 else []
+            if rng.random() < 0.2:
+                lines.insert(0, "\ufeff")
             for _ in range(rng.integers(0, 5)):
                 row = [fields[rng.integers(0, 4 if rng.random() < 0.9 else 9)]
                        for _ in range(width + (rng.random() < 0.1))]
@@ -661,6 +675,117 @@ class TestDiagnose:
         assert code == 0
 
 
+class ReaderFailure(Exception):
+    """Raised by a monkeypatched reader; module level, so that it pickles."""
+
+
+def _no_child_left():
+    # waitpid(-1) raises once this process has no child, running or zombie.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestConcurrentRead:
+    """estimate parses --x in a forked child while it parses --y."""
+
+    def test_pair_is_bitwise_the_serial_pair(self, sim_data, monkeypatch):
+        _, x_path, y_path = sim_data
+        forks, reads = [], []
+        fork, read = os.fork, cli.read_matrix_csv
+
+        def counting_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        def recording_read(path, allow_header=False):
+            reads.append(path)  # the child's calls stay in the child's memory
+            return read(path, allow_header)
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(cli, "read_matrix_csv", recording_read)
+        args = cli.build_parser().parse_args(["estimate", "--x", str(x_path), "--y", str(y_path)])
+        pair, _ = cli._load_pair(args)
+        assert forks == [os.getpid()]
+        assert reads == [str(y_path)]
+        expected = build_pair(read(x_path, allow_header=True), read(y_path, allow_header=True))
+        for field in dataclasses.fields(pair):
+            got, want = getattr(pair, field.name), getattr(expected, field.name)
+            if isinstance(want, np.ndarray):
+                assert (got.dtype, got.shape, got.tobytes()) == (
+                    want.dtype, want.shape, want.tobytes())
+            else:
+                assert got == want
+        _no_child_left()
+
+    @pytest.mark.parametrize("case", ["ok", "x-bad", "y-bad", "both-bad", "solve-refused"])
+    def test_no_child_left_after_main(self, tmp_path, sim_data, case):
+        _, x_path, y_path = sim_data
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,2\n3\n")
+        x = bad if case in ("x-bad", "both-bad") else x_path
+        y = bad if case in ("y-bad", "both-bad") else y_path
+        lam = "nan" if case == "solve-refused" else "0.05"
+        code = main(["estimate", "--x", str(x), "--y", str(y), "--lambda", lam,
+                     "--out", str(tmp_path / "out")])
+        assert code == (0 if case == "ok" else 2)
+        _no_child_left()
+
+    @pytest.mark.parametrize("failure", ["raises", "dies"])
+    def test_child_failure_surfaces_in_parent(self, tmp_path, sim_data, monkeypatch, failure):
+        _, x_path, y_path = sim_data
+        parent, read = os.getpid(), cli.read_matrix_csv
+
+        def failing_in_child(path, allow_header=False):
+            if os.getpid() != parent:
+                if failure == "dies":
+                    os._exit(1)
+                raise ReaderFailure(f"child cannot read {path}")
+            return read(path, allow_header)
+
+        monkeypatch.setattr(cli, "read_matrix_csv", failing_in_child)
+        with pytest.raises(Exception) as err:
+            main(["estimate", "--x", str(x_path), "--y", str(y_path), "--lambda", "0.05",
+                  "--out", str(tmp_path / "out")])
+        if failure == "raises":
+            assert type(err.value) is ReaderFailure
+            assert str(err.value) == f"child cannot read {x_path}"
+        else:
+            assert type(err.value) is RuntimeError
+            assert str(err.value) == f"the process reading {x_path} ended without a result"
+        _no_child_left()
+
+    def test_interrupted_parent_reaps_child(self, tmp_path, sim_data, monkeypatch):
+        _, x_path, y_path = sim_data
+        parent, read = os.getpid(), cli.read_matrix_csv
+
+        def interrupted_in_parent(path, allow_header=False):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return read(path, allow_header)
+
+        monkeypatch.setattr(cli, "read_matrix_csv", interrupted_in_parent)
+        with pytest.raises(KeyboardInterrupt):
+            main(["estimate", "--x", str(x_path), "--y", str(y_path), "--lambda", "0.05",
+                  "--out", str(tmp_path / "out")])
+        _no_child_left()
+
+    def test_serial_read_without_fork(self, tmp_path, sim_data, monkeypatch):
+        _, x_path, y_path = sim_data
+        runs = []
+        for has_fork in (True, False):
+            if not has_fork:
+                monkeypatch.delattr(os, "fork")
+            out = tmp_path / f"out-{has_fork}"
+            code = main(["estimate", "--x", str(x_path), "--y", str(y_path),
+                         "--grid-count", "8", "--out", str(out)])
+            assert code == 0
+            record = json.loads((out / "run.json").read_text())
+            del record["wallclock_ms"]
+            files = [(out / name).read_bytes() for name in ("delta.csv", "support.csv", "path.csv")]
+            runs.append((files, record))
+        assert runs[1] == runs[0]
+
+
 def _tree(root):
     """Every path below root, with the bytes of each file."""
     return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
@@ -713,6 +838,15 @@ class TestRefusedInput:
             (["diagnose", "--x", "{eye4}", "--y", "{band4}", "--support", "{latin1}",
               "--out", "{out}"],
              "{latin1}: line 2 is not UTF-8 text"),
+            (["estimate", "--x", "{latin1}", "--y", "{ragged}", "--lambda", "0.05",
+              "--out", "{out}"],
+             "{latin1}: line 2 is not UTF-8 text"),
+            (["estimate", "--x", "{ragged}", "--y", "{latin1}", "--lambda", "0.05",
+              "--out", "{out}"],
+             "{ragged}: line 2 has 1 fields, expected 2"),
+            (["estimate", "--x", "{x}", "--y", "{ragged}", "--lambda", "0.05",
+              "--out", "{out}"],
+             "{ragged}: line 2 has 1 fields, expected 2"),
         ],
         ids=[
             "sim1-negative-seed", "sim2-negative-seed", "sim2-dimension", "sim1-dimension",
@@ -720,7 +854,8 @@ class TestRefusedInput:
             "simulate-out-file", "simulate-out-below-file", "evaluate-out-file",
             "diagnose-out-file", "estimate-same-file-twice", "estimate-grid-count",
             "estimate-zero-penalty-singular", "estimate-penalty-without-minimizer",
-            "estimate-not-utf8", "diagnose-support-not-utf8",
+            "estimate-not-utf8", "diagnose-support-not-utf8", "estimate-both-bad",
+            "estimate-both-bad-swapped", "estimate-y-bad",
         ],
     )
     def test_exit_code_2_without_output(self, tmp_path, sim_data, capsys, argv, message):
@@ -735,9 +870,10 @@ class TestRefusedInput:
             names[name] = tmp_path / f"{name}.csv"
             np.savetxt(names[name], rng.standard_normal((6, 12)), delimiter=",")
         names.update(out=tmp_path / "out", file=tmp_path / "file.txt", x=x_path, y=y_path,
-                     latin1=tmp_path / "latin1.csv")
+                     latin1=tmp_path / "latin1.csv", ragged=tmp_path / "ragged.csv")
         names["file"].write_text("kept\n")
         names["latin1"].write_bytes(b"1,2\n3,\xff4\n")
+        names["ragged"].write_text("1,2\n3\n")
         before = _tree(tmp_path)
         code = main([arg.format(**names) for arg in argv])
         captured = capsys.readouterr()

@@ -2,6 +2,9 @@ import argparse
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +49,19 @@ def subcommand_options(command):
     parser = cli.build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return set(sub.choices[command]._option_string_actions)
+
+
+def test_cli_import_loads_no_process_pool():
+    # The benchmark's setup_s times a fresh interpreter importing
+    # difftrace.cli; the concurrent read forks with os alone, and importing
+    # concurrent.futures.process costs tens of milliseconds.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    code = ("import sys, difftrace.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_every_benchmark_flag_is_a_cli_option():
