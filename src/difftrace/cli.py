@@ -16,10 +16,11 @@ import itertools
 import json
 import os
 import pickle
+import signal
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import BinaryIO, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +53,11 @@ from .simulation import (
 )
 from .solver import SolverConfig
 from .solver import admm_solve  # noqa: F401  unused here, but perfbench/traced.py rebinds it
+
+
+# BLAS thread-count variables; the first set to a positive integer is
+# taken as the thread count.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class InputError(ValueError):
@@ -246,11 +252,13 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _fork_reader(path) -> Tuple[int, int]:
-    """Fork a child that reads the observation file ``path``.
+def fork(fn, *args) -> Tuple[int, BinaryIO]:
+    """Run ``fn(*args)`` in a forked child process.
 
     Returns the child's pid and the read end of a pipe that carries back the
-    pickled pair (array, None), or (None, exception) when the read raised.
+    pickled pair (result, None), or (None, exception) when the call raised;
+    an exception that does not survive pickling is sent as a RuntimeError
+    with its type name and message.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -261,30 +269,56 @@ def _fork_reader(path) -> Tuple[int, int]:
         raise
     if pid:
         os.close(write_fd)
-        return pid, read_fd
+        return pid, open(read_fd, "rb")
     # The child: os._exit skips the parent's exit handlers and buffered
     # output, which the fork copied.
     try:
         os.close(read_fd)
         with open(write_fd, "wb") as pipe:
             try:
-                result = (read_matrix_csv(path, allow_header=True), None)
+                result = (fn(*args), None)
             except BaseException as err:
-                result = (None, err)
+                result = (None, _portable(err))
             pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
     finally:
         os._exit(0)
 
 
-def _receive(pipe, path) -> np.ndarray:
-    """The array the child reading ``path`` sent, or raise its error."""
+def _portable(err: BaseException) -> BaseException:
+    """``err``, or a RuntimeError with its type name and message where
+    ``err`` does not come back whole from pickling."""
     try:
-        data, err = pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError) as exc:
-        raise RuntimeError(f"the process reading {path} ended without a result") from exc
+        pickle.loads(pickle.dumps(err, protocol=pickle.HIGHEST_PROTOCOL))
+    except Exception:
+        return RuntimeError(f"{type(err).__name__}: {err}")
+    return err
+
+
+def receive(child: Tuple[int, BinaryIO], work: str):
+    """The result the forked ``child`` sent, or raise the error it sent.
+
+    Closes the child's pipe. ``work`` names the child's task in the
+    RuntimeError raised when nothing readable arrives.
+    """
+    _, pipe = child
+    with pipe:
+        try:
+            result, err = pickle.load(pipe)
+        except Exception as exc:
+            raise RuntimeError(f"the process {work} ended without a result") from exc
     if err is not None:
         raise err
-    return data
+    return result
+
+
+def reap(children: Sequence[Tuple[int, BinaryIO]]) -> None:
+    """Wait for every child to end. A child whose result was not received
+    is no longer wanted: its pipe is closed and it is killed."""
+    for pid, pipe in children:
+        if not pipe.closed:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def _load_pair(args) -> Tuple[CovariancePair, SolverConfig]:
@@ -295,19 +329,17 @@ def _load_pair(args) -> Tuple[CovariancePair, SolverConfig]:
     raised before --y's.
     """
     if hasattr(os, "fork"):
-        pid, read_fd = _fork_reader(args.x)
+        child = fork(read_matrix_csv, args.x, True)
+        work = f"reading {args.x}"
         try:
-            with open(read_fd, "rb") as pipe:
-                try:
-                    y = read_matrix_csv(args.y, allow_header=True)
-                except Exception:
-                    _receive(pipe, args.x)
-                    raise
-                x = _receive(pipe, args.x)
+            try:
+                y = read_matrix_csv(args.y, allow_header=True)
+            except Exception:
+                receive(child, work)
+                raise
+            x = receive(child, work)
         finally:
-            # An interrupted parent closes the pipe unread, so the child
-            # ends at its write.
-            os.waitpid(pid, 0)
+            reap([child])
     else:
         x = read_matrix_csv(args.x, allow_header=True)
         y = read_matrix_csv(args.y, allow_header=True)
@@ -374,6 +406,68 @@ def _simulate_replicate(spec: SimulationSpec, truth, rep: int, cfg: SolverConfig
     return row
 
 
+def _workers(reps: int) -> int:
+    """Processes for ``reps`` replicates: as many as the usable CPUs hold
+    at the pinned BLAS thread count, and no more than ``reps``. Without
+    ``os.fork``, or with BLAS threads not pinned, one."""
+    if not hasattr(os, "fork"):
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else (os.cpu_count() or 1)
+    blas = cpus
+    for var in _BLAS_THREAD_VARS:
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            blas = threads
+            break
+    return max(1, min(reps, cpus // blas))
+
+
+def _run_share(run, reps):
+    """(rows, None) for the replicates ``reps`` in order, or (rows so far,
+    (rep, error)) at the first that raises. The error passes through
+    ``_portable`` in every process, so that a replicate fails the same way
+    whichever process ran it."""
+    rows = []
+    for rep in reps:
+        try:
+            rows.append(run(rep))
+        except Exception as err:
+            return rows, (rep, _portable(err))
+    return rows, None
+
+
+def _run_replicates(run, reps: int) -> list:
+    """``[run(r) for r in range(reps)]``, split over ``_workers(reps)``
+    processes: worker k runs replicates k, k+W, ..., this process runs
+    worker 0's share, and the rows come back in replicate order. The error
+    raised is that of the lowest-numbered failing replicate, as in the
+    serial loop."""
+    workers = _workers(reps)
+    if workers == 1:
+        return [run(r) for r in range(reps)]
+    shares = [range(k, reps, workers) for k in range(workers)]
+    children = []
+    try:
+        for share in shares[1:]:
+            children.append(fork(_run_share, run, share))
+        results = [_run_share(run, shares[0])]
+        for child, share in zip(children, shares[1:]):
+            results.append(receive(child, f"running replicates {list(share)}"))
+    finally:
+        reap(children)
+    failures = [failure for _, failure in results if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    rows = [None] * reps
+    for k, (share_rows, _) in enumerate(results):
+        rows[k::workers] = share_rows
+    return rows
+
+
 def _format_mean_sd(values: Sequence[float], reps: int) -> Tuple[str, str, str]:
     """Mean and replicate SD in percent, then "mean(sd)"; the SD is empty
     and the last text is the mean alone for a single replicate."""
@@ -394,7 +488,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     write_ground_truth(truth, out)
 
-    rows = [_simulate_replicate(spec, truth, r, cfg, args) for r in range(args.reps)]
+    rows = _run_replicates(lambda r: _simulate_replicate(spec, truth, r, cfg, args), args.reps)
 
     if args.save_data:
         # The first replicate's data, re-drawn from its seeds: replicates

@@ -59,6 +59,11 @@ class NoMinimizerError(ValueError):
         self.direction = direction
         self.iterations = iterations
 
+    def __reduce__(self):
+        # Pickle rebuilds an exception from its args, which here hold the
+        # message alone.
+        return type(self), (self.lam, self.gain, self.direction, self.iterations)
+
 
 @dataclass(frozen=True)
 class SolverConfig:

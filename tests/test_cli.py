@@ -2,6 +2,10 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from difftrace.linalg import SolverError
 from difftrace.covariance import build_pair
 from difftrace.model_selection import bic_score, lambda_grid, lambda_max
 from difftrace.simulation import SimulationSpec, gen_sim1, generate, sample_gaussian
-from difftrace.solver import SolverConfig, kkt_check
+from difftrace.solver import NoMinimizerError, SolverConfig, kkt_check
 
 
 @pytest.fixture
@@ -789,6 +793,236 @@ class TestConcurrentRead:
 def _tree(root):
     """Every path below root, with the bytes of each file."""
     return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
+
+
+def _refuse_to_load():
+    raise TypeError("this result cannot be loaded")
+
+
+class Unloadable:
+    """Pickles, but raises when unpickled."""
+
+    def __reduce__(self):
+        return _refuse_to_load, ()
+
+
+class TestForkHelper:
+    def test_error_that_does_not_pickle_arrives_as_runtime_error(self):
+        class LocalError(Exception):
+            """Local to this test, so pickle cannot find it by name."""
+
+        def raising():
+            raise LocalError("no way back")
+
+        child = cli.fork(raising)
+        try:
+            with pytest.raises(RuntimeError) as err:
+                cli.receive(child, "raising")
+        finally:
+            cli.reap([child])
+        assert str(err.value) == "LocalError: no way back"
+        _no_child_left()
+
+    def test_result_that_does_not_unpickle_names_the_work(self):
+        child = cli.fork(Unloadable)
+        try:
+            with pytest.raises(RuntimeError) as err:
+                cli.receive(child, "loading")
+        finally:
+            cli.reap([child])
+        assert str(err.value) == "the process loading ended without a result"
+        assert isinstance(err.value.__cause__, TypeError)
+        _no_child_left()
+
+
+def _sim(reps, out, *extra):
+    return ["simulate", "--scenario", "sim1", "--p", "12", "--n", "60", "--reps", str(reps),
+            "--seed", "5", "--grid-count", "5", "--out", str(out), *extra]
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """A function that sets the usable CPUs to ``n``, with BLAS pinned to
+    one thread, and returns the list of the pids that call os.fork."""
+    for var in cli._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        return forks
+
+    return set_cpus
+
+
+class TestReplicateSplit:
+    """simulate splits its replicates over forked worker processes."""
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 4])
+    @pytest.mark.parametrize("reps", [1, 2, 3, 5])
+    def test_outputs_are_those_of_the_serial_loop(self, tmp_path, monkeypatch, cpus,
+                                                  reps, n_cpus):
+        forks = cpus(n_cpus)
+        assert main(_sim(reps, tmp_path / "split", "--save-data")) == 0
+        assert forks == [os.getpid()] * (min(reps, n_cpus) - 1)
+        _no_child_left()
+        monkeypatch.delattr(os, "fork")
+        assert main(_sim(reps, tmp_path / "serial", "--save-data")) == 0
+        split, serial = _tree(tmp_path / "split"), _tree(tmp_path / "serial")
+        assert {path.name: data for path, data in split.items()} == {
+            path.name: data for path, data in serial.items()}
+
+    @pytest.mark.parametrize(
+        "env, n_cpus, workers",
+        [
+            ({}, 4, 1),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 4, 2),
+            ({"OPENBLAS_NUM_THREADS": "3"}, 8, 2),
+            ({"OPENBLAS_NUM_THREADS": "8"}, 4, 1),
+            ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4, 4),
+            ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "4,2",
+              "MKL_NUM_THREADS": "2"}, 4, 2),
+            ({"OMP_NUM_THREADS": "-1"}, 4, 1),
+            ({"MKL_NUM_THREADS": "1"}, 16, 5),
+        ],
+        ids=["unpinned", "openblas-2", "remainder", "more-threads-than-cpus",
+             "zero-skipped", "invalid-skipped", "negative", "capped-at-reps"],
+    )
+    def test_worker_count(self, monkeypatch, cpus, env, n_cpus, workers):
+        cpus(n_cpus)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert cli._workers(5) == workers
+
+    def test_cpu_count_without_affinity(self, monkeypatch, cpus):
+        cpus(1)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli._workers(5) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._workers(5) == 1
+
+    def test_no_fork_when_blas_threads_unpinned(self, tmp_path, monkeypatch, cpus):
+        forks = cpus(4)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        assert main(_sim(3, tmp_path / "out")) == 0
+        assert forks == []
+
+    @pytest.mark.parametrize(
+        "env, n_cpus", [({}, 2), ({"OPENBLAS_NUM_THREADS": "2"}, 4)],
+        ids=["blas-unset", "blas-two-threads"],
+    )
+    def test_fresh_interpreter_completes(self, tmp_path, env, n_cpus):
+        # Guards against a hang of a BLAS thread pool after fork: the CLI
+        # runs in a new process whose BLAS reads the variables at start.
+        src = Path(cli.__file__).resolve().parents[1]
+        child_env = {k: v for k, v in os.environ.items() if k not in cli._BLAS_THREAD_VARS}
+        child_env.update(env, PYTHONPATH=str(src))
+        code = ("import os, sys; from difftrace import cli; "
+                f"os.sched_getaffinity = lambda pid: set(range({n_cpus})); "
+                "sys.exit(cli.main(sys.argv[1:]))")
+        proc = subprocess.run([sys.executable, "-c", code, *_sim(3, tmp_path / "out")],
+                              env=child_env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert len((tmp_path / "out" / "replicates.csv").read_text().splitlines()) == 4
+
+
+class TestReplicateFailure:
+    """A failing replicate ends simulate as it ends the serial loop."""
+
+    @pytest.mark.parametrize(
+        "failing, error, code",
+        [
+            ({1}, "solver", 1),
+            ({2}, "solver", 1),
+            ({1, 2}, "solver", 1),
+            ({2, 3}, "solver", 1),
+            ({3}, "no-minimizer", 2),
+        ],
+        ids=["child", "parent", "both-child-first", "both-parent-first",
+             "no-minimizer-in-child"],
+    )
+    def test_lowest_failing_replicate_is_reported(self, tmp_path, monkeypatch, capsys, cpus,
+                                                  failing, error, code):
+        forks = cpus(2)  # the parent runs replicates 0 and 2, the child 1 and 3
+        run = cli._simulate_replicate
+
+        def refusal(rep):
+            if error == "solver":
+                return SolverError(f"replicate {rep} failed")
+            return NoMinimizerError(0.5 + rep, 0.75, np.eye(2), rep)
+
+        def failing_replicate(spec, truth, rep, cfg, args):
+            if rep in failing:
+                raise refusal(rep)
+            return run(spec, truth, rep, cfg, args)
+
+        monkeypatch.setattr(cli, "_simulate_replicate", failing_replicate)
+        outcomes = []
+        for has_fork in (True, False):
+            if not has_fork:
+                monkeypatch.delattr(os, "fork")
+            got = main(_sim(4, tmp_path / f"out-{has_fork}"))
+            outcomes.append((got, capsys.readouterr().err))
+        assert forks == [os.getpid()]
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == (code, f"error: {refusal(min(failing))}\n")
+        _no_child_left()
+
+    def test_child_that_dies_is_a_runtime_error(self, tmp_path, monkeypatch, cpus):
+        cpus(2)
+        parent, run = os.getpid(), cli._simulate_replicate
+
+        def dying_in_child(spec, truth, rep, cfg, args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return run(spec, truth, rep, cfg, args)
+
+        monkeypatch.setattr(cli, "_simulate_replicate", dying_in_child)
+        with pytest.raises(RuntimeError) as err:
+            main(_sim(4, tmp_path / "out"))
+        assert str(err.value) == "the process running replicates [1, 3] ended without a result"
+        _no_child_left()
+
+    def test_error_that_does_not_pickle_is_named(self, tmp_path, monkeypatch, cpus):
+        cpus(2)
+
+        class LocalError(Exception):
+            """Local to this test, so pickle cannot find it by name."""
+
+        def failing_replicate(spec, truth, rep, cfg, args):
+            raise LocalError(f"replicate {rep} failed")
+
+        monkeypatch.setattr(cli, "_simulate_replicate", failing_replicate)
+        with pytest.raises(RuntimeError) as err:
+            main(_sim(2, tmp_path / "out"))
+        assert str(err.value) == "LocalError: replicate 0 failed"
+        _no_child_left()
+
+    def test_interrupted_parent_reaps_every_child(self, tmp_path, monkeypatch, cpus):
+        forks = cpus(4)
+        parent = os.getpid()
+
+        def interrupted_in_parent(spec, truth, rep, cfg, args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(30)  # a result the parent no longer waits for
+
+        monkeypatch.setattr(cli, "_simulate_replicate", interrupted_in_parent)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(_sim(5, tmp_path / "out"))
+        assert time.monotonic() - start < 15
+        assert forks == [os.getpid()] * 3
+        _no_child_left()
 
 
 SIM1 = ["simulate", "--scenario", "sim1", "--p", "12", "--n", "60", "--reps", "1"]

@@ -1,3 +1,4 @@
+import pickle
 import sys
 from collections import Counter
 
@@ -1187,3 +1188,15 @@ class TestKktCheck:
         delta = np.linalg.inv(pair.sigma_y) - np.linalg.inv(pair.sigma_x)
         delta[1, 2] += 0.1
         assert kkt_check(delta, pair, 0.0) > 1e-3
+
+
+def test_no_minimizer_error_survives_pickling():
+    # A forked worker sends its error back pickled; the CLI's exit code 2
+    # needs the same exception, fields and message on the other side.
+    direction = np.array([[0.0, 0.5], [0.5, 0.0]])
+    err = NoMinimizerError(0.5, 0.7, direction, 3)
+    back = pickle.loads(pickle.dumps(err, protocol=pickle.HIGHEST_PROTOCOL))
+    assert type(back) is NoMinimizerError
+    assert (back.lam, back.gain, back.iterations) == (0.5, 0.7, 3)
+    assert back.direction.tobytes() == direction.tobytes()
+    assert str(back) == str(err)
