@@ -240,13 +240,23 @@ def project_null(space: NullSpace, x) -> np.ndarray:
 def soft_threshold(a, lam: float) -> np.ndarray:
     """Entrywise soft threshold: shrink toward zero by lam, exact zeros inside.
 
-    Computed as a - clip(a, -lam, lam): entries beyond lam come out exactly
-    as sign(a) * (|a| - lam), and every zero is +0.0.
+    Computed as a - min(max(a, -lam), lam): entries beyond lam come out
+    exactly as sign(a) * (|a| - lam), and every zero is +0.0. A float32
+    ``a`` is thresholded in float32 (lam rounded to it), any other in
+    float64.
     """
     if lam < 0:
         raise ValueError(f"threshold must be nonnegative, got {lam}")
-    a = np.asarray(a, dtype=float)
-    return a - np.clip(a, -lam, lam)
+    a = np.asarray(a)
+    if a.dtype != np.float32:
+        a = a.astype(float, copy=False)
+    lam = float(lam)
+    if lam == 0.0:
+        # -0.0 + 0.0 is +0.0; min/max may pick either zero of a tie.
+        return a + 0.0
+    clipped = np.maximum(a, -lam)
+    np.minimum(clipped, lam, out=clipped)
+    return np.subtract(a, clipped, out=clipped)
 
 
 def norm_entrywise_l1(a) -> float:

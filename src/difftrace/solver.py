@@ -40,6 +40,14 @@ DIVERGENCE_LIMIT = 1e12
 KKT_PERIOD = 100
 # Factor by which the predictor's step grows after each accepted iteration.
 STEP_GROWTH = 1.25
+# Fraction of the certificate's tol * lam at which the predictor stops, so
+# that its float32 rounding leaves the float64 KKT check a margin.
+PREDICT_MARGIN = 0.75
+# A nonzero covariance whose largest eigenvalue lies outside [1/SCALE_LIMIT,
+# SCALE_LIMIT] is refused: the ADMM's weight and the solves' squared norms
+# reach its square, times condition numbers up to 1e14 and the divergence
+# guard's DIVERGENCE_LIMIT^2, and float64 must hold them.
+SCALE_LIMIT = 1e50
 
 
 class NoMinimizerError(ValueError):
@@ -118,18 +126,28 @@ class DeltaEstimate:
 def dtrace_loss(delta, sigma_x, sigma_y) -> float:
     """Quadratic trace loss of a candidate difference matrix."""
     delta, sigma_x, sigma_y = _check_dims(delta, sigma_x, sigma_y)
-    xd = sigma_x @ delta
-    yd = sigma_y @ delta
-    quad = 0.25 * (np.sum(xd * (delta @ sigma_y)) + np.sum(yd * (delta @ sigma_x)))
-    return float(quad - np.sum(delta * (sigma_x - sigma_y)))
+    diff = sigma_x - sigma_y
+    return _loss_from_gradient(delta, _hessian(delta, sigma_x, sigma_y) - diff, diff)
 
 
 def dtrace_gradient(delta, sigma_x, sigma_y) -> np.ndarray:
     """Gradient of the trace loss: (Sx D Sy + Sy D Sx)/2 - (Sx - Sy)."""
     delta, sigma_x, sigma_y = _check_dims(delta, sigma_x, sigma_y)
-    return 0.5 * (sigma_x @ delta @ sigma_y + sigma_y @ delta @ sigma_x) - (
-        sigma_x - sigma_y
-    )
+    return _hessian(delta, sigma_x, sigma_y) - (sigma_x - sigma_y)
+
+
+def _hessian(delta, sigma_x, sigma_y) -> np.ndarray:
+    """H(D) = (Sx D Sy + Sy D Sx)/2. For symmetric D the second product is
+    the first's transpose, so two matrix products make it rather than four."""
+    m = sigma_x @ delta @ sigma_y
+    if np.array_equal(delta, delta.T):
+        return 0.5 * (m + m.T)
+    return 0.5 * (m + sigma_y @ delta @ sigma_x)
+
+
+def _loss_from_gradient(delta, grad, diff) -> float:
+    """The loss (1/2)<D, H(D)> - <D, Sx - Sy> from its gradient H(D) - (Sx - Sy)."""
+    return float(0.5 * np.vdot(delta, grad + diff) - np.vdot(delta, diff))
 
 
 def penalized_objective(delta, sigma_x, sigma_y, lam: float) -> float:
@@ -257,8 +275,17 @@ class PairFactors(NamedTuple):
 
 
 def factor_pair(pair: CovariancePair) -> PairFactors:
-    """The factors shared by every solve on the pair."""
+    """The factors shared by every solve on the pair. ValueError when a
+    covariance is nonzero and its largest eigenvalue lies outside
+    [1/``SCALE_LIMIT``, ``SCALE_LIMIT``]."""
     eig_x, eig_y = psd_eig(pair.sigma_x, "sigma_x"), psd_eig(pair.sigma_y, "sigma_y")
+    for name, eig in (("sigma_x", eig_x), ("sigma_y", eig_y)):
+        top = eig.values[0]
+        if top and not 1.0 / SCALE_LIMIT <= top <= SCALE_LIMIT:
+            raise ValueError(
+                f"{name} has largest eigenvalue {top:.3g}, outside the solvable scale "
+                f"[{1.0 / SCALE_LIMIT:g}, {SCALE_LIMIT:g}]: rescale the data"
+            )
     null = null_space(eig_x, eig_y)
     bracket = None if null is None else ThresholdBracket(null, pair.sigma_x - pair.sigma_y)
     return PairFactors(eig_x, eig_y, bracket)
@@ -319,7 +346,8 @@ def admm_solve(
     A warm start at a positive penalty is certified before the first
     sweep: when its symmetrized third block passes ``kkt_check`` at
     ``cfg.tol`` * ``lam``, that block is returned with 0 sweeps,
-    ``converged=True``, together with ``warm`` itself.
+    ``converged=True``, together with ``warm`` itself. One gradient gives
+    both the check and the returned objective.
     Otherwise the sweeps run from ``warm`` as from any other state.
 
     ``factors`` is ``factor_pair(pair)``, passed by callers that solve
@@ -358,8 +386,9 @@ def admm_solve(
                 raise NoMinimizerError(lam, gain, direction, spent)
     if warm is not None and lam > 0:
         delta = (warm.delta3 + warm.delta3.T) / 2.0
-        if kkt_check(delta, pair, lam) <= cfg.tol * lam:
-            objective = penalized_objective(delta, sx, sy, lam)
+        grad = dtrace_gradient(delta, sx, sy)
+        if kkt_check(delta, pair, lam, grad) <= cfg.tol * lam:
+            objective = _loss_from_gradient(delta, grad, diff) + lam * norm_entrywise_l1(delta)
             return DeltaEstimate(delta, float(lam), 0, True, objective), warm
     rho = spectral_scale(eig_x, eig_y)
     state = warm if warm is not None else fixed_point_state(pair, np.zeros_like(diff))
@@ -473,26 +502,21 @@ def fista_predict(
     """Approximate minimizer at ``lam`` > 0 from the symmetric ``start``, by
     accelerated proximal gradient (FISTA, Beck & Teboulle 2009) with the
     gradient restart of O'Donoghue & Candes (2015) and a step that
-    backtracks and grows (Scheinberg, Goldfarb & Bai 2014). Returns it with
-    the iterations run; ``admm_solve`` checks it again before any sweep.
+    backtracks and grows (Scheinberg, Goldfarb & Bai 2014). Returns it in
+    float64 with the iterations run; ``admm_solve`` checks it again before
+    any sweep.
 
-    The loss is quadratic, so its gradient is affine: the Hessian product
-    H(x) = (sigma_x x sigma_y + sigma_y x sigma_x)/2 of each iterate is
-    kept, and the gradient at the extrapolated point y is the same affine
-    combination of those products. An iteration's one product H(x+), two
-    matrix products since sigma_y S sigma_x = (sigma_x S sigma_y)^T for
-    symmetric S, then gives the next gradient, the curvature <d, Hd> of
-    the step d = x+ - y, and, from the optimality of the proximal step,
-    ||Hd - d/step||_inf, a bound on the KKT residual (``kkt_check``) at x+.
-    The iteration stops at the first bound at most ``cfg.tol`` * ``lam``,
-    which certifies x+, or after ``cfg.max_iter`` iterations.
-
-    The step starts at 1/(a_1 b_1), from the covariances' largest
-    eigenvalues, which bound the Hessian's norm, and never falls below it.
-    It grows by ``STEP_GROWTH`` after each accepted iteration. A step along
-    which the curvature exceeds 1/step is cut to the larger of 1/(a_1 b_1)
-    and min(step/2, 0.9 ||d||^2 / <d, Hd>), and the iteration is redone;
-    a redone iteration counts as one.
+    The iterations run on the pair divided by c = sqrt(a_1) sqrt(b_1), from
+    the covariances' largest eigenvalues (an exactly zero covariance takes
+    the other's), where the Hessian H has norm at most 1, the estimate is
+    c * delta and the penalty lam / c; the residuals scale by 1/c, as the
+    penalty does. In those units the data's scale is gone, and the
+    iterations run in float32 (see ``_accelerate``) until their bound on the
+    KKT residual is at most ``PREDICT_MARGIN`` * ``cfg.tol`` * lam / c. The
+    float64 ``kkt_check`` of the result at ``cfg.tol`` * ``lam`` decides it:
+    a result that fails it is iterated on in float64 from the same point,
+    with the iterations left of ``cfg.max_iter``, until the bound is at most
+    ``cfg.tol`` * lam / c.
 
     On a singular pair the pair's ``ThresholdBracket`` is advanced first,
     and a penalty it does not certify to have a minimizer (below its upper
@@ -509,13 +533,46 @@ def fista_predict(
         bracket.separate(lam, cfg.max_iter)
         if lam < bracket.upper:
             return x, 0
+    a, b = float(eig_x.values[0]), float(eig_y.values[0])
+    a, b = a or b or 1.0, b or a or 1.0
+    c = a**0.5 * b**0.5
     sx, sy = pair.sigma_x, pair.sigma_y
-    diff = sx - sy
-    floor = 1.0 / (eig_x.values[0] * eig_y.values[0])
-    target = cfg.tol * lam
-    # (sigma_x / 2) s sigma_y is exactly half of sigma_x s sigma_y: halving
-    # commutes with rounding.
-    half_x = 0.5 * sx
+    scaled = (sx / a, sy / b, (sx - sy) / c, lam / c)
+    target = cfg.tol * lam / c
+    x, used = _accelerate(*scaled, c * x, PREDICT_MARGIN * target, cfg.max_iter, np.float32)
+    delta = x.astype(float) / c
+    if used < cfg.max_iter and not kkt_check(delta, pair, lam) <= cfg.tol * lam:
+        x, more = _accelerate(*scaled, x, target, cfg.max_iter - used, np.float64)
+        delta, used = x / c, used + more
+    return delta, used
+
+
+def _accelerate(sx, sy, diff, lam, x, target, max_iter, dtype) -> Tuple[np.ndarray, int]:
+    """``fista_predict``'s iterations in ``dtype``, on a pair whose Hessian
+    has norm at most 1: iterate, Hessian products and every elementwise
+    pass stay in ``dtype``. Returns the last iterate, in ``dtype``, and the
+    iterations run.
+
+    The loss is quadratic, so its gradient is affine: the Hessian product
+    H(x) = (sx x sy + sy x sx)/2 of each iterate is kept, and the gradient
+    at the extrapolated point y is the same affine combination of those
+    products. An iteration's one product H(x+), two matrix products since
+    sy S sx = (sx S sy)^T for symmetric S, then gives the next gradient,
+    the curvature <d, Hd> of the step d = x+ - y, and, from the optimality
+    of the proximal step, ||Hd - d/step||_inf, a bound on the KKT residual
+    at x+. The iteration stops at the first bound at most ``target``, or
+    after ``max_iter`` iterations.
+
+    The step starts at 1, which bounds the Hessian's norm, and never falls
+    below it. It grows by ``STEP_GROWTH`` after each accepted iteration. A
+    step along which the curvature exceeds 1/step is cut to the larger of
+    1 and min(step/2, 0.9 ||d||^2 / <d, Hd>), and the iteration is redone;
+    a redone iteration counts as one.
+    """
+    # (sx / 2) s sy is exactly half of sx s sy: halving commutes with
+    # rounding.
+    half_x = (0.5 * sx).astype(dtype)
+    sy, diff, x = (m.astype(dtype, copy=False) for m in (sy, diff, x))
 
     def hessian(s):
         m = half_x @ s @ sy
@@ -523,8 +580,8 @@ def fista_predict(
 
     hx = hessian(x)
     y, hy = x, hx
-    step, t = floor, 1.0
-    for k in range(cfg.max_iter):
+    step, t = 1.0, 1.0
+    for k in range(max_iter):
         work = hy - diff
         work *= -step
         work += y
@@ -533,22 +590,26 @@ def fista_predict(
         hx_new = hessian(x_new)
         hd = hx_new - hy
         d_sq, curvature = _sq_norm(d), float(np.vdot(d, hd))
-        if curvature * step > d_sq and step > floor:
-            step = max(floor, min(step / 2.0, 0.9 * d_sq / curvature))
+        if curvature * step > d_sq and step > 1.0:
+            step = max(1.0, min(step / 2.0, 0.9 * d_sq / curvature))
             continue
         hd -= d / step
-        if norm_entrywise_linf(hd) <= target:
+        if hd.max() <= target and -hd.min() <= target:
             return x_new, k + 1
         move = x_new - x
         if np.vdot(d, move) < 0.0:
             # The step opposes the momentum: restart from x_new.
             y, hy, t = x_new, hx_new, 1.0
         else:
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            # Python floats, which keep the arrays in ``dtype``.
+            t_new = 0.5 * (1.0 + (1.0 + 4.0 * t * t) ** 0.5)
             beta = (t - 1.0) / t_new
-            y = x_new + beta * move
-            hy = hx_new + beta * (hx_new - hx)
+            move *= beta
+            y = x_new + move
+            hy = np.subtract(hx_new, hx, out=hd)
+            hy *= beta
+            hy += hx_new
             t = t_new
         x, hx = x_new, hx_new
         step *= STEP_GROWTH
-    return x, cfg.max_iter
+    return x, max_iter

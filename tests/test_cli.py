@@ -1115,3 +1115,50 @@ class TestRefusedInput:
         assert captured.err == f"error: {message.format(**names)}\n"
         assert captured.out == ""
         assert _tree(tmp_path) == before
+
+
+class TestDataScale:
+    """Data in units whose squares float64 cannot hold are refused, and the
+    float32 predictor warns of nothing."""
+
+    @staticmethod
+    def _files(tmp_path, c):
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal((40, 10)), 1.3 * rng.standard_normal((40, 10))
+        files = [tmp_path / f"{name}.csv" for name in ("x", "y")]
+        for f, data in zip(files, (x, y)):
+            np.savetxt(f, c * data, delimiter=",", fmt="%.17g")
+        return ["--x", str(files[0]), "--y", str(files[1])]
+
+    @pytest.mark.parametrize("fixed", [False, True], ids=["path", "fixed-penalty"])
+    @pytest.mark.parametrize("c, top", [(1e-100, "1.81e-200"), (1e100, "1.81e+200")],
+                             ids=["1e-100", "1e100"])
+    def test_extreme_scale_exit_code_2(self, tmp_path, capsys, c, top, fixed):
+        out = tmp_path / "out"
+        penalty = ["--lambda", repr(0.1 * c * c)] if fixed else []
+        code = main(["estimate", *self._files(tmp_path, c), *penalty, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: sigma_x has largest eigenvalue {top}, outside the solvable scale "
+            "[1e-50, 1e+50]: rescale the data\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--scenario", "sim2", "--p", "50", "--n", "25", "--reps", "2"],
+        ["estimate"],
+    ], ids=["simulate-n-below-p", "estimate"])
+    def test_no_runtime_warning(self, tmp_path, argv):
+        # Under -W error an overflow, an invalid value or a division by zero
+        # raises, and the run fails.
+        if argv == ["estimate"]:
+            argv = argv + self._files(tmp_path, 1.0)
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "difftrace.cli", *argv,
+             "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""

@@ -381,6 +381,23 @@ class TestSoftThreshold:
             np.testing.assert_array_equal(out[~nonzero], 0.0)
             assert not np.any(np.signbit(out[out == 0]))
 
+    def test_float32_stays_float32(self):
+        # The same contract in float32, with lam rounded to float32.
+        rng = np.random.default_rng(30)
+        a = rng.standard_normal((40, 40)).astype(np.float32)
+        a[:5] = np.round(a[:5], 1)
+        a[5, :4] = (-0.0, 0.0, 0.5, -0.5)
+        for lam in (0.0, 0.1, 0.5, 1.0, 3.0):
+            out = soft_threshold(a, lam)
+            assert out.dtype == np.float32
+            old = np.sign(a) * np.maximum(np.abs(a) - np.float32(lam), np.float32(0.0))
+            assert old.dtype == np.float32
+            nonzero = old != 0
+            np.testing.assert_array_equal(out[nonzero], old[nonzero])
+            np.testing.assert_array_equal(out[~nonzero], 0.0)
+            assert not np.any(np.signbit(out[out == 0]))
+        assert soft_threshold(np.arange(4).reshape(2, 2), 1.5).dtype == np.float64
+
     def test_is_prox_minimizer(self):
         # The output must minimize 0.5||D||_F^2 - <D, A> + lam ||D||_1,
         # which separates per entry; compare against a per-entry grid search.

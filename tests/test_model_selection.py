@@ -252,8 +252,10 @@ class TestSolvePath:
 
     def test_one_gradient_per_penalty(self, monkeypatch):
         # The scores and the KKT residual share each solution's gradient;
-        # the solver takes one more below lambda_max, to certify the
-        # prediction it starts from.
+        # the solver takes two more below lambda_max: the predictor's
+        # float64 check of its float32 result, and the certificate of the
+        # prediction the sweeps would start from, which also gives the
+        # objective without a separate loss evaluation.
         pair = sampled_pair(12, 80, 23)
         calls = {model_selection: [], solver: []}
 
@@ -263,10 +265,13 @@ class TestSolvePath:
                 return dtrace_gradient(*args)
 
             monkeypatch.setattr(module, "dtrace_gradient", counting)
+        losses = []
+        monkeypatch.setattr(solver, "dtrace_loss", lambda *args: losses.append(args))
         path = solve_path(pair, lambda_grid(pair, count=7))
         assert len(calls[model_selection]) == len(path) == 7
         assert sum(est.iterations for est in path.estimates) == 0
-        assert len(calls[solver]) == 6
+        assert len(calls[solver]) == 2 * 6
+        assert losses == []
 
     @pytest.mark.parametrize("p, n, seed", [(12, 80, 23), (12, 6, 31)])
     def test_kkt_is_residual_over_penalty(self, p, n, seed):

@@ -9,6 +9,7 @@ from difftrace import model_selection, solver
 from difftrace.covariance import CovariancePair, build_pair, pair_from_covariances
 from difftrace.linalg import (
     SolverError,
+    as_symmetric,
     project_null,
     norm_entrywise_linf,
     soft_threshold,
@@ -246,6 +247,26 @@ class TestGradient:
                     - dtrace_loss(delta - bump, sx, sy)
                 ) / (2 * step)
                 assert abs(grad[i, j] - fd) < 1e-5
+
+    def test_symmetric_delta_takes_two_products(self):
+        # For symmetric delta, sigma_y delta sigma_x is the transpose of
+        # sigma_x delta sigma_y and is not formed; any other delta takes the
+        # general formula. The loss agrees with the four products to rounding.
+        rng = np.random.default_rng(5)
+        sx, sy = (as_symmetric(random_spd(6, rng)) for _ in range(2))
+        general = rng.standard_normal((6, 6))
+        symmetric = general + general.T
+        four = 0.5 * (sx @ general @ sy + sy @ general @ sx) - (sx - sy)
+        assert dtrace_gradient(general, sx, sy).tobytes() == four.tobytes()
+        m = sx @ symmetric @ sy
+        two = 0.5 * (m + m.T) - (sx - sy)
+        assert dtrace_gradient(symmetric, sx, sy).tobytes() == two.tobytes()
+        assert np.array_equal(two, two.T)
+        for delta in (general, symmetric):
+            quad = 0.25 * (np.sum(sx @ delta * (delta @ sy)) + np.sum(sy @ delta * (delta @ sx)))
+            assert dtrace_loss(delta, sx, sy) == pytest.approx(
+                quad - np.sum(delta * (sx - sy)), rel=1e-13
+            )
 
 
 class TestAdmmSolve:
@@ -892,6 +913,41 @@ def test_sweep_is_scale_equivariant():
     assert gap <= 1e-12 * np.linalg.norm(deltas[0])
 
 
+def scaled_wide_pair(c):
+    """A 40 x 10 pair with samples times ``c``."""
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal((40, 10)), 1.3 * rng.standard_normal((40, 10))
+    return build_pair(c * x, c * y)
+
+
+@pytest.mark.parametrize("c", [1e-100, 1e100], ids=["1e-100", "1e100"])
+def test_extreme_scale_is_refused(c):
+    # Covariances near 1e-200 or 1e200: the ADMM's weight, near their
+    # product, and the squared norms of its iterates would leave float64.
+    pair = scaled_wide_pair(c)
+    lam = 0.3 * lambda_max(pair)
+    for solve in (lambda: admm_solve(pair, lam), lambda: solve_path(pair, lambda_grid(pair))):
+        with pytest.raises(ValueError, match=r"sigma_x has largest eigenvalue .* outside the "
+                           r"solvable scale \[1e-50, 1e\+50\]: rescale the data"):
+            solve()
+
+
+@pytest.mark.parametrize("c", [1e-24, 1e24], ids=["1e-24", "1e24"])
+def test_scale_within_the_limit_is_solved(c):
+    # Covariances near 1e-48 and 1e48, inside the limit: the cold solve
+    # takes the sweeps it takes at unit scale, and the path is certified.
+    base = scaled_wide_pair(1.0)
+    pair = scaled_wide_pair(c)
+    ref, _ = admm_solve(base, 0.3 * lambda_max(base))
+    est, _ = admm_solve(pair, 0.3 * lambda_max(pair))
+    assert est.converged and est.iterations == ref.iterations and est.nnz == ref.nnz
+    gap = np.linalg.norm(c * c * est.delta - ref.delta)
+    assert gap <= 1e-10 * np.linalg.norm(ref.delta)
+    path = solve_path(pair, lambda_grid(pair))
+    assert all(est.converged for est in path.estimates)
+    assert path.kkt.max() <= SolverConfig().tol
+
+
 def path_summary(path):
     return [
         (est.iterations, est.converged, est.nnz, used)
@@ -1025,21 +1081,23 @@ def sim2_replicate_zero():
 
 
 def record_predictions(monkeypatch):
-    """Record every prediction a path makes: its penalty, the pair's step
-    floor times the penalty, each iteration's soft threshold (its step
-    times the penalty, redone iterations included) and what it returned.
-    The bracket's own thresholds are left out. Returns the records and the
-    recording predictor the path calls."""
+    """Record every prediction a path makes: its penalty, the step floor 1
+    times the penalty in the units of the pair divided by c = sqrt(a_1 b_1)
+    (see ``fista_predict``), each iteration's soft threshold (its step
+    times that penalty, redone iterations included) with the dtype it ran
+    in, and what it returned. The bracket's own thresholds are left out.
+    Returns the records and the recording predictor the path calls."""
     calls = []
 
     def threshold(a, tau):
-        if sys._getframe(1).f_code.co_name == "fista_predict":
+        if sys._getframe(1).f_code.co_name == "_accelerate":
             calls[-1]["taus"].append(tau)
+            calls[-1]["dtypes"].append(a.dtype)
         return soft_threshold(a, tau)
 
     def predict(pair, lam, start, cfg=None, factors=None):
-        floor = 1.0 / (factors.x.values[0] * factors.y.values[0])
-        call = {"lam": lam, "floor_tau": floor * lam, "taus": []}
+        a, b = float(factors.x.values[0]), float(factors.y.values[0])
+        call = {"lam": lam, "floor_tau": lam / (a**0.5 * b**0.5), "taus": [], "dtypes": []}
         calls.append(call)
         call["x"], call["used"] = fista_predict(pair, lam, start, cfg, factors)
         return call["x"], call["used"]
@@ -1057,11 +1115,12 @@ def backtracks(taus):
 class TestFistaPredict:
     """The predictor's KKT bound, step floor and backtracking."""
 
-    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 1e3, 1e8])
     @pytest.mark.parametrize("n", [50, 500], ids=["n-below-p", "n-above-p"])
     def test_returns_are_certified(self, monkeypatch, n, scale):
-        # Every prediction that stops before max_iter passes the exact KKT
-        # check at tol, and no step is below 1/(a_1 b_1), where each starts.
+        # Every prediction that stops before max_iter passes the exact
+        # float64 KKT check at tol from its float32 iterations alone, and no
+        # step is below the scaled floor 1, where each starts.
         truth = gen_sim1(100)
         pair = build_pair(
             scale * sample_gaussian(truth.omega_x, n, 1),
@@ -1075,9 +1134,26 @@ class TestFistaPredict:
         for call in stopped:
             assert kkt_check(call["x"], pair, call["lam"]) <= cfg.tol * call["lam"]
             assert len(call["taus"]) == call["used"]
+            assert set(call["dtypes"]) == {np.dtype(np.float32)}
             assert call["taus"][0] == call["floor_tau"]
             assert min(call["taus"]) >= call["floor_tau"]
         assert sum(backtracks(call["taus"]) for call in calls) > 0
+
+    def test_float32_miss_continues_in_float64(self, monkeypatch):
+        # A float32 stop far above tol * lam fails the float64 certificate;
+        # the same iterations go on in float64 from where it stopped, and
+        # their result is certified.
+        monkeypatch.setattr(solver, "PREDICT_MARGIN", 100.0)
+        pair = sampled_pair(12, 80, 23)
+        lam = 0.3 * lambda_max(pair)
+        calls, predict = record_predictions(monkeypatch)
+        x, used = predict(pair, lam, np.zeros((12, 12)), None, factor_pair(pair))
+        (call,) = calls
+        single = call["dtypes"].count(np.float32)
+        assert 0 < single < used < SolverConfig().max_iter
+        assert call["dtypes"] == [np.float32] * single + [np.float64] * (used - single)
+        assert x.dtype == np.float64
+        assert kkt_check(x, pair, lam) <= SolverConfig().tol * lam
 
     def test_backtracks_before_the_stop(self, monkeypatch):
         # The last penalty before the n < p benchmark path's stop, just above
@@ -1108,8 +1184,10 @@ class TestFistaPredict:
 
     def test_bound_is_the_proximal_residual(self):
         # The first iteration is the proximal-gradient step d from the start
-        # at 1/(a_1 b_1). Its bound is ||H d - d / step||_inf, and the
-        # predictor returns after it exactly when the bound meets tol * lam.
+        # at 1/(a_1 b_1), step 1 on the pair divided by c = sqrt(a_1 b_1).
+        # Its bound is ||H d - d / step||_inf, over c in those units, and the
+        # predictor returns after it exactly when the bound meets
+        # PREDICT_MARGIN * tol * lam, to float32 rounding.
         pair = sampled_pair(12, 80, 23)
         sx, sy = pair.sigma_x, pair.sigma_y
         lam = 0.3 * lambda_max(pair)
@@ -1122,10 +1200,11 @@ class TestFistaPredict:
         bound = norm_entrywise_linf(hd - d / step)
         # The sign of d / step matters at this step.
         assert abs(norm_entrywise_linf(hd + d / step) - bound) > 1e-3 * bound
-        x, used = fista_predict(pair, lam, start, SolverConfig(tol=(1 + 1e-6) * bound / lam))
+        stop = bound / (solver.PREDICT_MARGIN * lam)
+        x, used = fista_predict(pair, lam, start, SolverConfig(tol=(1 + 1e-4) * stop))
         assert used == 1
-        np.testing.assert_allclose(x, first, rtol=0, atol=1e-14 * np.abs(first).max())
-        _, used = fista_predict(pair, lam, start, SolverConfig(tol=(1 - 1e-6) * bound / lam))
+        np.testing.assert_allclose(x, first, rtol=0, atol=1e-6 * np.abs(first).max())
+        _, used = fista_predict(pair, lam, start, SolverConfig(tol=(1 - 1e-4) * stop))
         assert used > 1
 
 
