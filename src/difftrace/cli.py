@@ -26,7 +26,7 @@ import numpy as np
 
 from .covariance import CovariancePair, build_pair
 from .evaluation import (
-    check_diagnostic_p,
+    MAX_SUPPORT,
     curve_from_path,
     irrepresentability_alpha,
     support_metrics,
@@ -580,7 +580,6 @@ def cmd_diagnose(args) -> int:
     if omega_x.shape != omega_y.shape:
         raise InputError("precision matrices must share one square shape")
     p = omega_x.shape[0]
-    check_diagnostic_p(p)
     sigma_x = np.linalg.inv(omega_x)
     sigma_y = np.linalg.inv(omega_y)
     if args.support:
@@ -638,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=".")
     sp.set_defaults(func=cmd_evaluate)
 
-    sp = sub.add_parser("diagnose", help="small-p support-recoverability diagnostic")
+    sp = sub.add_parser("diagnose", help=f"irrepresentability diagnostic, |S| <= {MAX_SUPPORT}")
     sp.add_argument("--x", required=True, help="group X precision matrix (p x p CSV)")
     sp.add_argument("--y", required=True, help="group Y precision matrix (p x p CSV)")
     sp.add_argument("--support", default=None, help="support list CSV (1-based i,j rows)")

@@ -1,5 +1,5 @@
-"""Support-recovery metrics, ROC/PR curves, and the small-p
-irrepresentability diagnostic."""
+"""Support-recovery metrics, ROC/PR curves, and the irrepresentability
+diagnostic, which builds only the on-support block of its operator."""
 
 from __future__ import annotations
 
@@ -10,23 +10,13 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .covariance import CovariancePair
-from .linalg import check_square
+from .linalg import as_symmetric, check_square
 from .model_selection import RegPath
+from .solver import _hessian
 
 CURVE_CSV_COLUMNS = ("lambda", "tp", "fp", "precision")
 
-# The p^2 x p^2 edge-covariance operator is built explicitly, so the
-# diagnostic is restricted to small dimensions.
-MAX_DIAGNOSTIC_P = 40
-
-
-def check_diagnostic_p(p: int) -> None:
-    """Refuse a dimension above the irrepresentability diagnostic's limit."""
-    if p > MAX_DIAGNOSTIC_P:
-        raise ValueError(
-            f"p={p} exceeds the diagnostic limit of {MAX_DIAGNOSTIC_P}: the check "
-            f"builds an explicit p^2 x p^2 operator, an O(p^4) cost"
-        )
+MAX_SUPPORT = 1600  # G[S, S] is inverted densely; 40^2 admits any 40 x 40 support
 
 
 @dataclass(frozen=True)
@@ -158,41 +148,45 @@ def irrepresentability_alpha(
     """Slack of the support-recovery condition, and the on-support
     inverse's max absolute row sum.
 
-    Builds the p^2 x p^2 operator (sigma_x (x) sigma_y
-    + sigma_y (x) sigma_x) / 2, indexes rows and columns by entry pairs
-    (j, k) <-> j * p + k, and returns
+    The operator is the loss's Hessian G = (sigma_x (x) sigma_y
+    + sigma_y (x) sigma_x) / 2 on entry pairs (i, j), each covariance
+    symmetrized as ``pair_from_covariances`` does; the function returns
 
         alpha = 1 - max over off-support rows e of || G[e, S] G[S, S]^-1 ||_1,
         kappa = max absolute row sum of G[S, S]^-1.
 
-    alpha > 0 is the recoverability condition; support positions are
-    0-based (i, j) pairs.
+    Only G[S, S] is built, entry by entry; column c of G[., S] G[S, S]^-1
+    is the Hessian product of column c of the inverse placed on S. That
+    takes O(|S|^3 + |S| p^3) time and O(p^2 + |S|^2) memory, and |S| is
+    bounded by ``MAX_SUPPORT``. alpha > 0 is the recoverability condition;
+    support positions are 0-based (i, j) pairs.
     """
-    sigma_x = np.asarray(sigma_x, dtype=float)
-    sigma_y = np.asarray(sigma_y, dtype=float)
+    sigma_x = as_symmetric(sigma_x, "sigma_x")
+    sigma_y = as_symmetric(sigma_y, "sigma_y")
     if sigma_x.shape != sigma_y.shape:
         raise ValueError("covariance shapes differ")
     p = sigma_x.shape[0]
-    check_diagnostic_p(p)
-    support_idx = sorted({int(i) * p + int(j) for i, j in support})
-    if not support_idx:
+    entries = sorted({(int(i), int(j)) for i, j in support})
+    if not entries:
         raise ValueError("support must be nonempty")
-    if support_idx[0] < 0 or support_idx[-1] >= p * p:
-        raise ValueError("support indices out of range")
-    gamma = (np.kron(sigma_x, sigma_y) + np.kron(sigma_y, sigma_x)) / 2.0
-    s = np.asarray(support_idx)
-    mask = np.zeros(p * p, dtype=bool)
-    mask[s] = True
-    comp = np.nonzero(~mask)[0]
-    gamma_ss = gamma[np.ix_(s, s)]
+    for i, j in entries:
+        if not (0 <= i < p and 0 <= j < p):
+            raise ValueError(f"support entry ({i}, {j}) lies outside a {p} x {p} matrix")
+    if len(entries) > MAX_SUPPORT:
+        raise ValueError(f"support has {len(entries)} entries, above the diagnostic limit of "
+                         f"{MAX_SUPPORT}: the check inverts a dense |S| x |S| block")
+    rows, cols = np.array(entries).T
+    ik, jl = np.ix_(rows, rows), np.ix_(cols, cols)
+    gamma_ss = (sigma_x[ik] * sigma_y[jl] + sigma_y[ik] * sigma_x[jl]) / 2.0
     try:
         inv_ss = np.linalg.inv(gamma_ss)
     except np.linalg.LinAlgError as err:
         raise ValueError("on-support operator block is singular") from err
     kappa = float(np.abs(inv_ss).sum(axis=1).max())
-    if comp.size:
-        projection = gamma[np.ix_(comp, s)] @ inv_ss
-        alpha = 1.0 - float(np.abs(projection).sum(axis=1).max())
-    else:
-        alpha = 1.0
-    return alpha, kappa
+    row_sums = np.zeros((p, p))
+    column = np.zeros((p, p))
+    for c in range(len(entries)):
+        column[rows, cols] = inv_ss[:, c]
+        row_sums += np.abs(_hessian(column, sigma_x, sigma_y))
+    row_sums[rows, cols] = 0.0
+    return 1.0 - float(row_sums.max()), kappa

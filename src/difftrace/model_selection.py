@@ -124,6 +124,8 @@ def solve_path(
         raise ValueError("empty penalty grid")
     if lambdas.size > 1 and not np.all(np.diff(lambdas) < 0):
         raise ValueError("penalties must be strictly descending")
+    if np.isinf(lambdas).any():
+        raise ValueError(f"penalty must be finite, got {lambdas[np.isinf(lambdas)][0]}")
     estimates: List[DeltaEstimate] = []
     bic_f = np.empty(lambdas.size)
     bic_inf = np.empty(lambdas.size)

@@ -645,19 +645,47 @@ class TestDiagnose:
         record = json.loads((out / "diagnose.json").read_text())
         assert record["condition_holds"] is True
 
-    def test_large_p_refused(self, tmp_path, capsys):
+    def test_p41_identity_pair(self, tmp_path):
         x_path = tmp_path / "ox.csv"
         np.savetxt(x_path, np.eye(41), delimiter=",")
-        code = main(["diagnose", "--x", str(x_path), "--y", str(x_path)])
-        assert code == 2
-        assert "O(p^4)" in capsys.readouterr().err
+        support = tmp_path / "support.csv"
+        support.write_text("1,2\n")
+        out = tmp_path / "out"
+        code = main(
+            ["diagnose", "--x", str(x_path), "--y", str(x_path),
+             "--support", str(support), "--out", str(out)]
+        )
+        assert code == 0
+        record = json.loads((out / "diagnose.json").read_text())
+        assert (record["alpha"], record["kappa"]) == (1.0, 1.0)
 
-    def test_size_limit_has_one_text(self, tmp_path, capsys):
-        with pytest.raises(ValueError) as err:
-            irrepresentability_alpha(np.eye(41), np.eye(41), {(0, 1)})
+    def test_sim1_p100_truth(self, tmp_path):
+        # Criterion 6's population pair: the condition holds, so the support
+        # is recoverable there.
+        truth = gen_sim1(100)
         x_path = tmp_path / "ox.csv"
-        np.savetxt(x_path, np.eye(41), delimiter=",")
-        assert main(["diagnose", "--x", str(x_path), "--y", str(x_path)]) == 2
+        y_path = tmp_path / "oy.csv"
+        np.savetxt(x_path, truth.omega_x, delimiter=",", fmt="%.17g")
+        np.savetxt(y_path, truth.omega_y, delimiter=",", fmt="%.17g")
+        out = tmp_path / "out"
+        assert main(["diagnose", "--x", str(x_path), "--y", str(y_path), "--out", str(out)]) == 0
+        record = json.loads((out / "diagnose.json").read_text())
+        assert record["alpha"] == pytest.approx(0.290397, abs=1e-6)
+        assert record["kappa"] == pytest.approx(8.154590, abs=1e-6)
+
+    def test_support_limit_has_one_text(self, tmp_path, capsys):
+        # Every entry of the difference is nonzero: the default support is
+        # all 41^2 = 1681 entries.
+        p = 41
+        with pytest.raises(ValueError) as err:
+            irrepresentability_alpha(
+                np.eye(p), np.eye(p), {(i, j) for i in range(p) for j in range(p)}
+            )
+        x_path = tmp_path / "ox.csv"
+        y_path = tmp_path / "oy.csv"
+        np.savetxt(x_path, np.eye(p), delimiter=",")
+        np.savetxt(y_path, np.eye(p) + 0.01, delimiter=",")
+        assert main(["diagnose", "--x", str(x_path), "--y", str(y_path)]) == 2
         assert capsys.readouterr().err == f"error: {err.value}\n"
 
     def test_explicit_support_file(self, tmp_path):
@@ -1041,9 +1069,11 @@ class TestRefusedInput:
              "sim2 needs p to be a positive multiple of 50, got 0"),
             (["simulate", "--scenario", "sim1", "--p", "4", "--n", "60", "--out", "{out}"],
              "sim1 needs p >= 8, got 4"),
-            (["diagnose", "--x", "{eye41}", "--y", "{eye41}", "--out", "{out}"],
-             "p=41 exceeds the diagnostic limit of 40: the check builds an explicit "
-             "p^2 x p^2 operator, an O(p^4) cost"),
+            (["diagnose", "--x", "{eye41}", "--y", "{dense41}", "--out", "{out}"],
+             "support has 1681 entries, above the diagnostic limit of 1600: the check "
+             "inverts a dense |S| x |S| block"),
+            (["estimate", "--x", "{x}", "--y", "{y}", "--lambda", "inf", "--out", "{out}"],
+             "penalty must be finite, got inf"),
             (["estimate", "--x", "{x}", "--y", "{y}", "--lambda", "0.05", "--out", "{file}"],
              "cannot create output directory {file}: File exists"),
             (["estimate", "--x", "{x}", "--y", "{y}", "--out", "{file}/sub"],
@@ -1084,7 +1114,8 @@ class TestRefusedInput:
         ],
         ids=[
             "sim1-negative-seed", "sim2-negative-seed", "sim2-dimension", "sim1-dimension",
-            "diagnostic-limit", "estimate-out-file", "estimate-out-below-file",
+            "diagnose-support-limit", "estimate-infinite-penalty", "estimate-out-file",
+            "estimate-out-below-file",
             "simulate-out-file", "simulate-out-below-file", "evaluate-out-file",
             "diagnose-out-file", "estimate-same-file-twice", "estimate-grid-count",
             "estimate-zero-penalty-singular", "estimate-penalty-without-minimizer",
@@ -1097,6 +1128,8 @@ class TestRefusedInput:
         names = {name: tmp_path / f"{name}.csv" for name in ("eye41", "eye4", "band4")}
         np.savetxt(names["eye41"], np.eye(41), delimiter=",")
         np.savetxt(names["eye4"], np.eye(4), delimiter=",")
+        names["dense41"] = tmp_path / "dense41.csv"
+        np.savetxt(names["dense41"], np.eye(41) + 0.01, delimiter=",")
         np.savetxt(names["band4"], np.eye(4) + 0.2 * np.eye(4, k=1) + 0.2 * np.eye(4, k=-1),
                    delimiter=",")
         rng = np.random.default_rng(8)

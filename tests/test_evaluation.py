@@ -9,6 +9,7 @@ from difftrace.evaluation import (
     support_metrics,
     threshold_curve,
 )
+from difftrace.linalg import as_symmetric
 from difftrace.model_selection import RegPath, lambda_grid, solve_path
 from difftrace.simulation import gen_sim1, sample_gaussian
 from difftrace.solver import DeltaEstimate
@@ -214,10 +215,60 @@ class TestIrrepresentability:
         assert alpha_p == pytest.approx(alpha, abs=1e-9)
         assert kappa_p == pytest.approx(kappa, abs=1e-9)
 
-    def test_large_p_refused(self):
-        p = 41
-        with pytest.raises(ValueError, match="O\\(p\\^4\\)"):
-            irrepresentability_alpha(np.eye(p), np.eye(p), {(0, 1)})
+    def test_p41_identity_pair(self):
+        alpha, kappa = irrepresentability_alpha(np.eye(41), np.eye(41), {(0, 1)})
+        assert alpha == 1.0
+        assert kappa == 1.0
+
+    @pytest.mark.parametrize("p", [30, 40])
+    def test_matches_kronecker_oracle(self, p):
+        # The full p^2 x p^2 operator, built in the test only.
+        truth = gen_sim1(p)
+        sigma_x, sigma_y = (as_symmetric(np.linalg.inv(o)) for o in (truth.omega_x, truth.omega_y))
+        support = {tuple(idx) for idx in np.argwhere(truth.omega_y != truth.omega_x)}
+        gamma = (np.kron(sigma_x, sigma_y) + np.kron(sigma_y, sigma_x)) / 2.0
+        s = sorted(i * p + j for i, j in support)
+        comp = np.setdiff1d(np.arange(p * p), s)
+        inv_ss = np.linalg.inv(gamma[np.ix_(s, s)])
+        expect_alpha = 1.0 - np.abs(gamma[np.ix_(comp, s)] @ inv_ss).sum(axis=1).max()
+        expect_kappa = np.abs(inv_ss).sum(axis=1).max()
+
+        alpha, kappa = irrepresentability_alpha(sigma_x, sigma_y, support)
+        assert kappa == expect_kappa
+        assert abs(alpha - expect_alpha) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "entry", [(0, 4), (1, -1), (4, 0), (-1, 2)],
+        ids=["column-past-end", "negative-column", "row-past-end", "negative-row"],
+    )
+    def test_support_outside_the_matrix_refused(self, entry):
+        with pytest.raises(ValueError) as err:
+            irrepresentability_alpha(np.eye(4), np.eye(4), {(0, 1), entry})
+        assert str(err.value) == f"support entry {entry} lies outside a 4 x 4 matrix"
+
+    @pytest.mark.parametrize(
+        "sigma_x, sigma_y, message",
+        [
+            (np.ones((3, 4)), np.ones((3, 4)), "sigma_x must be square, got shape (3, 4)"),
+            (np.eye(4), np.where(np.eye(4, k=1) == 1, np.nan, np.eye(4)),
+             "sigma_y contains non-finite entries"),
+            (np.ones(4), np.ones(4), "sigma_x must be square, got shape (4,)"),
+        ],
+        ids=["three-by-four", "nan", "one-dimensional"],
+    )
+    def test_invalid_covariance_refused(self, sigma_x, sigma_y, message):
+        with pytest.raises(ValueError) as err:
+            irrepresentability_alpha(sigma_x, sigma_y, {(0, 1)})
+        assert str(err.value) == message
+
+    def test_covariances_are_symmetrized(self):
+        rng = np.random.default_rng(9)
+        sigma_x = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
+        sigma_y = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
+        support = {(0, 1), (1, 0)}
+        assert irrepresentability_alpha(sigma_x, sigma_y, support) == irrepresentability_alpha(
+            (sigma_x + sigma_x.T) / 2.0, (sigma_y + sigma_y.T) / 2.0, support
+        )
 
     def test_empty_support_refused(self):
         with pytest.raises(ValueError, match="nonempty"):

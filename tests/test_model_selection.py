@@ -298,6 +298,16 @@ class TestSolvePath:
         with pytest.raises(ValueError, match="empty"):
             solve_path(pair, [])
 
+    @pytest.mark.parametrize("grid", [[np.inf], [np.inf, 0.5]], ids=["alone", "leading"])
+    def test_rejects_infinite_penalty_before_solving(self, monkeypatch, grid):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a grid holding inf was solved")
+
+        monkeypatch.setattr(model_selection, "admm_solve", unreachable)
+        with pytest.raises(ValueError) as err:
+            solve_path(sampled_pair(10, 50, 14), grid)
+        assert str(err.value) == "penalty must be finite, got inf"
+
     def test_bad_penalty_raises_value_error(self):
         pair = sampled_pair(10, 50, 14)
         with pytest.raises(ValueError) as err:
