@@ -605,7 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_solver_flags(sp):
-        sp.add_argument("--tol", type=float, default=SolverConfig.tol, help="stopping tolerance")
+        sp.add_argument("--tol", type=float, default=SolverConfig.tol,
+                        help="each estimate is certified at KKT residual <= tol * lambda")
         sp.add_argument("--max-iter", type=int, default=SolverConfig.max_iter, dest="max_iter")
         sp.add_argument("--grid-count", type=int, default=GRID_COUNT, dest="grid_count")
         sp.add_argument("--grid-ratio", type=float, default=GRID_RATIO, dest="grid_ratio")

@@ -166,16 +166,18 @@ def irrepresentability_alpha(
     if sigma_x.shape != sigma_y.shape:
         raise ValueError("covariance shapes differ")
     p = sigma_x.shape[0]
-    entries = sorted({(int(i), int(j)) for i, j in support})
+    entries = sorted({(i, j) for i, j in support})
     if not entries:
         raise ValueError("support must be nonempty")
     for i, j in entries:
+        if not (float(i).is_integer() and float(j).is_integer()):
+            raise ValueError(f"support entry ({i}, {j}) is not a pair of integer indices")
         if not (0 <= i < p and 0 <= j < p):
             raise ValueError(f"support entry ({i}, {j}) lies outside a {p} x {p} matrix")
     if len(entries) > MAX_SUPPORT:
         raise ValueError(f"support has {len(entries)} entries, above the diagnostic limit of "
                          f"{MAX_SUPPORT}: the check inverts a dense |S| x |S| block")
-    rows, cols = np.array(entries).T
+    rows, cols = np.array(entries, dtype=int).T
     ik, jl = np.ix_(rows, rows), np.ix_(cols, cols)
     gamma_ss = (sigma_x[ik] * sigma_y[jl] + sigma_y[ik] * sigma_x[jl]) / 2.0
     try:

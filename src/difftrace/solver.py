@@ -41,8 +41,12 @@ KKT_PERIOD = 100
 # Factor by which the predictor's step grows after each accepted iteration.
 STEP_GROWTH = 1.25
 # Fraction of the certificate's tol * lam at which the predictor stops, so
-# that its float32 rounding leaves the float64 KKT check a margin.
+# that its rounding leaves the float64 KKT check a margin.
 PREDICT_MARGIN = 0.75
+# Where the predictor runs in float32 (see ``fista_predict``). Python
+# floats, which data in large units cannot overflow.
+EPS32 = float(np.finfo(np.float32).eps)
+FLOAT32_FLOOR = 32 * EPS32
 # A nonzero covariance whose largest eigenvalue lies outside [1/SCALE_LIMIT,
 # SCALE_LIMIT] is refused: the ADMM's weight and the solves' squared norms
 # reach its square, times condition numbers up to 1e14 and the divergence
@@ -365,11 +369,7 @@ def admm_solve(
 
     if lam >= norm_entrywise_linf(diff):
         state = fixed_point_state(pair, np.zeros_like(diff))
-        delta = state.delta3.copy()
-        return (
-            DeltaEstimate(delta, float(lam), 0, True, 0.0),
-            state,
-        )
+        return DeltaEstimate(state.delta3.copy(), float(lam), 0, True, 0.0), state
 
     ranks = range_size(eig_x.values), range_size(eig_y.values)
     if lam == 0 and min(ranks) < pair.p:
@@ -503,20 +503,18 @@ def fista_predict(
     accelerated proximal gradient (FISTA, Beck & Teboulle 2009) with the
     gradient restart of O'Donoghue & Candes (2015) and a step that
     backtracks and grows (Scheinberg, Goldfarb & Bai 2014). Returns it in
-    float64 with the iterations run; ``admm_solve`` checks it again before
-    any sweep.
+    float64 with the iterations run, unchecked: ``admm_solve`` certifies it.
 
     The iterations run on the pair divided by c = sqrt(a_1) sqrt(b_1), from
     the covariances' largest eigenvalues (an exactly zero covariance takes
     the other's), where the Hessian H has norm at most 1, the estimate is
     c * delta and the penalty lam / c; the residuals scale by 1/c, as the
-    penalty does. In those units the data's scale is gone, and the
-    iterations run in float32 (see ``_accelerate``) until their bound on the
-    KKT residual is at most ``PREDICT_MARGIN`` * ``cfg.tol`` * lam / c. The
-    float64 ``kkt_check`` of the result at ``cfg.tol`` * ``lam`` decides it:
-    a result that fails it is iterated on in float64 from the same point,
-    with the iterations left of ``cfg.max_iter``, until the bound is at most
-    ``cfg.tol`` * lam / c.
+    penalty does. In those units the data's scale is gone. They stop at the
+    first bound on the KKT residual at most ``PREDICT_MARGIN`` * ``cfg.tol``
+    * lam / c (see ``_accelerate``), in float32 when that is at least
+    ``FLOAT32_FLOOR`` * lambda_max / c and ``EPS32`` times the scaled
+    start's largest entry, where float32's bound can reach it, and in
+    float64 otherwise (lambda_max = max |sigma_x - sigma_y|).
 
     On a singular pair the pair's ``ThresholdBracket`` is advanced first,
     and a penalty it does not certify to have a minimizer (below its upper
@@ -537,14 +535,12 @@ def fista_predict(
     a, b = a or b or 1.0, b or a or 1.0
     c = a**0.5 * b**0.5
     sx, sy = pair.sigma_x, pair.sigma_y
-    scaled = (sx / a, sy / b, (sx - sy) / c, lam / c)
-    target = cfg.tol * lam / c
-    x, used = _accelerate(*scaled, c * x, PREDICT_MARGIN * target, cfg.max_iter, np.float32)
-    delta = x.astype(float) / c
-    if used < cfg.max_iter and not kkt_check(delta, pair, lam) <= cfg.tol * lam:
-        x, more = _accelerate(*scaled, x, target, cfg.max_iter - used, np.float64)
-        delta, used = x / c, used + more
-    return delta, used
+    diff, x = (sx - sy) / c, c * x
+    stop = PREDICT_MARGIN * (cfg.tol * lam / c)
+    reach = max(FLOAT32_FLOOR * norm_entrywise_linf(diff), EPS32 * norm_entrywise_linf(x))
+    dtype = np.float32 if stop >= reach else np.float64
+    x, used = _accelerate(sx / a, sy / b, diff, lam / c, x, stop, cfg.max_iter, dtype)
+    return x.astype(float) / c, used
 
 
 def _accelerate(sx, sy, diff, lam, x, target, max_iter, dtype) -> Tuple[np.ndarray, int]:

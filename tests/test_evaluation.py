@@ -247,6 +247,22 @@ class TestIrrepresentability:
         assert str(err.value) == f"support entry {entry} lies outside a 4 x 4 matrix"
 
     @pytest.mark.parametrize(
+        "entry", [(0.7, 1.9), (1, 2.5), (np.nan, 1)], ids=["both", "column", "nan"]
+    )
+    def test_fractional_support_entry_refused(self, entry):
+        # A fractional index is refused rather than truncated to another entry.
+        with pytest.raises(ValueError) as err:
+            irrepresentability_alpha(np.eye(4), np.eye(4), {(0, 1), entry})
+        assert str(err.value) == f"support entry {entry} is not a pair of integer indices"
+
+    def test_integral_float_support_entries_accepted(self):
+        rng = np.random.default_rng(10)
+        sigma_x, sigma_y = random_spd(4, rng), random_spd(4, rng)
+        assert irrepresentability_alpha(sigma_x, sigma_y, {(2.0, 1.0), (0, 3)}) == (
+            irrepresentability_alpha(sigma_x, sigma_y, {(2, 1), (0, 3)})
+        )
+
+    @pytest.mark.parametrize(
         "sigma_x, sigma_y, message",
         [
             (np.ones((3, 4)), np.ones((3, 4)), "sigma_x must be square, got shape (3, 4)"),

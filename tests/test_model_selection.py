@@ -252,10 +252,10 @@ class TestSolvePath:
 
     def test_one_gradient_per_penalty(self, monkeypatch):
         # The scores and the KKT residual share each solution's gradient;
-        # the solver takes two more below lambda_max: the predictor's
-        # float64 check of its float32 result, and the certificate of the
+        # the solver takes one more below lambda_max: the certificate of the
         # prediction the sweeps would start from, which also gives the
-        # objective without a separate loss evaluation.
+        # objective without a separate loss evaluation. The predictor
+        # checks nothing itself.
         pair = sampled_pair(12, 80, 23)
         calls = {model_selection: [], solver: []}
 
@@ -270,7 +270,7 @@ class TestSolvePath:
         path = solve_path(pair, lambda_grid(pair, count=7))
         assert len(calls[model_selection]) == len(path) == 7
         assert sum(est.iterations for est in path.estimates) == 0
-        assert len(calls[solver]) == 2 * 6
+        assert len(calls[solver]) == 6
         assert losses == []
 
     @pytest.mark.parametrize("p, n, seed", [(12, 80, 23), (12, 6, 31)])
@@ -281,6 +281,20 @@ class TestSolvePath:
         assert path.kkt[0] == 0.0
         for lam, est, kkt in zip(path.lambdas, path.estimates, path.kkt):
             assert kkt == kkt_check(est.delta, pair, lam) / lam
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    @pytest.mark.parametrize("p, n, seed", [(12, 80, 23), (12, 6, 31)])
+    def test_tight_tol_is_certified_without_a_sweep(self, p, n, seed, tol):
+        # A stop below float32's reach is predicted in float64, which reaches
+        # it: every penalty is certified at tol before any sweep, and no
+        # prediction runs out of iterations.
+        cfg = SolverConfig(tol=tol)
+        pair = sampled_pair(p, n, seed)
+        path = solve_path(pair, lambda_grid(pair), cfg)
+        assert len(path) > 1
+        assert path.kkt.max() <= tol
+        assert all(est.converged and est.iterations == 0 for est in path.estimates)
+        assert 0 < path.predict_iterations.max() < cfg.max_iter
 
     def test_kkt_at_zero_penalty_is_the_residual(self):
         rng = np.random.default_rng(24)

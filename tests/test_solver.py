@@ -1,5 +1,6 @@
 import pickle
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -948,6 +949,24 @@ def test_scale_within_the_limit_is_solved(c):
     assert path.kkt.max() <= SolverConfig().tol
 
 
+@pytest.mark.parametrize("c", [1e-24, 1e24], ids=["1e-24", "1e24"])
+def test_precision_choice_is_scale_free(monkeypatch, c):
+    # At tol 1e-5 the default grid's upper penalties are predicted in
+    # float32 and its lower ones in float64. Data in far units make the
+    # same choice at every penalty, and the rule itself does not overflow.
+    cfg = SolverConfig(tol=1e-5)
+    calls, _ = record_predictions(monkeypatch)
+    choices = []
+    for pair in (scaled_wide_pair(1.0), scaled_wide_pair(c)):
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            solve_path(pair, lambda_grid(pair), cfg)
+        choices.append([set(call["dtypes"]) for call in calls])
+    assert choices[0] == choices[1]
+    assert {np.dtype(np.float32)} in choices[0] and {np.dtype(np.float64)} in choices[0]
+
+
 def path_summary(path):
     return [
         (est.iterations, est.converged, est.nnz, used)
@@ -1139,21 +1158,75 @@ class TestFistaPredict:
             assert min(call["taus"]) >= call["floor_tau"]
         assert sum(backtracks(call["taus"]) for call in calls) > 0
 
-    def test_float32_miss_continues_in_float64(self, monkeypatch):
-        # A float32 stop far above tol * lam fails the float64 certificate;
-        # the same iterations go on in float64 from where it stopped, and
-        # their result is certified.
+    def test_float32_miss_is_finished_by_the_sweeps(self, monkeypatch):
+        # A float32 stop far above tol * lam is returned as it stopped; it
+        # fails the float64 certificate in admm_solve, which sweeps from it
+        # as the reference runs them, at every predicted penalty of a path.
         monkeypatch.setattr(solver, "PREDICT_MARGIN", 100.0)
         pair = sampled_pair(12, 80, 23)
-        lam = 0.3 * lambda_max(pair)
+        cfg = SolverConfig()
+        calls, _ = record_predictions(monkeypatch)
+        path = solve_path(pair, lambda_grid(pair, count=7))
+        assert [call["lam"] for call in calls] == list(path.lambdas[1:])
+        for call, est in zip(calls, path.estimates[1:]):
+            assert 0 < call["used"] < cfg.max_iter
+            assert call["dtypes"] == [np.dtype(np.float32)] * call["used"]
+            assert kkt_check(call["x"], pair, call["lam"]) > cfg.tol * call["lam"]
+            warm = fixed_point_state(pair, call["x"])
+            ref, _ = reference_admm_solve(pair, call["lam"], effective_rho(pair), warm=warm)
+            assert est.iterations > 0
+            assert_same_solve(est, ref)
+
+    def test_precision_follows_the_stop(self, monkeypatch):
+        # Every penalty of the default grid at the default tol stops where
+        # float32 reaches. A stop just below FLOAT32_FLOOR * lambda_max, or
+        # just below one float32 rounding of the scaled start's largest
+        # entry, runs in float64; one just above both, in float32.
+        pair = sampled_pair(12, 80, 23)
+        factors = factor_pair(pair)
+        c = (factors.x.values[0] * factors.y.values[0]) ** 0.5
+        grid = lambda_grid(pair)
         calls, predict = record_predictions(monkeypatch)
-        x, used = predict(pair, lam, np.zeros((12, 12)), None, factor_pair(pair))
-        (call,) = calls
-        single = call["dtypes"].count(np.float32)
-        assert 0 < single < used < SolverConfig().max_iter
-        assert call["dtypes"] == [np.float32] * single + [np.float64] * (used - single)
-        assert x.dtype == np.float64
-        assert kkt_check(x, pair, lam) <= SolverConfig().tol * lam
+        solve_path(pair, grid)
+        assert [call["lam"] for call in calls] == list(grid[1:])
+        assert all(set(call["dtypes"]) == {np.dtype(np.float32)} for call in calls)
+
+        def precision(lam, start, tol):
+            calls.clear()
+            predict(pair, lam, start, SolverConfig(tol=tol), factors)
+            (call,) = calls
+            (dtype,) = set(call["dtypes"])
+            return dtype
+
+        lam, zero = grid[-1], np.zeros((12, 12))
+        edge = solver.FLOAT32_FLOOR * lambda_max(pair) / (solver.PREDICT_MARGIN * lam)
+        assert precision(lam, zero, (1 + 1e-9) * edge) == np.float32
+        assert precision(lam, zero, (1 - 1e-9) * edge) == np.float64
+        lam, tol = grid[1], SolverConfig().tol
+        stop = solver.PREDICT_MARGIN * (tol * lam / c)
+        for size, dtype in (((1 - 1e-9) * stop, np.float32), ((1 + 1e-9) * stop, np.float64)):
+            start = size / (solver.EPS32 * c) * np.eye(12)
+            assert precision(lam, start, tol) == dtype
+
+    @pytest.mark.parametrize("tol", [1e-4, 3e-5])
+    def test_large_start_is_predicted_in_float64(self, monkeypatch, tol):
+        # Just above the n < p benchmark path's stop the estimate's entries
+        # reach hundreds of times lambda_max / c. There float32 cannot
+        # resolve these stops, which FLOAT32_FLOOR * lambda_max alone would
+        # give it: the start's rounding moves those penalties to float64,
+        # and every penalty is certified without a sweep.
+        pair = sim2_replicate_zero()
+        calls, _ = record_predictions(monkeypatch)
+        path = solve_path(pair, lambda_grid(pair), SolverConfig(tol=tol))
+        assert path.kkt.max() <= tol
+        assert all(est.iterations == 0 for est in path.estimates)
+        floor = solver.FLOAT32_FLOOR * lambda_max(pair)
+        moved = [
+            call for call in calls
+            if call["used"] and solver.PREDICT_MARGIN * tol * call["lam"] >= floor
+            and set(call["dtypes"]) == {np.dtype(np.float64)}
+        ]
+        assert moved
 
     def test_backtracks_before_the_stop(self, monkeypatch):
         # The last penalty before the n < p benchmark path's stop, just above
