@@ -43,11 +43,9 @@ from .solver import (
     DeltaEstimate,
     NoMinimizerError,
     SolverConfig,
-    SolverState,
     admm_solve,
     dtrace_gradient,
     dtrace_loss,
-    fixed_point_state,
     kkt_check,
     penalized_objective,
 )
@@ -66,14 +64,12 @@ __all__ = [
     "SimulationSpec",
     "SolverConfig",
     "SolverError",
-    "SolverState",
     "admm_solve",
     "bic_score",
     "build_pair",
     "curve_from_path",
     "dtrace_gradient",
     "dtrace_loss",
-    "fixed_point_state",
     "gen_sim1",
     "gen_sim2",
     "gen_sim3",

@@ -18,7 +18,6 @@ from .solver import (
     dtrace_gradient,
     factor_pair,
     fista_predict,
-    fixed_point_state,
     kkt_check,
 )
 
@@ -110,15 +109,15 @@ def solve_path(
     factorization of the pair. Each penalty 0 < lambda < lambda_max is
     first predicted by ``fista_predict``, started from the line through the
     last two estimates (the path is piecewise linear in lambda), and
-    ``admm_solve`` starts from the prediction's ``fixed_point_state``: it
-    returns a prediction certified at ``cfg.tol`` without a sweep, and
-    sweeps from any other.
-    Records both BIC variants and the KKT residual per entry, from one
-    gradient of the loss. The path stops at the first penalty
-    certified to have no minimizer (``NoMinimizerError``), since no smaller
-    one has one either; the error propagates when that is the first
-    penalty. Bad input raises ValueError; a failed solve raises SolverError
-    naming its penalty."""
+    ``admm_solve`` starts from the prediction: it returns a prediction
+    certified at ``cfg.tol`` without a sweep, and sweeps from any other.
+    Records both BIC variants and the KKT residual per entry, from the
+    loss gradient ``admm_solve`` returns with each estimate, so a
+    certified penalty takes one float64 Hessian product. The path stops
+    at the first penalty certified to have no minimizer
+    (``NoMinimizerError``), since no smaller one has one either; the error
+    propagates when that is the first penalty. Bad input raises
+    ValueError; a failed solve raises SolverError naming its penalty."""
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.size == 0:
         raise ValueError("empty penalty grid")
@@ -139,9 +138,8 @@ def solve_path(
         guess = _extrapolate(lambdas[:i], estimates, lam, pair.p)
         if 0.0 < lam < top:
             guess, predicted[i] = fista_predict(pair, float(lam), guess, cfg, factors)
-        warm = fixed_point_state(pair, guess)
         try:
-            est, _ = admm_solve(pair, float(lam), cfg, warm=warm, factors=factors)
+            est, grad = admm_solve(pair, float(lam), cfg, start=guess, factors=factors)
         except NoMinimizerError:
             if i == 0:
                 raise
@@ -150,7 +148,6 @@ def solve_path(
         except SolverError as err:
             raise SolverError(f"path solve failed at lambda={lam:g}: {err}") from err
         estimates.append(est)
-        grad = dtrace_gradient(est.delta, pair.sigma_x, pair.sigma_y)
         bic_f[i], bic_inf[i] = bic_score(est.delta, pair, grad)
         kkt[i] = kkt_check(est.delta, pair, lam, grad) / (lam or 1.0)
         nnz[i] = est.nnz

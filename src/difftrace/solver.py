@@ -23,6 +23,7 @@ from .linalg import (
     EigenPair,
     NullSpace,
     SolverError,
+    as_symmetric,
     norm_entrywise_l1,
     norm_entrywise_linf,
     null_space,
@@ -97,22 +98,6 @@ class SolverConfig:
 
 
 @dataclass
-class SolverState:
-    """Primal blocks (delta1..3), dual multipliers (lambda1..3), iteration count.
-
-    Transferable between solves for warm starting.
-    """
-
-    delta1: np.ndarray
-    delta2: np.ndarray
-    delta3: np.ndarray
-    lambda1: np.ndarray
-    lambda2: np.ndarray
-    lambda3: np.ndarray
-    iterations: int = 0
-
-
-@dataclass
 class DeltaEstimate:
     """A solved difference estimate and its solve metadata."""
 
@@ -143,10 +128,16 @@ def dtrace_gradient(delta, sigma_x, sigma_y) -> np.ndarray:
 def _hessian(delta, sigma_x, sigma_y) -> np.ndarray:
     """H(D) = (Sx D Sy + Sy D Sx)/2. For symmetric D the second product is
     the first's transpose, so two matrix products make it rather than four."""
-    m = sigma_x @ delta @ sigma_y
+    m = _product(delta, sigma_x, sigma_y)
     if np.array_equal(delta, delta.T):
         return 0.5 * (m + m.T)
-    return 0.5 * (m + sigma_y @ delta @ sigma_x)
+    return 0.5 * (m + _product(delta, sigma_y, sigma_x))
+
+
+def _product(delta, a, b) -> np.ndarray:
+    """A D B, two matrix products: every float64 gradient of the loss is
+    formed from one or two of them."""
+    return a @ delta @ b
 
 
 def _loss_from_gradient(delta, grad, diff) -> float:
@@ -174,25 +165,6 @@ def _check_dims(delta, sigma_x, sigma_y):
 def _sq_norm(a: np.ndarray) -> float:
     flat = a.ravel()
     return float(flat.dot(flat))
-
-
-def fixed_point_state(pair: CovariancePair, delta) -> SolverState:
-    """The ADMM state that a sweep leaves in place when ``delta`` (symmetric)
-    is a minimizer: every block at ``delta``, lambda_1 = (sigma_x delta
-    sigma_y - D)/2, lambda_2 = (D - sigma_y delta sigma_x)/2 and lambda_3 =
-    0, D = sigma_x - sigma_y. The dual differences then cancel the linear
-    term of each block update, and the first sweep from any ``delta`` is a
-    proximal-gradient step of size 1/2rho. ``delta`` = 0 is the cold start,
-    the fixed point at lambda_max."""
-    diff = pair.sigma_x - pair.sigma_y
-    delta = np.array(delta, dtype=float)
-    # sigma_y delta sigma_x = (sigma_x delta sigma_y)^T for symmetric delta;
-    # -(D - m) rather than m - D keeps the sign of D's zeros at delta = 0.
-    m = pair.sigma_x @ delta @ pair.sigma_y
-    return SolverState(
-        delta, delta.copy(), delta.copy(), -(diff - m) / 2.0, (diff - m.T) / 2.0,
-        np.zeros_like(diff),
-    )
 
 
 class ThresholdBracket:
@@ -299,24 +271,27 @@ def admm_solve(
     pair: CovariancePair,
     lam: float,
     cfg: Optional[SolverConfig] = None,
-    warm: Optional[SolverState] = None,
+    start=None,
     factors: Optional[PairFactors] = None,
-) -> Tuple[DeltaEstimate, SolverState]:
+) -> Tuple[DeltaEstimate, np.ndarray]:
     """Minimize the penalized trace loss for one penalty value.
 
     Each sweep updates the three primal blocks in closed form -- two
     matrix-equation solves (see ``solve_axb_plus_gx``) and one soft
-    threshold -- followed by the three dual ascent steps. Iteration stops
-    when no block moves more than ``cfg.tol`` times the larger of its
-    Frobenius norms before and after the sweep, or, at a positive penalty,
-    when the estimate's KKT residual (``kkt_check``, every ``KKT_PERIOD``
-    sweeps) is at most ``cfg.tol`` times ``lam``: a minimizer sitting at
-    the block solves' rounding level never passes the step test. Otherwise
-    it stops at ``cfg.max_iter`` with ``converged=False``. ``SolverError``
-    is raised when a block or the scaled dual lambda_1/rho grows beyond
-    ``DIVERGENCE_LIMIT`` times the norm of (sigma_x - sigma_y)/2rho, the
-    scaled dual of the zero solution: the limit is a ratio, both sides in
-    the units of the estimate.
+    threshold -- followed by the three dual ascent steps. At a positive
+    penalty the sweeps stop only when the estimate's KKT residual
+    (``kkt_check``) is at most ``cfg.tol`` times ``lam``. It is checked
+    after each sweep that passes the relative step test (no block moved
+    more than ``cfg.tol`` times the larger of its Frobenius norms before
+    and after the sweep), and every ``KKT_PERIOD`` sweeps, since a
+    minimizer sitting at the block solves' rounding level never passes the
+    step test. At ``lam = 0``, where tol * lam cannot be met, the step test
+    alone stops them. Otherwise they stop at ``cfg.max_iter`` with
+    ``converged=False``. ``SolverError`` is raised when a block or the
+    scaled dual lambda_1/rho grows beyond ``DIVERGENCE_LIMIT`` times the
+    norm of (sigma_x - sigma_y)/2rho, the scaled dual of the zero
+    solution: the limit is a ratio, both sides in the units of the
+    estimate.
 
     The sweeps run at the weight rho = sqrt(a_1 b_1 a_r b_s)
     (``spectral_scale`` of the pair's eigenvalues): the geometric mean of
@@ -331,9 +306,8 @@ def admm_solve(
 
     When ``lam`` is at least the max-abs entry of sigma_x - sigma_y, the
     zero matrix is certified optimal by the stationarity condition (the
-    loss gradient at zero is sigma_y - sigma_x), and is returned directly
-    with its fixed-point dual state. A cold solve (no ``warm``) starts from
-    that state. ``lam = 0`` needs both covariances at full numerical rank
+    loss gradient at zero is sigma_y - sigma_x), and is returned directly.
+    ``lam = 0`` needs both covariances at full numerical rank
     (``range_size``), as the minimizer sigma_y^-1 - sigma_x^-1 does.
 
     On a singular pair (a covariance below full numerical rank) the loss
@@ -347,18 +321,25 @@ def admm_solve(
     decision leaves the sweeps unchanged, and a full-rank pair has no
     bracket.
 
-    A warm start at a positive penalty is certified before the first
-    sweep: when its symmetrized third block passes ``kkt_check`` at
-    ``cfg.tol`` * ``lam``, that block is returned with 0 sweeps,
-    ``converged=True``, together with ``warm`` itself. One gradient gives
-    both the check and the returned objective.
-    Otherwise the sweeps run from ``warm`` as from any other state.
+    ``start`` is a symmetric estimate (zero when not given; an estimate
+    off by rounding from symmetric is symmetrized). One product m =
+    sigma_x start sigma_y serves the whole start. At a positive penalty a
+    given ``start`` is certified first: when the gradient (m + m^T)/2 -
+    (sigma_x - sigma_y) passes ``kkt_check`` at ``cfg.tol`` * ``lam``,
+    ``start`` is returned with 0 sweeps and ``converged=True``, and the
+    same gradient gives the objective. Otherwise the sweeps start from
+    the state a sweep leaves in place at a minimizer: every block at
+    ``start``, lambda_1 = (m - D)/2, lambda_2 = (D - m^T)/2 and lambda_3 =
+    0, D = sigma_x - sigma_y. The dual differences then cancel the linear
+    term of each block update, so the first sweep is a proximal-gradient
+    step of size 1/2rho from ``start``. Zero, the fixed point at
+    lambda_max, is the cold start.
 
     ``factors`` is ``factor_pair(pair)``, passed by callers that solve
     the same pair at several penalties; it is computed here otherwise.
 
-    Returns the estimate (final third block, symmetrized)
-    together with the final state for warm-starting nearby penalties.
+    Returns the estimate (final third block, symmetrized) together with
+    the loss gradient (``dtrace_gradient``) at it.
     """
     if not lam >= 0:
         raise ValueError(f"penalty must be nonnegative, got {lam}")
@@ -368,8 +349,8 @@ def admm_solve(
     eig_x, eig_y, bracket = factors if factors is not None else factor_pair(pair)
 
     if lam >= norm_entrywise_linf(diff):
-        state = fixed_point_state(pair, np.zeros_like(diff))
-        return DeltaEstimate(state.delta3.copy(), float(lam), 0, True, 0.0), state
+        # H(0) - D, where H(0) is +0.0 throughout.
+        return DeltaEstimate(np.zeros_like(diff), float(lam), 0, True, 0.0), 0.0 - diff
 
     ranks = range_size(eig_x.values), range_size(eig_y.values)
     if lam == 0 and min(ranks) < pair.p:
@@ -384,21 +365,23 @@ def admm_solve(
             # grows by 1e3 lam / gain.
             if penalized_objective(1e3 / gain * direction, sx, sy, lam) < 0.0:
                 raise NoMinimizerError(lam, gain, direction, spent)
-    if warm is not None and lam > 0:
-        delta = (warm.delta3 + warm.delta3.T) / 2.0
-        grad = dtrace_gradient(delta, sx, sy)
+    delta = np.zeros_like(diff) if start is None else as_symmetric(start, "start")
+    m = _product(delta, sx, sy)
+    if start is not None and lam > 0:
+        grad = 0.5 * (m + m.T) - diff
         if kkt_check(delta, pair, lam, grad) <= cfg.tol * lam:
             objective = _loss_from_gradient(delta, grad, diff) + lam * norm_entrywise_l1(delta)
-            return DeltaEstimate(delta, float(lam), 0, True, objective), warm
+            return DeltaEstimate(delta, float(lam), 0, True, objective), grad
     rho = spectral_scale(eig_x, eig_y)
-    state = warm if warm is not None else fixed_point_state(pair, np.zeros_like(diff))
-    d1, d2, d3 = state.delta1, state.delta2, state.delta3
+    d1 = d2 = d3 = delta
     # Scaled duals u_i = lambda_i / rho. Each block equation divided by
     # 2 rho reads (S/2rho) X S' + 2 X = rhs; the scale is folded into the
     # first factor and its eigenvalues once per call, and each block
-    # solve's plan is built once per call.
+    # solve's plan is built once per call. -(D - m) rather than m - D
+    # keeps the sign of D's zeros at delta = 0.
     two_rho = 2.0 * rho
-    u1, u2, u3 = state.lambda1 / rho, state.lambda2 / rho, state.lambda3 / rho
+    u1, u2 = (-(diff - m) / 2.0) / rho, ((diff - m.T) / 2.0) / rho
+    u3 = np.zeros_like(diff)
     ax, ay = sx / two_rho, sy / two_rho
     plan1 = solve_plan(EigenPair(eig_x.values / two_rho, eig_x.vectors), eig_y, 2.0)
     plan2 = solve_plan(EigenPair(eig_y.values / two_rho, eig_y.vectors), eig_x, 2.0)
@@ -407,7 +390,7 @@ def admm_solve(
     tol_sq = cfg.tol**2
     limit_sq = DIVERGENCE_LIMIT**2 * _sq_norm(shift)
     shared, work = np.empty_like(diff), np.empty_like(diff)
-    sq = [_sq_norm(d1), _sq_norm(d2), _sq_norm(d3)]
+    sq = [_sq_norm(delta)] * 3
 
     converged = False
     iterations = 0
@@ -452,21 +435,17 @@ def admm_solve(
 
         if not np.isfinite(largest_sq) or largest_sq > limit_sq:
             raise SolverError(f"iterates diverged at iteration {iterations}")
+        if lam > 0 and (converged or iterations % KKT_PERIOD == 0):
+            converged = kkt_check((d3 + d3.T) / 2.0, pair, lam) <= cfg.tol * lam
         if converged:
             break
-        if iterations % KKT_PERIOD == 0 and lam > 0:
-            converged = kkt_check((d3 + d3.T) / 2.0, pair, lam) <= cfg.tol * lam
-            if converged:
-                break
 
     delta = (d3 + d3.T) / 2.0
-    objective = penalized_objective(delta, sx, sy, lam)
+    grad = dtrace_gradient(delta, sx, sy)
+    objective = _loss_from_gradient(delta, grad, diff) + lam * norm_entrywise_l1(delta)
     if not np.isfinite(objective):
         raise SolverError(f"non-finite objective after {iterations} iterations")
-    out_state = SolverState(
-        d1, d2, d3, rho * u1, rho * u2, rho * u3, state.iterations + iterations
-    )
-    return DeltaEstimate(delta, float(lam), iterations, converged, objective), out_state
+    return DeltaEstimate(delta, float(lam), iterations, converged, objective), grad
 
 
 def kkt_check(delta, pair: CovariancePair, lam: float, grad=None) -> float:

@@ -21,11 +21,10 @@ from difftrace.solver import (
     NoMinimizerError,
     SolverConfig,
     admm_solve,
-    dtrace_gradient,
     kkt_check,
 )
 from conftest import random_spd
-from test_solver import path_warm_states
+from test_solver import path_starts
 
 
 def sampled_pair(p, n, seed):
@@ -189,11 +188,11 @@ class TestSolvePath:
         path = solve_path(pair, lams)
         assert calls == ["sigma_x", "sigma_y"]
         # Bitwise the same as refactoring the pair in every solve, each
-        # from its predicted warm state (whose replay factors it once).
-        states = path_warm_states(pair, path)
+        # from its prediction (whose replay factors it once).
+        starts = path_starts(pair, path)
         del calls[:]
-        for lam, est, state in zip(lams, path.estimates, states):
-            alone, _ = admm_solve(pair, float(lam), warm=state)
+        for lam, est, start in zip(lams, path.estimates, starts):
+            alone, _ = admm_solve(pair, float(lam), start=start)
             assert alone.delta.tobytes() == est.delta.tobytes()
         # Each lone solve factors the pair, the one at lambda_max included.
         assert len(calls) == 2 * len(lams)
@@ -223,7 +222,7 @@ class TestSolvePath:
         assert np.array_equal(path.lambdas, grid[:stop])
         assert len(path.bic_f) == len(path.bic_inf) == len(path.nnz) == stop
         with pytest.raises(NoMinimizerError):
-            admm_solve(pair, grid[stop], warm=None)
+            admm_solve(pair, grid[stop])
         lines = io.StringIO()
         write_path_csv(path, lines)
         assert len(lines.getvalue().splitlines()) == 1 + stop
@@ -251,27 +250,29 @@ class TestSolvePath:
             assert (f, inf) == bic_score(est.delta, pair)
 
     def test_one_gradient_per_penalty(self, monkeypatch):
-        # The scores and the KKT residual share each solution's gradient;
-        # the solver takes one more below lambda_max: the certificate of the
-        # prediction the sweeps would start from, which also gives the
-        # objective without a separate loss evaluation. The predictor
-        # checks nothing itself.
+        # One float64 Hessian product per penalty below lambda_max, in
+        # admm_solve, gives the prediction's certificate, its objective, the
+        # scores and the KKT residual; none is taken at lambda_max or in
+        # model_selection. The predictor's own products are float32.
         pair = sampled_pair(12, 80, 23)
-        calls = {model_selection: [], solver: []}
+        products = []
+        product = solver._product
 
-        for module in calls:
-            def counting(*args, _calls=calls[module]):
-                _calls.append(args)
-                return dtrace_gradient(*args)
+        def counting(delta, a, b):
+            products.append(delta.dtype)
+            return product(delta, a, b)
 
-            monkeypatch.setattr(module, "dtrace_gradient", counting)
+        monkeypatch.setattr(solver, "_product", counting)
+        gradients = []
+        for module in (model_selection, solver):
+            monkeypatch.setattr(module, "dtrace_gradient", lambda *args: gradients.append(args))
         losses = []
         monkeypatch.setattr(solver, "dtrace_loss", lambda *args: losses.append(args))
         path = solve_path(pair, lambda_grid(pair, count=7))
-        assert len(calls[model_selection]) == len(path) == 7
+        assert len(path) == 7
         assert sum(est.iterations for est in path.estimates) == 0
-        assert len(calls[solver]) == 6
-        assert losses == []
+        assert products == [np.dtype(np.float64)] * 6
+        assert gradients == losses == []
 
     @pytest.mark.parametrize("p, n, seed", [(12, 80, 23), (12, 6, 31)])
     def test_kkt_is_residual_over_penalty(self, p, n, seed):
@@ -329,7 +330,7 @@ class TestSolvePath:
         assert str(err.value) == "penalty must be nonnegative, got -0.1"
 
     def test_failed_solve_names_its_penalty(self, monkeypatch):
-        def failing(pair, lam, cfg, warm, factors):
+        def failing(pair, lam, cfg, start, factors):
             raise SolverError("iterates diverged at iteration 3")
 
         monkeypatch.setattr(model_selection, "admm_solve", failing)

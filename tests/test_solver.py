@@ -25,11 +25,9 @@ from difftrace.solver import (
     DeltaEstimate,
     NoMinimizerError,
     SolverConfig,
-    SolverState,
     admm_solve,
     factor_pair,
     fista_predict,
-    fixed_point_state,
     dtrace_gradient,
     dtrace_loss,
     kkt_check,
@@ -76,24 +74,33 @@ def effective_rho(pair):
 
 
 def zero_state(pair):
-    """The cold-start state ``admm_solve`` used to build, body unchanged:
-    the reference for ``fixed_point_state`` at zero."""
+    """The cold-start state (delta1..3, lambda1..3) ``admm_solve`` used to
+    build, body unchanged."""
     p = pair.p
     diff = pair.sigma_x - pair.sigma_y
     zeros = np.zeros((p, p))
-    return SolverState(
-        zeros, zeros.copy(), zeros.copy(), -diff / 2.0, diff / 2.0, zeros.copy()
-    )
+    return zeros, zeros.copy(), zeros.copy(), -diff / 2.0, diff / 2.0, zeros.copy()
 
 
-def path_warm_states(pair, path, cfg=None):
-    """The warm state of each solve of ``path``: the predictor's point at
-    every 0 < lambda < lambda_max, started from the line through the last
-    two estimates, or that start itself elsewhere. Checks the recorded
+def fixed_point(pair, delta):
+    """The state (delta1..3, lambda1..3) that a sweep leaves in place when
+    the symmetric ``delta`` is a minimizer: every block at ``delta``,
+    lambda_1 = (sigma_x delta sigma_y - D)/2, lambda_2 = (D - sigma_y delta
+    sigma_x)/2 and lambda_3 = 0, D = sigma_x - sigma_y. The reference's
+    start from ``delta``."""
+    diff = pair.sigma_x - pair.sigma_y
+    m = pair.sigma_x @ delta @ pair.sigma_y
+    return delta, delta, delta, -(diff - m) / 2.0, (diff - m.T) / 2.0, np.zeros_like(diff)
+
+
+def path_starts(pair, path, cfg=None):
+    """The start of each solve of ``path``: the predictor's point at every
+    0 < lambda < lambda_max, started from the line through the last two
+    estimates, or that start itself elsewhere. Checks the recorded
     predictor iterations on the way."""
     factors = factor_pair(pair)
     deltas = [np.zeros((pair.p, pair.p))] + [est.delta for est in path.estimates]
-    states = []
+    starts = []
     for i, lam in enumerate(path.lambdas):
         start = deltas[i] if i < 2 else deltas[i] + (
             (lam - path.lambdas[i - 1]) / (path.lambdas[i - 2] - path.lambdas[i - 1])
@@ -102,31 +109,28 @@ def path_warm_states(pair, path, cfg=None):
         if 0 < lam < lambda_max(pair):
             start, used = fista_predict(pair, lam, start, cfg, factors)
         assert used == path.predict_iterations[i]
-        states.append(fixed_point_state(pair, start))
-    return states
+        starts.append(start)
+    return starts
 
 
-def reference_admm_solve(pair, lam, rho, cfg=None, warm=None):
+def reference_admm_solve(pair, lam, rho, cfg=None, start=None):
     """The unscaled, allocating sweep loop ``admm_solve`` used to run, with
-    the old soft-threshold formula and the current relative step test and
-    divergence guard: the oracle for the scaled-dual loop. It runs at the
-    absolute weight ``rho``."""
+    the old soft-threshold formula and the current relative step test,
+    KKT gate and divergence guard: the oracle for the scaled-dual loop. It
+    runs at the absolute weight ``rho``, from the cold state or from the
+    ``fixed_point`` of ``start``, without certifying ``start`` first, and
+    returns the estimate with its final state (delta1..3, lambda1..3)."""
     cfg = cfg or SolverConfig()
     sx, sy = pair.sigma_x, pair.sigma_y
     diff = sx - sy
 
     if lam >= norm_entrywise_linf(diff):
         state = zero_state(pair)
-        delta = state.delta3.copy()
-        return (
-            DeltaEstimate(delta, float(lam), 0, True, 0.0),
-            state,
-        )
+        return DeltaEstimate(state[2].copy(), float(lam), 0, True, 0.0), state
 
     eig_x, eig_y, _ = factor_pair(pair)
-    state = warm if warm is not None else zero_state(pair)
-    d1, d2, d3 = state.delta1, state.delta2, state.delta3
-    l1, l2, l3 = state.lambda1, state.lambda2, state.lambda3
+    state = zero_state(pair) if start is None else fixed_point(pair, start)
+    d1, d2, d3, l1, l2, l3 = state
     plan1, plan2 = solve_plan(eig_x, eig_y, 4 * rho), solve_plan(eig_y, eig_x, 4 * rho)
     solve = checked(solve_axb_plus_gx)
 
@@ -159,13 +163,15 @@ def reference_admm_solve(pair, lam, rho, cfg=None, warm=None):
         limit = DIVERGENCE_LIMIT * float(np.linalg.norm(diff)) / (2 * rho)
         if not np.isfinite(largest) or largest > limit:
             raise SolverError(f"iterates diverged at iteration {iterations}")
+        if converged and lam > 0:
+            converged = kkt_check((d3 + d3.T) / 2.0, pair, lam) <= cfg.tol * lam
         if converged:
             break
 
     delta = (d3 + d3.T) / 2.0
     objective = penalized_objective(delta, sx, sy, lam)
-    out_state = SolverState(d1, d2, d3, l1, l2, l3, state.iterations + iterations)
-    return DeltaEstimate(delta, float(lam), iterations, converged, objective), out_state
+    state = (d1, d2, d3, l1, l2, l3)
+    return DeltaEstimate(delta, float(lam), iterations, converged, objective), state
 
 
 def numerical_ranges(pair):
@@ -340,19 +346,18 @@ class TestAdmmSolve:
         cfg = SolverConfig(tol=1e-6, max_iter=50000)
         lam_top = np.abs(pair.sigma_x - pair.sigma_y).max()
         lams = [0.5 * lam_top, 0.25 * lam_top, 0.1 * lam_top]
-        state = None
+        start = None
         for lam in lams:
-            warm_est, state = admm_solve(pair, lam, cfg, warm=state)
+            warm_est, _ = admm_solve(pair, lam, cfg, start=start)
             cold_est, _ = admm_solve(pair, lam, cfg)
             np.testing.assert_allclose(warm_est.delta, cold_est.delta, atol=1e-3)
+            start = warm_est.delta
 
     def test_divergence_guard(self):
         rng = np.random.default_rng(13)
         pair = make_pair(3, rng)
-        huge = np.full((3, 3), 1e13)
-        warm = SolverState(huge, huge, huge, huge, huge, huge)
-        with pytest.raises(SolverError, match="diverged at iteration"):
-            admm_solve(pair, 0.01, warm=warm)
+        with pytest.raises(SolverError, match="diverged at iteration 1$"):
+            admm_solve(pair, 0.01, start=np.full((3, 3), 1e13))
 
     def test_negative_lambda_rejected(self):
         rng = np.random.default_rng(14)
@@ -394,9 +399,9 @@ class TestAdmmSolve:
     def test_estimate_records_iterations_and_lambda(self):
         rng = np.random.default_rng(15)
         pair = make_pair(4, rng)
-        est, state = admm_solve(pair, 0.07)
+        est, _ = admm_solve(pair, 0.07)
         assert est.lam == 0.07
-        assert est.iterations == state.iterations > 0
+        assert est.iterations > 0
 
 
 class TestSweepMatchesReference:
@@ -437,31 +442,21 @@ class TestSweepMatchesReference:
             assert_same_solve(est, ref[0])
 
     def test_warm_started_path(self):
-        # Each solve of a path starts from the fixed-point state of its
-        # prediction: a prediction certified at tol is the estimate, bit for
-        # bit; any other is swept as the reference sweeps it.
+        # Each solve of a path starts from its prediction: a prediction
+        # certified at tol is the estimate, bit for bit; any other is swept
+        # from its fixed point as the reference sweeps it.
         pair = sampled_pair(10, 40, 32)
         grid = lambda_grid(pair, count=10, ratio=0.05)
         path = solve_path(pair, grid)
         assert len(path) == len(grid) and path.predict_iterations.sum() > 0
         rho = effective_rho(pair)
-        for lam, est, warm in zip(grid, path.estimates, path_warm_states(pair, path)):
+        for lam, est, start in zip(grid, path.estimates, path_starts(pair, path)):
             if est.iterations == 0 and lam < lambda_max(pair):
-                assert est.delta.tobytes() == warm.delta3.tobytes()
+                assert est.delta.tobytes() == start.tobytes()
                 assert kkt_check(est.delta, pair, lam) <= SolverConfig().tol * lam
             else:
-                ref, _ = reference_admm_solve(pair, lam, rho, warm=warm)
+                ref, _ = reference_admm_solve(pair, lam, rho, start=start)
                 assert_same_solve(est, ref)
-
-    def test_warm_state_is_unscaled(self):
-        pair = make_pair(6, np.random.default_rng(33))
-        _, state = admm_solve(pair, 0.05)
-        _, ref_state = reference_admm_solve(pair, 0.05, effective_rho(pair))
-        for name in ("lambda1", "lambda2", "lambda3", "delta1", "delta2", "delta3"):
-            np.testing.assert_allclose(
-                getattr(state, name), getattr(ref_state, name), rtol=0, atol=1e-9
-            )
-        assert state.iterations == ref_state.iterations
 
 
 def reference_kernel(a, b, c, gamma, *, plan=None):
@@ -488,11 +483,11 @@ def certificate(pair, grid, stop):
     warm-started along ``grid[:stop]``; None when ``stop`` is None."""
     if stop is None:
         return None
-    state = None
+    start = None
     for lam in grid[:stop]:
-        _, state = admm_solve(pair, lam, warm=state)
+        start = admm_solve(pair, lam, start=start)[0].delta
     with pytest.raises(NoMinimizerError) as err:
-        admm_solve(pair, grid[stop], warm=state)
+        admm_solve(pair, grid[stop], start=start)
     return err.value
 
 
@@ -574,12 +569,12 @@ def test_cold_solve_is_second_solve_of_path(n, ratio):
         assert cold.iterations == second.iterations
     else:
         cold, _ = admm_solve(pair, lam)
-        at_zero, _ = admm_solve(pair, lam, warm=fixed_point_state(pair, np.zeros((12, 12))))
+        at_zero, _ = admm_solve(pair, lam, start=np.zeros((12, 12)))
         assert cold.delta.tobytes() == at_zero.delta.tobytes()
         assert cold.iterations == at_zero.iterations > 0
         guess, used = fista_predict(pair, lam, np.zeros((12, 12)))
         second = path.estimates[1]
-        finish, _ = admm_solve(pair, lam, warm=fixed_point_state(pair, guess))
+        finish, _ = admm_solve(pair, lam, start=guess)
         assert finish.delta.tobytes() == second.delta.tobytes()
         assert finish.iterations == second.iterations
         assert used == path.predict_iterations[1] > 0
@@ -857,12 +852,12 @@ class TestThresholdBracket:
         factors = factor_pair(pair)
         grid = lambda_grid(pair, count=8, ratio=0.05)
         spent = []
-        state = None
+        start = None
         for lam in grid[:2]:
-            _, state = admm_solve(pair, lam, warm=state, factors=factors)
+            start = admm_solve(pair, lam, start=start, factors=factors)[0].delta
             spent.append(factors.bracket.iterations)
         with pytest.raises(NoMinimizerError) as err:
-            admm_solve(pair, grid[2], warm=state, factors=factors)
+            admm_solve(pair, grid[2], start=start, factors=factors)
         assert spent[0] == 0
         assert factors.bracket.iterations == spent[1] + err.value.iterations
         fresh = factor_pair(pair).bracket
@@ -906,7 +901,7 @@ def test_sweep_is_scale_equivariant():
     deltas = []
     for c in (1.0, 4.0):
         pair = build_pair(c * x, c * y)
-        est, _ = admm_solve(pair, 0.3 * lambda_max(pair), cfg, warm=zero_state(pair))
+        est, _ = admm_solve(pair, 0.3 * lambda_max(pair), cfg)
         assert est.iterations == 30
         deltas.append(est.delta)
     assert np.count_nonzero(deltas[0]) > 0
@@ -1065,12 +1060,25 @@ def test_kkt_stop_certifies_a_minimizer_at_rounding_level(n):
 
 
 class TestFixedPointState:
+    """A solve from ``start`` sweeps from the state a sweep leaves in
+    place when ``start`` is a minimizer."""
+
     def test_zero_is_the_cold_start(self):
-        for pair in (make_pair(6, np.random.default_rng(41)), sampled_pair(12, 6, 36)):
-            state, ref = fixed_point_state(pair, np.zeros((pair.p, pair.p))), zero_state(pair)
-            for name in ("delta1", "delta2", "delta3", "lambda1", "lambda2", "lambda3"):
-                assert getattr(state, name).tobytes() == getattr(ref, name).tobytes(), name
-            assert state.iterations == ref.iterations == 0
+        # The fixed point at zero is the old cold state, bit for bit, so a
+        # cold solve, a solve from zero and the reference from the old cold
+        # state take the same sweeps.
+        for pair, ratio in ((make_pair(6, np.random.default_rng(41)), 0.3),
+                            (sampled_pair(12, 6, 36), 0.8)):
+            zeros = np.zeros((pair.p, pair.p))
+            for built, old in zip(fixed_point(pair, zeros), zero_state(pair)):
+                assert built.tobytes() == old.tobytes()
+            lam = ratio * lambda_max(pair)
+            cold, cold_grad = admm_solve(pair, lam)
+            at_zero, zero_grad = admm_solve(pair, lam, start=zeros)
+            assert cold.iterations == at_zero.iterations > 0
+            assert cold.delta.tobytes() == at_zero.delta.tobytes()
+            assert cold_grad.tobytes() == zero_grad.tobytes()
+            assert_same_solve(cold, reference_admm_solve(pair, lam, effective_rho(pair))[0])
 
     @pytest.mark.parametrize("ratio", [0.3, 0.1])
     def test_one_sweep_leaves_a_minimizer_in_place(self, ratio):
@@ -1078,16 +1086,19 @@ class TestFixedPointState:
         lam = ratio * lambda_max(pair)
         delta = prox_grad_oracle(pair, lam, tol=0.0, max_iter=5000)
         assert np.count_nonzero(delta) > 0
-        start = fixed_point_state(pair, delta)
         # At the default tol the minimizer is certified before any sweep;
         # at tol 1e-300 the certificate fails and the sweep runs.
-        est, _ = admm_solve(pair, lam, SolverConfig(max_iter=1), warm=start)
+        est, _ = admm_solve(pair, lam, SolverConfig(max_iter=1), start=delta)
         assert est.iterations == 0 and est.converged
-        _, state = admm_solve(pair, lam, SolverConfig(tol=1e-300, max_iter=1), warm=start)
-        assert state.iterations == 1
-        for name in ("delta1", "delta2", "delta3", "lambda1", "lambda2", "lambda3"):
-            moved = np.abs(getattr(state, name) - getattr(start, name)).max()
-            assert moved <= 1e-10, name
+        est, _ = admm_solve(pair, lam, SolverConfig(tol=1e-300, max_iter=1), start=delta)
+        assert est.iterations == 1 and not est.converged
+        assert np.abs(est.delta - delta).max() <= 1e-10
+        # In the reference's sweep from the same fixed point, the blocks and
+        # multipliers stay within rounding of where they started.
+        cfg = SolverConfig(tol=1e-300, max_iter=1)
+        _, state = reference_admm_solve(pair, lam, effective_rho(pair), cfg, start=delta)
+        for before, after in zip(fixed_point(pair, delta), state):
+            assert np.abs(after - before).max() <= 1e-10
 
 
 def sim2_replicate_zero():
@@ -1172,8 +1183,7 @@ class TestFistaPredict:
             assert 0 < call["used"] < cfg.max_iter
             assert call["dtypes"] == [np.dtype(np.float32)] * call["used"]
             assert kkt_check(call["x"], pair, call["lam"]) > cfg.tol * call["lam"]
-            warm = fixed_point_state(pair, call["x"])
-            ref, _ = reference_admm_solve(pair, call["lam"], effective_rho(pair), warm=warm)
+            ref, _ = reference_admm_solve(pair, call["lam"], effective_rho(pair), start=call["x"])
             assert est.iterations > 0
             assert_same_solve(est, ref)
 
@@ -1282,24 +1292,23 @@ class TestFistaPredict:
 
 
 class TestWarmCertificate:
-    """``admm_solve`` returns a warm start certified at tol without a
-    sweep, and sweeps from any other."""
+    """``admm_solve`` returns a start certified at tol without a sweep, and
+    sweeps from any other."""
 
     def test_certified_warm_start_is_returned_without_a_sweep(self):
         pair = sampled_pair(12, 80, 23)
         lam = 0.3 * lambda_max(pair)
         guess, used = fista_predict(pair, lam, np.zeros((12, 12)))
         assert 0 < used < SolverConfig().max_iter
-        warm = fixed_point_state(pair, guess)
-        # A third block off by rounding from symmetric is symmetrized.
-        warm.delta3 = warm.delta3 * (1.0 + np.triu(np.full((12, 12), 1e-15), 1))
-        symmetrized = (warm.delta3 + warm.delta3.T) / 2.0
-        assert not np.array_equal(warm.delta3, warm.delta3.T)
-        est, state = admm_solve(pair, lam, warm=warm)
+        # A start off by rounding from symmetric is symmetrized.
+        start = guess * (1.0 + np.triu(np.full((12, 12), 1e-15), 1))
+        symmetrized = (start + start.T) / 2.0
+        assert not np.array_equal(start, start.T)
+        est, grad = admm_solve(pair, lam, start=start)
         assert est.iterations == 0 and est.converged
         assert est.delta.tobytes() == symmetrized.tobytes()
         assert est.objective == penalized_objective(est.delta, pair.sigma_x, pair.sigma_y, lam)
-        assert state is warm
+        assert grad.tobytes() == dtrace_gradient(est.delta, pair.sigma_x, pair.sigma_y).tobytes()
 
     def test_uncertified_warm_start_is_swept(self):
         # A prediction cut short fails the certificate, and the sweeps run
@@ -1309,11 +1318,83 @@ class TestWarmCertificate:
         guess, used = fista_predict(pair, lam, np.zeros((12, 12)), SolverConfig(max_iter=3))
         assert used == 3
         assert kkt_check(guess, pair, lam) > SolverConfig().tol * lam
-        warm = fixed_point_state(pair, guess)
-        est, _ = admm_solve(pair, lam, warm=warm)
-        ref, _ = reference_admm_solve(pair, lam, effective_rho(pair), warm=warm)
+        est, _ = admm_solve(pair, lam, start=guess)
+        ref, _ = reference_admm_solve(pair, lam, effective_rho(pair), start=guess)
         assert est.iterations > 0
         assert_same_solve(est, ref)
+
+
+class TestReturnedGradient:
+    """``admm_solve`` returns the loss gradient at its estimate, bit for
+    bit ``dtrace_gradient``, however the estimate was reached."""
+
+    def assert_gradient(self, pair, est, grad):
+        assert grad.tobytes() == dtrace_gradient(est.delta, pair.sigma_x, pair.sigma_y).tobytes()
+
+    def test_at_lambda_max(self):
+        pair = sampled_pair(12, 80, 23)
+        for lam in (lambda_max(pair), 2.0 * lambda_max(pair)):
+            est, grad = admm_solve(pair, lam, start=np.ones((12, 12)))
+            assert est.nnz == 0
+            self.assert_gradient(pair, est, grad)
+
+    def test_certified_start(self):
+        pair = sampled_pair(12, 80, 23)
+        lam = 0.3 * lambda_max(pair)
+        guess, _ = fista_predict(pair, lam, np.zeros((12, 12)))
+        est, grad = admm_solve(pair, lam, start=guess)
+        assert est.iterations == 0 and est.converged
+        self.assert_gradient(pair, est, grad)
+
+    @pytest.mark.parametrize("lam_ratio", [0.3, 0.0])
+    def test_swept_start(self, lam_ratio):
+        pair = sampled_pair(12, 80, 23)
+        lam = lam_ratio * lambda_max(pair)
+        guess, _ = fista_predict(pair, 0.3 * lambda_max(pair), np.zeros((12, 12)),
+                                 SolverConfig(max_iter=3))
+        est, grad = admm_solve(pair, lam, start=guess)
+        assert est.iterations > 0
+        self.assert_gradient(pair, est, grad)
+
+    def test_cold_solve(self):
+        pair = sampled_pair(12, 80, 23)
+        est, grad = admm_solve(pair, 0.3 * lambda_max(pair))
+        assert est.iterations > 0
+        self.assert_gradient(pair, est, grad)
+
+
+def assert_converged_is_certified(pair, est, tol):
+    if est.converged and est.lam > 0:
+        assert kkt_check(est.delta, pair, est.lam) <= tol * est.lam
+
+
+class TestConvergedIsCertified:
+    """At a positive penalty ``converged=True`` means KKT <= tol * lambda:
+    the step test only prompts the check."""
+
+    def test_swept_path(self, monkeypatch):
+        # Predictions stopped 100 times above the certificate's stop miss
+        # it at every penalty below lambda_max, and the sweeps finish them.
+        # The step test alone passed them at KKT up to 0.066 lambda.
+        monkeypatch.setattr(solver, "PREDICT_MARGIN", 100.0)
+        pair = sampled_pair(12, 80, 23)
+        cfg = SolverConfig()
+        path = solve_path(pair, lambda_grid(pair, count=7), cfg)
+        assert all(est.iterations > 0 for est in path.estimates[1:])
+        assert all(est.converged for est in path.estimates)
+        for est in path.estimates:
+            assert_converged_is_certified(pair, est, cfg.tol)
+
+    def test_cold_solve(self):
+        # The benchmark's smoke instance of the fixed-penalty workload:
+        # the step test alone passed it at 9.89e-3 lambda after 19 sweeps.
+        truth = generate(SimulationSpec("sim3", 100, 200, 200, 7))
+        seed_x, seed_y = np.random.SeedSequence(7).generate_state(2)
+        pair = build_pair(sample_gaussian(truth.omega_x, 200, int(seed_x)),
+                          sample_gaussian(truth.omega_y, 200, int(seed_y)))
+        est, _ = admm_solve(pair, 0.2 * lambda_max(pair))
+        assert_converged_is_certified(pair, est, SolverConfig().tol)
+        assert est.converged
 
 
 class TestKktCheck:
