@@ -5,7 +5,7 @@ Everything here is a pure function of its inputs; no shared mutable state.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -97,18 +97,20 @@ def range_size(values: np.ndarray) -> int:
     return int(np.count_nonzero(values > tol))
 
 
-def spectral_scale(a_eig: EigenPair, b_eig: EigenPair) -> float:
-    """Geometric mean sqrt(a_1 b_1 a_r b_s) of the largest and smallest
-    curvatures a_i b_j of X -> A X B on the numerical ranges of A and B, from
-    their ``psd_eig`` results: a_r and b_s are the smallest eigenvalues that
-    ``solve_plan`` keeps. A matrix with no eigenvalue kept (an exactly zero
-    one) takes the other's eigenvalues in their place, and the scale is 1
-    when neither has any, so it is always positive. Scaling A and B by c
-    scales it by c^2."""
+def range_values(a_eig: EigenPair, b_eig: EigenPair) -> Tuple[np.ndarray, np.ndarray]:
+    """The descending eigenvalues of A and of B that ``solve_plan`` keeps,
+    from their ``psd_eig`` results; a matrix with none (an exactly zero
+    one) takes the other's, and both are [1] when neither has any."""
     a, b = (eig.values[: range_size(eig.values)] for eig in (a_eig, b_eig))
     a, b = (a if a.size else b), (b if b.size else a)
-    if not a.size:
-        return 1.0
+    return (a, b) if a.size else (np.ones(1), np.ones(1))
+
+
+def spectral_scale(a_eig: EigenPair, b_eig: EigenPair) -> float:
+    """Geometric mean sqrt(a_1 b_1 a_r b_s) of the extreme curvatures a_i
+    b_j of X -> A X B on the ``range_values`` of A and B, so always
+    positive. Scaling A and B by c scales it by c^2."""
+    a, b = range_values(a_eig, b_eig)
     return float(np.sqrt(a[0]) * np.sqrt(a[-1]) * np.sqrt(b[0]) * np.sqrt(b[-1]))
 
 

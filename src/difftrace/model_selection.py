@@ -105,8 +105,8 @@ def solve_path(
     lambdas: Sequence[float],
     cfg: Optional[SolverConfig] = None,
 ) -> RegPath:
-    """Solve at every penalty in descending order, sharing one
-    factorization of the pair. Each penalty 0 < lambda < lambda_max is
+    """Solve at every penalty in descending order, sharing one solve
+    context of the pair (``factor_pair``). Each penalty 0 < lambda < lambda_max is
     first predicted by ``fista_predict``, started from the line through the
     last two estimates (the path is piecewise linear in lambda), and
     ``admm_solve`` starts from the prediction: it returns a prediction
@@ -132,11 +132,10 @@ def solve_path(
     kkt = np.empty(lambdas.size)
     predicted = np.zeros(lambdas.size, dtype=int)
     factors = factor_pair(pair)
-    top = lambda_max(pair)
     no_minimizer_at = None
     for i, lam in enumerate(lambdas):
         guess = _extrapolate(lambdas[:i], estimates, lam, pair.p)
-        if 0.0 < lam < top:
+        if 0.0 < lam < factors.lam_max:
             guess, predicted[i] = fista_predict(pair, float(lam), guess, cfg, factors)
         try:
             est, grad = admm_solve(pair, float(lam), cfg, start=guess, factors=factors)

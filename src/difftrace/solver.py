@@ -14,7 +14,7 @@ covariance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .linalg import (
     project_null,
     psd_eig,
     range_size,
+    range_values,
     soft_threshold,
     solve_axb_plus_gx,
     solve_plan,
@@ -60,7 +61,7 @@ class NoMinimizerError(ValueError):
     every smaller penalty. ``direction`` is the certificate: a symmetric S
     with ||S||_1 = 1 that the quadratic term does not see, along which the
     loss falls by ``gain`` > ``lam``. ``iterations`` counts the bracket
-    iterations the refusing solve ran (see ``ThresholdBracket``)."""
+    iterations spent on ``lam`` (see ``ThresholdBracket.separate``)."""
 
     def __init__(self, lam: float, gain: float, direction: np.ndarray, iterations: int):
         super().__init__(
@@ -81,10 +82,10 @@ class NoMinimizerError(ValueError):
 @dataclass(frozen=True)
 class SolverConfig:
     """ADMM parameters: relative stopping tolerance 1e-3 and a 5000-sweep
-    cap by default; the cap also bounds the bracket iterations that decide
-    a penalty on a singular pair and the iterations of ``fista_predict``.
-    The augmented-Lagrangian weight is not a parameter: it comes from the
-    pair (see ``admm_solve``)."""
+    cap by default; the cap also bounds the iterations of ``fista_predict``
+    and the bracket iterations spent on one penalty of a singular pair,
+    however many solves ask. The augmented-Lagrangian weight is not a
+    parameter: it comes from the pair (see ``admm_solve``)."""
 
     tol: float = 1e-3
     max_iter: int = 5000
@@ -198,7 +199,7 @@ class ThresholdBracket:
         self.dual = min(diff, self.q, key=norm_entrywise_linf)
         self.upper = norm_entrywise_linf(self.dual)
         self.lower = 0.0
-        self.iterations = 0
+        self.iterations, self.penalty, self.spent = 0, None, 0
         if self.q_sq == 0.0:
             return
         start = self.q / self.q_sq
@@ -211,11 +212,15 @@ class ThresholdBracket:
 
     def separate(self, lam: float, max_iter: int) -> int:
         """Advance until ``lam`` < ``lower`` or ``lam`` >= ``upper``, for at
-        most ``max_iter`` iterations; returns the iterations run."""
+        most ``max_iter`` iterations on ``lam`` however many calls ask: the
+        bracket keeps the last penalty asked (``penalty``) and returns the
+        iterations spent on it (``spent``)."""
+        if lam != self.penalty:
+            self.penalty, self.spent = lam, 0
         null, q, q_sq = self.null, self.q, self.q_sq
-        k = 0
-        while self.lower <= lam < self.upper and k < max_iter:
-            k += 1
+        while self.lower <= lam < self.upper and self.spent < max_iter:
+            self.spent += 1
+            self.iterations += 1
             x = project_null(null, self.z - self.u)
             x += ((1.0 - float(np.vdot(q, x))) / q_sq) * q
             x_u = x + self.u
@@ -230,8 +235,7 @@ class ThresholdBracket:
                 size = norm_entrywise_linf(a)
                 if size < self.upper:
                     self.upper, self.dual = size, a
-        self.iterations += k
-        return k
+        return self.spent
 
     @property
     def direction(self) -> np.ndarray:
@@ -241,19 +245,28 @@ class ThresholdBracket:
 
 
 class PairFactors(NamedTuple):
-    """Eigendecompositions of (sigma_x, sigma_y) and the no-minimizer
-    bracket of the pair, None for a pair of full numerical rank. The
-    bracket is advanced by the solves that share the factors."""
+    """The solve context of a pair: every constant that its solves share,
+    derived once by ``factor_pair``. Only ``bracket`` changes: the solves
+    that share the context advance it."""
 
-    x: EigenPair
-    y: EigenPair
-    bracket: Optional[ThresholdBracket]
+    x: EigenPair  # psd_eig of sigma_x
+    y: EigenPair  # psd_eig of sigma_y
+    bracket: Optional[ThresholdBracket]  # None at full numerical rank
+    ranks: Tuple[int, int]  # range_size of x and y
+    diff: np.ndarray  # D = sigma_x - sigma_y
+    lam_max: float  # ||D||_inf, the smallest penalty at which zero is optimal
+    rho: float  # the ADMM's weight, spectral_scale(x, y)
+    scale: float  # the predictor's c = sqrt(a_1) sqrt(b_1), from range_values(x, y)
+    # np.float32 and np.float64 -> the predictor's operands in that dtype,
+    # (sigma_x / 2a_1, sigma_y / b_1, D / c); halving commutes with rounding.
+    operands: Dict[type, Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def factor_pair(pair: CovariancePair) -> PairFactors:
-    """The factors shared by every solve on the pair. ValueError when a
-    covariance is nonzero and its largest eigenvalue lies outside
-    [1/``SCALE_LIMIT``, ``SCALE_LIMIT``]."""
+    """The solve context of the pair (see ``PairFactors``). Both
+    covariances are judged PSD first, so every solve refuses an indefinite
+    pair; ValueError too when a covariance is nonzero and its largest
+    eigenvalue lies outside [1/``SCALE_LIMIT``, ``SCALE_LIMIT``]."""
     eig_x, eig_y = psd_eig(pair.sigma_x, "sigma_x"), psd_eig(pair.sigma_y, "sigma_y")
     for name, eig in (("sigma_x", eig_x), ("sigma_y", eig_y)):
         top = eig.values[0]
@@ -262,9 +275,17 @@ def factor_pair(pair: CovariancePair) -> PairFactors:
                 f"{name} has largest eigenvalue {top:.3g}, outside the solvable scale "
                 f"[{1.0 / SCALE_LIMIT:g}, {SCALE_LIMIT:g}]: rescale the data"
             )
-    null = null_space(eig_x, eig_y)
-    bracket = None if null is None else ThresholdBracket(null, pair.sigma_x - pair.sigma_y)
-    return PairFactors(eig_x, eig_y, bracket)
+    null, diff = null_space(eig_x, eig_y), pair.sigma_x - pair.sigma_y
+    a, b = (float(values[0]) for values in range_values(eig_x, eig_y))
+    c = a**0.5 * b**0.5
+    scaled = 0.5 * (pair.sigma_x / a), pair.sigma_y / b, diff / c
+    return PairFactors(
+        eig_x, eig_y, None if null is None else ThresholdBracket(null, diff),
+        ranks=(range_size(eig_x.values), range_size(eig_y.values)),
+        diff=diff, lam_max=norm_entrywise_linf(diff), rho=spectral_scale(eig_x, eig_y), scale=c,
+        operands={t: tuple(m.astype(t, copy=False) for m in scaled)
+                  for t in (np.float32, np.float64)},
+    )
 
 
 def admm_solve(
@@ -285,26 +306,22 @@ def admm_solve(
     more than ``cfg.tol`` times the larger of its Frobenius norms before
     and after the sweep), and every ``KKT_PERIOD`` sweeps, since a
     minimizer sitting at the block solves' rounding level never passes the
-    step test. At ``lam = 0``, where tol * lam cannot be met, the step test
-    alone stops them. Otherwise they stop at ``cfg.max_iter`` with
-    ``converged=False``. ``SolverError`` is raised when a block or the
-    scaled dual lambda_1/rho grows beyond ``DIVERGENCE_LIMIT`` times the
-    norm of (sigma_x - sigma_y)/2rho, the scaled dual of the zero
-    solution: the limit is a ratio, both sides in the units of the
-    estimate.
+    step test. After a failed check, the next one the step test prompts
+    waits 1, 2, 4, ... sweeps, up to ``KKT_PERIOD``. At ``lam = 0``, where
+    tol * lam cannot be met, the step test alone stops them. Otherwise
+    they stop at ``cfg.max_iter`` with ``converged=False``. ``SolverError``
+    is raised when a block or the scaled dual lambda_1/rho grows beyond
+    ``DIVERGENCE_LIMIT`` times the norm of (sigma_x - sigma_y)/2rho, the
+    scaled dual of the zero solution: the limit is a ratio, both sides in
+    the units of the estimate.
 
-    The sweeps run at the weight rho = sqrt(a_1 b_1 a_r b_s)
-    (``spectral_scale`` of the pair's eigenvalues): the geometric mean of
-    the block equations' extreme curvatures. An exactly zero covariance
-    takes the other's eigenvalues, so rho is always positive and finite.
-    Scaling both samples by c scales rho by c^4 and every iterate by c^-2,
-    and every test above is relative, so the sweeps do not depend on the
-    data's units.
+    The sweeps run at the context's weight rho = sqrt(a_1 b_1 a_r b_s)
+    (``spectral_scale``), the geometric mean of the block equations'
+    extreme curvatures, always positive and finite. Scaling both samples
+    by c scales rho by c^4 and every iterate by c^-2, and every test above
+    is relative, so the sweeps do not depend on the data's units.
 
-    Both covariances are factored and judged PSD (``psd_eig``) before any
-    other work, so an indefinite pair is refused at every penalty.
-
-    When ``lam`` is at least the max-abs entry of sigma_x - sigma_y, the
+    When ``lam`` is at least lambda_max = ||sigma_x - sigma_y||_inf, the
     zero matrix is certified optimal by the stationarity condition (the
     loss gradient at zero is sigma_y - sigma_x), and is returned directly.
     ``lam = 0`` needs both covariances at full numerical rank
@@ -314,7 +331,8 @@ def admm_solve(
     is flat along the nonzero symmetric S with sigma_x S sigma_y = 0, and
     below a threshold lambda_b the objective is unbounded below. Before
     its first sweep the solve advances the pair's ``ThresholdBracket``
-    until it separates ``lam``, for at most ``cfg.max_iter`` iterations.
+    until it separates ``lam``, within the penalty's ``cfg.max_iter``
+    iterations, shared with ``fista_predict``.
     Below the bracket's lower bound, confirmed by an exact objective drop
     along its certificate, ``NoMinimizerError`` names the penalty; at or
     above the upper bound, or when still undecided, the solve sweeps. The
@@ -335,8 +353,8 @@ def admm_solve(
     step of size 1/2rho from ``start``. Zero, the fixed point at
     lambda_max, is the cold start.
 
-    ``factors`` is ``factor_pair(pair)``, passed by callers that solve
-    the same pair at several penalties; it is computed here otherwise.
+    ``factors`` is ``factor_pair(pair)``, the pair's solve context, passed
+    by callers that solve it at several penalties; computed here otherwise.
 
     Returns the estimate (final third block, symmetrized) together with
     the loss gradient (``dtrace_gradient``) at it.
@@ -345,17 +363,16 @@ def admm_solve(
         raise ValueError(f"penalty must be nonnegative, got {lam}")
     cfg = cfg or SolverConfig()
     sx, sy = pair.sigma_x, pair.sigma_y
-    diff = sx - sy
-    eig_x, eig_y, bracket = factors if factors is not None else factor_pair(pair)
+    factors = factors or factor_pair(pair)
+    eig_x, eig_y, bracket, diff = factors.x, factors.y, factors.bracket, factors.diff
 
-    if lam >= norm_entrywise_linf(diff):
+    if lam >= factors.lam_max:
         # H(0) - D, where H(0) is +0.0 throughout.
         return DeltaEstimate(np.zeros_like(diff), float(lam), 0, True, 0.0), 0.0 - diff
 
-    ranks = range_size(eig_x.values), range_size(eig_y.values)
-    if lam == 0 and min(ranks) < pair.p:
+    if lam == 0 and min(factors.ranks) < pair.p:
         raise ValueError(
-            f"penalty 0 needs nonsingular sigma_x, sigma_y: ranks {ranks}, p={pair.p}"
+            f"penalty 0 needs nonsingular sigma_x, sigma_y: ranks {factors.ranks}, p={pair.p}"
         )
     if bracket is not None:
         spent = bracket.separate(lam, cfg.max_iter)
@@ -372,7 +389,7 @@ def admm_solve(
         if kkt_check(delta, pair, lam, grad) <= cfg.tol * lam:
             objective = _loss_from_gradient(delta, grad, diff) + lam * norm_entrywise_l1(delta)
             return DeltaEstimate(delta, float(lam), 0, True, objective), grad
-    rho = spectral_scale(eig_x, eig_y)
+    rho = factors.rho
     d1 = d2 = d3 = delta
     # Scaled duals u_i = lambda_i / rho. Each block equation divided by
     # 2 rho reads (S/2rho) X S' + 2 X = rhs; the scale is folded into the
@@ -393,7 +410,7 @@ def admm_solve(
     sq = [_sq_norm(delta)] * 3
 
     converged = False
-    iterations = 0
+    iterations, due, gap = 0, 0, 1
     for k in range(cfg.max_iter):
         iterations = k + 1
         # Both right-hand sides start from d3 + (sx - sy) / 2rho.
@@ -435,8 +452,11 @@ def admm_solve(
 
         if not np.isfinite(largest_sq) or largest_sq > limit_sq:
             raise SolverError(f"iterates diverged at iteration {iterations}")
-        if lam > 0 and (converged or iterations % KKT_PERIOD == 0):
-            converged = kkt_check((d3 + d3.T) / 2.0, pair, lam) <= cfg.tol * lam
+        if lam > 0:
+            check = iterations % KKT_PERIOD == 0 or (converged and iterations >= due)
+            converged = check and kkt_check((d3 + d3.T) / 2.0, pair, lam) <= cfg.tol * lam
+            if check and not converged:
+                due, gap = iterations + gap, min(2 * gap, KKT_PERIOD)
         if converged:
             break
 
@@ -484,49 +504,45 @@ def fista_predict(
     backtracks and grows (Scheinberg, Goldfarb & Bai 2014). Returns it in
     float64 with the iterations run, unchecked: ``admm_solve`` certifies it.
 
-    The iterations run on the pair divided by c = sqrt(a_1) sqrt(b_1), from
-    the covariances' largest eigenvalues (an exactly zero covariance takes
-    the other's), where the Hessian H has norm at most 1, the estimate is
-    c * delta and the penalty lam / c; the residuals scale by 1/c, as the
-    penalty does. In those units the data's scale is gone. They stop at the
-    first bound on the KKT residual at most ``PREDICT_MARGIN`` * ``cfg.tol``
-    * lam / c (see ``_accelerate``), in float32 when that is at least
-    ``FLOAT32_FLOOR`` * lambda_max / c and ``EPS32`` times the scaled
+    The iterations run on the pair divided by the context's c
+    (``PairFactors``), where the Hessian H has norm at most 1, the estimate
+    is c * delta and the penalty lam / c; the residuals scale by 1/c, as
+    the penalty does. In those units the data's scale is gone. They stop at
+    the first bound on the KKT residual at most ``PREDICT_MARGIN`` *
+    ``cfg.tol`` * lam / c (see ``_accelerate``), in float32 when that is at
+    least ``FLOAT32_FLOOR`` * lambda_max / c and ``EPS32`` times the scaled
     start's largest entry, where float32's bound can reach it, and in
-    float64 otherwise (lambda_max = max |sigma_x - sigma_y|).
+    float64 otherwise.
 
     On a singular pair the pair's ``ThresholdBracket`` is advanced first,
     and a penalty it does not certify to have a minimizer (below its upper
     bound) returns ``start`` with 0 iterations: there the objective may be
-    unbounded below, and ``admm_solve`` decides it. ``factors`` is
-    ``factor_pair(pair)``, computed here when not given.
+    unbounded below, and ``admm_solve`` decides it within the same budget.
+    ``factors`` is ``factor_pair(pair)``, computed here when not given.
     """
     if not lam > 0:
         raise ValueError(f"penalty must be positive, got {lam}")
     cfg = cfg or SolverConfig()
-    eig_x, eig_y, bracket = factors if factors is not None else factor_pair(pair)
-    x = np.asarray(start, dtype=float)
+    factors = factors or factor_pair(pair)
+    x, bracket = np.asarray(start, dtype=float), factors.bracket
     if bracket is not None:
         bracket.separate(lam, cfg.max_iter)
         if lam < bracket.upper:
             return x, 0
-    a, b = float(eig_x.values[0]), float(eig_y.values[0])
-    a, b = a or b or 1.0, b or a or 1.0
-    c = a**0.5 * b**0.5
-    sx, sy = pair.sigma_x, pair.sigma_y
-    diff, x = (sx - sy) / c, c * x
+    c = factors.scale
+    x = c * x
     stop = PREDICT_MARGIN * (cfg.tol * lam / c)
-    reach = max(FLOAT32_FLOOR * norm_entrywise_linf(diff), EPS32 * norm_entrywise_linf(x))
+    reach = max(FLOAT32_FLOOR * (factors.lam_max / c), EPS32 * norm_entrywise_linf(x))
     dtype = np.float32 if stop >= reach else np.float64
-    x, used = _accelerate(sx / a, sy / b, diff, lam / c, x, stop, cfg.max_iter, dtype)
+    x, used = _accelerate(factors.operands[dtype], lam / c, x, stop, cfg.max_iter)
     return x.astype(float) / c, used
 
 
-def _accelerate(sx, sy, diff, lam, x, target, max_iter, dtype) -> Tuple[np.ndarray, int]:
-    """``fista_predict``'s iterations in ``dtype``, on a pair whose Hessian
-    has norm at most 1: iterate, Hessian products and every elementwise
-    pass stay in ``dtype``. Returns the last iterate, in ``dtype``, and the
-    iterations run.
+def _accelerate(operands, lam, x, target, max_iter) -> Tuple[np.ndarray, int]:
+    """``fista_predict``'s iterations on the ``operands`` (sigma_x / 2,
+    sigma_y, D) of a pair whose Hessian has norm at most 1, in their dtype,
+    which the iterate, its Hessian products and every elementwise pass keep.
+    Returns the last iterate, in that dtype, and the iterations run.
 
     The loss is quadratic, so its gradient is affine: the Hessian product
     H(x) = (sx x sy + sy x sx)/2 of each iterate is kept, and the gradient
@@ -544,10 +560,8 @@ def _accelerate(sx, sy, diff, lam, x, target, max_iter, dtype) -> Tuple[np.ndarr
     1 and min(step/2, 0.9 ||d||^2 / <d, Hd>), and the iteration is redone;
     a redone iteration counts as one.
     """
-    # (sx / 2) s sy is exactly half of sx s sy: halving commutes with
-    # rounding.
-    half_x = (0.5 * sx).astype(dtype)
-    sy, diff, x = (m.astype(dtype, copy=False) for m in (sy, diff, x))
+    half_x, sy, diff = operands
+    x = x.astype(half_x.dtype, copy=False)
 
     def hessian(s):
         m = half_x @ s @ sy
@@ -576,7 +590,7 @@ def _accelerate(sx, sy, diff, lam, x, target, max_iter, dtype) -> Tuple[np.ndarr
             # The step opposes the momentum: restart from x_new.
             y, hy, t = x_new, hx_new, 1.0
         else:
-            # Python floats, which keep the arrays in ``dtype``.
+            # Python floats, which keep the arrays in their dtype.
             t_new = 0.5 * (1.0 + (1.0 + 4.0 * t * t) ** 0.5)
             beta = (t - 1.0) / t_new
             move *= beta

@@ -13,6 +13,7 @@ from difftrace.linalg import (
     as_symmetric,
     project_null,
     norm_entrywise_linf,
+    range_size,
     soft_threshold,
     solve_axb_plus_gx,
     solve_plan,
@@ -116,7 +117,9 @@ def path_starts(pair, path, cfg=None):
 def reference_admm_solve(pair, lam, rho, cfg=None, start=None):
     """The unscaled, allocating sweep loop ``admm_solve`` used to run, with
     the old soft-threshold formula and the current relative step test,
-    KKT gate and divergence guard: the oracle for the scaled-dual loop. It
+    KKT gate (after a failed check, the next one the step test prompts
+    waits 1, 2, 4, ... sweeps, up to the periodic check's KKT_PERIOD) and
+    divergence guard: the oracle for the scaled-dual loop. It
     runs at the absolute weight ``rho``, from the cold state or from the
     ``fixed_point`` of ``start``, without certifying ``start`` first, and
     returns the estimate with its final state (delta1..3, lambda1..3)."""
@@ -128,14 +131,15 @@ def reference_admm_solve(pair, lam, rho, cfg=None, start=None):
         state = zero_state(pair)
         return DeltaEstimate(state[2].copy(), float(lam), 0, True, 0.0), state
 
-    eig_x, eig_y, _ = factor_pair(pair)
+    factors = factor_pair(pair)
+    eig_x, eig_y = factors.x, factors.y
     state = zero_state(pair) if start is None else fixed_point(pair, start)
     d1, d2, d3, l1, l2, l3 = state
     plan1, plan2 = solve_plan(eig_x, eig_y, 4 * rho), solve_plan(eig_y, eig_x, 4 * rho)
     solve = checked(solve_axb_plus_gx)
 
     converged = False
-    iterations = 0
+    iterations, due, gap = 0, 0, 1
     for k in range(cfg.max_iter):
         iterations = k + 1
         c1 = 2 * rho * d3 + 2 * rho * d2 + diff + 2 * l1 - 2 * l3
@@ -163,8 +167,11 @@ def reference_admm_solve(pair, lam, rho, cfg=None, start=None):
         limit = DIVERGENCE_LIMIT * float(np.linalg.norm(diff)) / (2 * rho)
         if not np.isfinite(largest) or largest > limit:
             raise SolverError(f"iterates diverged at iteration {iterations}")
-        if converged and lam > 0:
-            converged = kkt_check((d3 + d3.T) / 2.0, pair, lam) <= cfg.tol * lam
+        if lam > 0:
+            check = iterations % solver.KKT_PERIOD == 0 or (converged and iterations >= due)
+            converged = check and kkt_check((d3 + d3.T) / 2.0, pair, lam) <= cfg.tol * lam
+            if check and not converged:
+                due, gap = iterations + gap, min(2 * gap, solver.KKT_PERIOD)
         if converged:
             break
 
@@ -743,11 +750,13 @@ def lp_threshold(pair):
 
 
 def close(bracket, iterations):
-    """Advance ``bracket`` by ``iterations`` at the middle of its gap;
-    returns (lower, upper) after each one."""
+    """Advance ``bracket`` by ``iterations``, one at a time at the middle of
+    its gap; a middle asked again gets one more iteration of its budget.
+    Returns (lower, upper) after each one."""
     history = []
     for _ in range(iterations):
-        bracket.separate((bracket.lower + bracket.upper) / 2.0, 1)
+        lam = (bracket.lower + bracket.upper) / 2.0
+        bracket.separate(lam, (bracket.spent if lam == bracket.penalty else 0) + 1)
         history.append((bracket.lower, bracket.upper))
     return history
 
@@ -863,6 +872,116 @@ class TestThresholdBracket:
         fresh = factor_pair(pair).bracket
         fresh.separate(grid[1], 5000)
         assert fresh.iterations == spent[1]
+
+
+def reference_context(pair, dtype):
+    """The pair constants ``admm_solve`` and ``fista_predict`` derived at
+    every penalty before ``factor_pair`` held them, formulas unchanged:
+    lambda_max, c, the float32 rule's lambda_max / c and the predictor's
+    operands in ``dtype``."""
+    eig_x, eig_y = factor_pair(pair)[:2]
+    a, b = float(eig_x.values[0]), float(eig_y.values[0])
+    a, b = a or b or 1.0, b or a or 1.0
+    c = a**0.5 * b**0.5
+    sx, sy = pair.sigma_x, pair.sigma_y
+    diff = (sx - sy) / c
+    scaled_max = norm_entrywise_linf(diff)
+    half_x = (0.5 * (sx / a)).astype(dtype)
+    sy, diff = ((sy / b).astype(dtype, copy=False), diff.astype(dtype, copy=False))
+    return norm_entrywise_linf(pair.sigma_x - pair.sigma_y), c, scaled_max, (half_x, sy, diff)
+
+
+class TestSolveContext:
+    """``factor_pair`` derives every constant of the pair once, bit for bit
+    as the solves derived it at each penalty, and each penalty spends one
+    bracket budget whichever solves ask about it."""
+
+    @pytest.mark.parametrize(
+        "make_pair",
+        [
+            lambda: sampled_pair(12, 80, 23),
+            lambda: sim2_replicate_zero(),
+            lambda: constant_group_pair(8, 30, 39),
+            lambda: scaled_wide_pair(1e-24),
+        ],
+        ids=["full-rank", "n-below-p", "zero-sigma-x", "tiny-scale"],
+    )
+    def test_constants_are_the_per_penalty_formulas(self, make_pair):
+        pair = make_pair()
+        factors = factor_pair(pair)
+        diff = pair.sigma_x - pair.sigma_y
+        assert factors.diff.tobytes() == diff.tobytes()
+        assert factors.ranks == tuple(range_size(e.values) for e in (factors.x, factors.y))
+        assert factors.rho == spectral_scale(factors.x, factors.y)
+        for dtype in (np.float32, np.float64):
+            lam_max, c, scaled_max, operands = reference_context(pair, dtype)
+            assert factors.lam_max == lam_max == lambda_max(pair)
+            assert factors.scale == c
+            assert factors.lam_max / c == scaled_max
+            for built, old in zip(factors.operands[dtype], operands):
+                assert built.dtype == old.dtype == dtype
+                assert built.tobytes() == old.tobytes()
+
+    def test_path_penalty_spends_one_budget(self, monkeypatch):
+        # The predictor and the solve both ask the bracket about this
+        # undecided penalty; each spent max_iter = 5 iterations on it.
+        pair = sim2_replicate_zero()
+        made = []
+        monkeypatch.setattr(
+            model_selection, "factor_pair", lambda pair: made.append(factor_pair(pair)) or made[-1]
+        )
+        path = solve_path(pair, [0.32211], SolverConfig(max_iter=5))
+        (factors,) = made
+        assert factors.bracket.iterations == 5
+        assert factors.bracket.spent == 5
+        assert factors.bracket.lower <= 0.32211 < factors.bracket.upper
+        assert path.estimates[0].iterations == 5 and not path.estimates[0].converged
+
+    def test_refusal_through_a_path_reports_the_spend(self):
+        # ``estimate --lambda 0.31`` on this replicate: the predictor's
+        # advance of the bracket separates the penalty, and the refusal
+        # reports what that took. It used to report the solve's own 0.
+        pair = sim2_replicate_zero()
+        with pytest.raises(NoMinimizerError) as err:
+            solve_path(pair, [0.31])
+        fresh = factor_pair(pair).bracket
+        assert err.value.iterations == fresh.separate(0.31, SolverConfig().max_iter) > 0
+        with pytest.raises(NoMinimizerError) as alone:
+            admm_solve(pair, 0.31)
+        assert alone.value.iterations == err.value.iterations
+
+    def test_kkt_check_backs_off(self, monkeypatch):
+        # At n = p, predictions stopped 100 times above the certificate's
+        # stop leave sweeps that pass the step test and fail the KKT check
+        # for hundreds of sweeps: checked after every such sweep, this path
+        # took 348 checks in 372 sweeps. After a failed check the next one
+        # waits 1, 2, 4, ... sweeps, up to KKT_PERIOD, so a solve of S
+        # sweeps makes its warm certificate, at most log2(KKT_PERIOD) + 1
+        # checks while the gap grows, and two per KKT_PERIOD sweeps after.
+        monkeypatch.setattr(solver, "PREDICT_MARGIN", 100.0)
+        pair = sampled_pair(30, 30, 3)
+        checks, solves = [], []
+
+        def counting(*args):
+            checks.append(1)
+            return kkt_check(*args)
+
+        def solve(*args, **kwargs):
+            del checks[:]
+            result = admm_solve(*args, **kwargs)
+            solves.append((result[0].iterations, len(checks)))
+            return result
+
+        monkeypatch.setattr(solver, "kkt_check", counting)
+        monkeypatch.setattr(model_selection, "admm_solve", solve)
+        cfg = SolverConfig()
+        path = solve_path(pair, lambda_grid(pair, count=4), cfg)
+        assert sum(sweeps for sweeps, _ in solves) >= 300
+        growing = int(np.ceil(np.log2(solver.KKT_PERIOD))) + 1
+        for sweeps, made in solves:
+            assert made <= 1 + growing + 2 * sweeps // solver.KKT_PERIOD
+        assert all(est.converged for est in path.estimates)
+        assert path.kkt.max() <= cfg.tol
 
 
 def test_sweep_calls_go_through_solver_namespace(monkeypatch):
