@@ -17,7 +17,6 @@ from .solver import (
     admm_solve,
     dtrace_gradient,
     factor_pair,
-    fista_predict,
     kkt_check,
 )
 
@@ -79,13 +78,11 @@ def bic_score(delta, pair: CovariancePair, grad=None) -> Tuple[float, float]:
 
 @dataclass
 class RegPath:
-    """Solutions along a descending penalty grid with both BIC variants and
+    """Solutions along a descending penalty grid with both BIC variants,
     each solution's KKT residual over its penalty (``kkt_check`` / lambda;
-    the residual itself at lambda = 0). ``predict_iterations`` counts the
-    ``fista_predict`` iterations run before each solve's sweeps (0 where
-    none ran). ``no_minimizer_at`` is the grid's
-    first penalty certified to have no minimizer, where the path stops,
-    None when every penalty was solved."""
+    the residual itself at lambda = 0) and its ``predict_iterations``.
+    ``no_minimizer_at`` is the grid's first penalty certified to have no
+    minimizer, where the path stops, None when every penalty was solved."""
 
     lambdas: np.ndarray
     estimates: List[DeltaEstimate]
@@ -106,18 +103,16 @@ def solve_path(
     cfg: Optional[SolverConfig] = None,
 ) -> RegPath:
     """Solve at every penalty in descending order, sharing one solve
-    context of the pair (``factor_pair``). Each penalty 0 < lambda < lambda_max is
-    first predicted by ``fista_predict``, started from the line through the
-    last two estimates (the path is piecewise linear in lambda), and
-    ``admm_solve`` starts from the prediction: it returns a prediction
-    certified at ``cfg.tol`` without a sweep, and sweeps from any other.
-    Records both BIC variants and the KKT residual per entry, from the
-    loss gradient ``admm_solve`` returns with each estimate, so a
-    certified penalty takes one float64 Hessian product. The path stops
-    at the first penalty certified to have no minimizer
-    (``NoMinimizerError``), since no smaller one has one either; the error
-    propagates when that is the first penalty. Bad input raises
-    ValueError; a failed solve raises SolverError naming its penalty."""
+    context of the pair (``factor_pair``). Each penalty takes one
+    ``admm_solve`` call, which decides it, started from the line through
+    the last two estimates (the path is piecewise linear in lambda).
+    Records both BIC variants and the KKT residual per entry from the loss
+    gradient that call returns, so a certified penalty takes one float64
+    Hessian product. The path stops at the first penalty certified to
+    have no minimizer (``NoMinimizerError``), since no smaller one has one
+    either; the error propagates when that is the first penalty. Bad input
+    raises ValueError; a failed solve raises SolverError naming its
+    penalty."""
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.size == 0:
         raise ValueError("empty penalty grid")
@@ -130,13 +125,10 @@ def solve_path(
     bic_inf = np.empty(lambdas.size)
     nnz = np.empty(lambdas.size, dtype=int)
     kkt = np.empty(lambdas.size)
-    predicted = np.zeros(lambdas.size, dtype=int)
     factors = factor_pair(pair)
     no_minimizer_at = None
     for i, lam in enumerate(lambdas):
         guess = _extrapolate(lambdas[:i], estimates, lam, pair.p)
-        if 0.0 < lam < factors.lam_max:
-            guess, predicted[i] = fista_predict(pair, float(lam), guess, cfg, factors)
         try:
             est, grad = admm_solve(pair, float(lam), cfg, start=guess, factors=factors)
         except NoMinimizerError:
@@ -151,8 +143,9 @@ def solve_path(
         kkt[i] = kkt_check(est.delta, pair, lam, grad) / (lam or 1.0)
         nnz[i] = est.nnz
     k = len(estimates)
+    predicted = np.array([est.predict_iterations for est in estimates], dtype=int)
     return RegPath(
-        lambdas[:k], estimates, bic_f[:k], bic_inf[:k], nnz[:k], kkt[:k], predicted[:k],
+        lambdas[:k], estimates, bic_f[:k], bic_inf[:k], nnz[:k], kkt[:k], predicted,
         no_minimizer_at,
     )
 

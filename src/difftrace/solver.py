@@ -61,7 +61,7 @@ class NoMinimizerError(ValueError):
     every smaller penalty. ``direction`` is the certificate: a symmetric S
     with ||S||_1 = 1 that the quadratic term does not see, along which the
     loss falls by ``gain`` > ``lam``. ``iterations`` counts the bracket
-    iterations spent on ``lam`` (see ``ThresholdBracket.separate``)."""
+    iterations the refusing solve spent (``ThresholdBracket.separate``)."""
 
     def __init__(self, lam: float, gain: float, direction: np.ndarray, iterations: int):
         super().__init__(
@@ -82,9 +82,9 @@ class NoMinimizerError(ValueError):
 @dataclass(frozen=True)
 class SolverConfig:
     """ADMM parameters: relative stopping tolerance 1e-3 and a 5000-sweep
-    cap by default; the cap also bounds the iterations of ``fista_predict``
-    and the bracket iterations spent on one penalty of a singular pair,
-    however many solves ask. The augmented-Lagrangian weight is not a
+    cap by default; in each ``admm_solve`` call the cap also bounds the
+    predictor's iterations (``fista_predict``) and, on a singular pair, the
+    bracket iterations. The augmented-Lagrangian weight is not a
     parameter: it comes from the pair (see ``admm_solve``)."""
 
     tol: float = 1e-3
@@ -104,9 +104,10 @@ class DeltaEstimate:
 
     delta: np.ndarray
     lam: float
-    iterations: int
+    iterations: int  # ADMM sweeps
     converged: bool
     objective: float
+    predict_iterations: int  # fista_predict iterations before the sweeps
 
     @property
     def nnz(self) -> int:
@@ -199,7 +200,7 @@ class ThresholdBracket:
         self.dual = min(diff, self.q, key=norm_entrywise_linf)
         self.upper = norm_entrywise_linf(self.dual)
         self.lower = 0.0
-        self.iterations, self.penalty, self.spent = 0, None, 0
+        self.iterations = 0
         if self.q_sq == 0.0:
             return
         start = self.q / self.q_sq
@@ -212,14 +213,12 @@ class ThresholdBracket:
 
     def separate(self, lam: float, max_iter: int) -> int:
         """Advance until ``lam`` < ``lower`` or ``lam`` >= ``upper``, for at
-        most ``max_iter`` iterations on ``lam`` however many calls ask: the
-        bracket keeps the last penalty asked (``penalty``) and returns the
-        iterations spent on it (``spent``)."""
-        if lam != self.penalty:
-            self.penalty, self.spent = lam, 0
+        most ``max_iter`` iterations. Returns the iterations this call
+        spent; ``iterations`` counts those of every call."""
         null, q, q_sq = self.null, self.q, self.q_sq
-        while self.lower <= lam < self.upper and self.spent < max_iter:
-            self.spent += 1
+        spent = 0
+        while self.lower <= lam < self.upper and spent < max_iter:
+            spent += 1
             self.iterations += 1
             x = project_null(null, self.z - self.u)
             x += ((1.0 - float(np.vdot(q, x))) / q_sq) * q
@@ -235,7 +234,7 @@ class ThresholdBracket:
                 size = norm_entrywise_linf(a)
                 if size < self.upper:
                     self.upper, self.dual = size, a
-        return self.spent
+        return spent
 
     @property
     def direction(self) -> np.ndarray:
@@ -295,7 +294,39 @@ def admm_solve(
     start=None,
     factors: Optional[PairFactors] = None,
 ) -> Tuple[DeltaEstimate, np.ndarray]:
-    """Minimize the penalized trace loss for one penalty value.
+    """Minimize the penalized trace loss for one penalty value; the one
+    place where a penalty is decided.
+
+    When ``lam`` is at least lambda_max = ||sigma_x - sigma_y||_inf, the
+    zero matrix is certified optimal by the stationarity condition (the
+    loss gradient at zero is sigma_y - sigma_x), and is returned directly.
+    ``lam = 0`` needs both covariances at full numerical rank
+    (``range_size``), as the minimizer sigma_y^-1 - sigma_x^-1 does.
+
+    On a singular pair (a covariance below full numerical rank) the loss
+    is flat along the nonzero symmetric S with sigma_x S sigma_y = 0, and
+    below a threshold lambda_b the objective is unbounded below. The solve
+    asks the pair's ``ThresholdBracket`` once to separate ``lam``, within
+    ``cfg.max_iter`` iterations. Below its lower bound, confirmed by an
+    exact objective drop along its certificate, ``NoMinimizerError`` names
+    the penalty. A full-rank pair has no bracket.
+
+    ``start`` is a symmetric estimate (one off by rounding from symmetric
+    is symmetrized). At a positive penalty the bracket admits (no bracket,
+    or ``lam`` at or above its upper bound), ``fista_predict`` first
+    predicts from it; on an undecided one ``start`` is kept. One product m
+    = sigma_x delta sigma_y of the resulting delta serves the rest. At a
+    positive penalty delta is certified first: when the gradient (m +
+    m^T)/2 - (sigma_x - sigma_y) passes ``kkt_check`` at ``cfg.tol`` *
+    ``lam``, delta is returned with 0 sweeps and ``converged=True``, and
+    the same gradient gives the objective. Otherwise the sweeps start from
+    the state a sweep leaves in place at a minimizer: every block at
+    delta, lambda_1 = (m - D)/2, lambda_2 = (D - m^T)/2 and lambda_3 = 0,
+    D = sigma_x - sigma_y. The dual differences then cancel the linear
+    term of each block update, so the first sweep is a proximal-gradient
+    step of size 1/2rho from delta. ``start=None`` is the cold start from
+    zero, the fixed point at lambda_max (m = 0), with nothing predicted or
+    certified.
 
     Each sweep updates the three primal blocks in closed form -- two
     matrix-equation solves (see ``solve_axb_plus_gx``) and one soft
@@ -321,43 +352,12 @@ def admm_solve(
     by c scales rho by c^4 and every iterate by c^-2, and every test above
     is relative, so the sweeps do not depend on the data's units.
 
-    When ``lam`` is at least lambda_max = ||sigma_x - sigma_y||_inf, the
-    zero matrix is certified optimal by the stationarity condition (the
-    loss gradient at zero is sigma_y - sigma_x), and is returned directly.
-    ``lam = 0`` needs both covariances at full numerical rank
-    (``range_size``), as the minimizer sigma_y^-1 - sigma_x^-1 does.
-
-    On a singular pair (a covariance below full numerical rank) the loss
-    is flat along the nonzero symmetric S with sigma_x S sigma_y = 0, and
-    below a threshold lambda_b the objective is unbounded below. Before
-    its first sweep the solve advances the pair's ``ThresholdBracket``
-    until it separates ``lam``, within the penalty's ``cfg.max_iter``
-    iterations, shared with ``fista_predict``.
-    Below the bracket's lower bound, confirmed by an exact objective drop
-    along its certificate, ``NoMinimizerError`` names the penalty; at or
-    above the upper bound, or when still undecided, the solve sweeps. The
-    decision leaves the sweeps unchanged, and a full-rank pair has no
-    bracket.
-
-    ``start`` is a symmetric estimate (zero when not given; an estimate
-    off by rounding from symmetric is symmetrized). One product m =
-    sigma_x start sigma_y serves the whole start. At a positive penalty a
-    given ``start`` is certified first: when the gradient (m + m^T)/2 -
-    (sigma_x - sigma_y) passes ``kkt_check`` at ``cfg.tol`` * ``lam``,
-    ``start`` is returned with 0 sweeps and ``converged=True``, and the
-    same gradient gives the objective. Otherwise the sweeps start from
-    the state a sweep leaves in place at a minimizer: every block at
-    ``start``, lambda_1 = (m - D)/2, lambda_2 = (D - m^T)/2 and lambda_3 =
-    0, D = sigma_x - sigma_y. The dual differences then cancel the linear
-    term of each block update, so the first sweep is a proximal-gradient
-    step of size 1/2rho from ``start``. Zero, the fixed point at
-    lambda_max, is the cold start.
-
     ``factors`` is ``factor_pair(pair)``, the pair's solve context, passed
     by callers that solve it at several penalties; computed here otherwise.
 
-    Returns the estimate (final third block, symmetrized) together with
-    the loss gradient (``dtrace_gradient``) at it.
+    Returns the estimate (the certified delta, or the final third block,
+    symmetrized) together with the loss gradient at it, bit for bit
+    ``dtrace_gradient``: that of the KKT check that stopped the sweeps.
     """
     if not lam >= 0:
         raise ValueError(f"penalty must be nonnegative, got {lam}")
@@ -368,7 +368,7 @@ def admm_solve(
 
     if lam >= factors.lam_max:
         # H(0) - D, where H(0) is +0.0 throughout.
-        return DeltaEstimate(np.zeros_like(diff), float(lam), 0, True, 0.0), 0.0 - diff
+        return DeltaEstimate(np.zeros_like(diff), float(lam), 0, True, 0.0, 0), 0.0 - diff
 
     if lam == 0 and min(factors.ranks) < pair.p:
         raise ValueError(
@@ -382,13 +382,18 @@ def admm_solve(
             # grows by 1e3 lam / gain.
             if penalized_objective(1e3 / gain * direction, sx, sy, lam) < 0.0:
                 raise NoMinimizerError(lam, gain, direction, spent)
-    delta = np.zeros_like(diff) if start is None else as_symmetric(start, "start")
-    m = _product(delta, sx, sy)
-    if start is not None and lam > 0:
-        grad = 0.5 * (m + m.T) - diff
-        if kkt_check(delta, pair, lam, grad) <= cfg.tol * lam:
-            objective = _loss_from_gradient(delta, grad, diff) + lam * norm_entrywise_l1(delta)
-            return DeltaEstimate(delta, float(lam), 0, True, objective), grad
+    # The cold start's m = sigma_x 0 sigma_y is +0.0 throughout.
+    delta, m, predicted = np.zeros_like(diff), np.zeros_like(diff), 0
+    if start is not None:
+        delta = as_symmetric(start, "start")
+        if lam > 0 and (bracket is None or lam >= bracket.upper):
+            delta, predicted = fista_predict(factors, lam, delta, cfg)
+        m = _product(delta, sx, sy)
+        if lam > 0:
+            grad = 0.5 * (m + m.T) - diff
+            if kkt_check(delta, pair, lam, grad) <= cfg.tol * lam:
+                objective = _loss_from_gradient(delta, grad, diff) + lam * norm_entrywise_l1(delta)
+                return DeltaEstimate(delta, float(lam), 0, True, objective, predicted), grad
     rho = factors.rho
     d1 = d2 = d3 = delta
     # Scaled duals u_i = lambda_i / rho. Each block equation divided by
@@ -454,18 +459,22 @@ def admm_solve(
             raise SolverError(f"iterates diverged at iteration {iterations}")
         if lam > 0:
             check = iterations % KKT_PERIOD == 0 or (converged and iterations >= due)
-            converged = check and kkt_check((d3 + d3.T) / 2.0, pair, lam) <= cfg.tol * lam
+            if check:
+                delta = (d3 + d3.T) / 2.0
+                grad = _hessian(delta, sx, sy) - diff
+            converged = check and kkt_check(delta, pair, lam, grad) <= cfg.tol * lam
             if check and not converged:
                 due, gap = iterations + gap, min(2 * gap, KKT_PERIOD)
         if converged:
             break
 
-    delta = (d3 + d3.T) / 2.0
-    grad = dtrace_gradient(delta, sx, sy)
+    if not (converged and lam > 0):
+        delta = (d3 + d3.T) / 2.0
+        grad = _hessian(delta, sx, sy) - diff
     objective = _loss_from_gradient(delta, grad, diff) + lam * norm_entrywise_l1(delta)
     if not np.isfinite(objective):
         raise SolverError(f"non-finite objective after {iterations} iterations")
-    return DeltaEstimate(delta, float(lam), iterations, converged, objective), grad
+    return DeltaEstimate(delta, float(lam), iterations, converged, objective, predicted), grad
 
 
 def kkt_check(delta, pair: CovariancePair, lam: float, grad=None) -> float:
@@ -492,17 +501,15 @@ def kkt_check(delta, pair: CovariancePair, lam: float, grad=None) -> float:
 
 
 def fista_predict(
-    pair: CovariancePair,
-    lam: float,
-    start,
-    cfg: Optional[SolverConfig] = None,
-    factors: Optional[PairFactors] = None,
+    factors: PairFactors, lam: float, start: np.ndarray, cfg: SolverConfig
 ) -> Tuple[np.ndarray, int]:
-    """Approximate minimizer at ``lam`` > 0 from the symmetric ``start``, by
-    accelerated proximal gradient (FISTA, Beck & Teboulle 2009) with the
-    gradient restart of O'Donoghue & Candes (2015) and a step that
-    backtracks and grows (Scheinberg, Goldfarb & Bai 2014). Returns it in
-    float64 with the iterations run, unchecked: ``admm_solve`` certifies it.
+    """Approximate minimizer at ``lam`` > 0 from the symmetric float64
+    ``start``, on the pair's solve context, by accelerated proximal
+    gradient (FISTA, Beck & Teboulle 2009) with the gradient restart of
+    O'Donoghue & Candes (2015) and a step that backtracks and grows
+    (Scheinberg, Goldfarb & Bai 2014). Returns it in float64 with the
+    iterations run, at most ``cfg.max_iter``, unchecked: ``admm_solve``
+    calls it on penalties the bracket admits and certifies the result.
 
     The iterations run on the pair divided by the context's c
     (``PairFactors``), where the Hessian H has norm at most 1, the estimate
@@ -513,24 +520,9 @@ def fista_predict(
     least ``FLOAT32_FLOOR`` * lambda_max / c and ``EPS32`` times the scaled
     start's largest entry, where float32's bound can reach it, and in
     float64 otherwise.
-
-    On a singular pair the pair's ``ThresholdBracket`` is advanced first,
-    and a penalty it does not certify to have a minimizer (below its upper
-    bound) returns ``start`` with 0 iterations: there the objective may be
-    unbounded below, and ``admm_solve`` decides it within the same budget.
-    ``factors`` is ``factor_pair(pair)``, computed here when not given.
     """
-    if not lam > 0:
-        raise ValueError(f"penalty must be positive, got {lam}")
-    cfg = cfg or SolverConfig()
-    factors = factors or factor_pair(pair)
-    x, bracket = np.asarray(start, dtype=float), factors.bracket
-    if bracket is not None:
-        bracket.separate(lam, cfg.max_iter)
-        if lam < bracket.upper:
-            return x, 0
     c = factors.scale
-    x = c * x
+    x = c * start
     stop = PREDICT_MARGIN * (cfg.tol * lam / c)
     reach = max(FLOAT32_FLOOR * (factors.lam_max / c), EPS32 * norm_entrywise_linf(x))
     dtype = np.float32 if stop >= reach else np.float64

@@ -19,7 +19,7 @@ from conftest import random_spd
 def fake_path(deltas):
     lams = np.linspace(1.0, 0.1, len(deltas))
     ests = [
-        DeltaEstimate(d, float(lam), 1, True, 0.0) for d, lam in zip(deltas, lams)
+        DeltaEstimate(d, float(lam), 1, True, 0.0, 0) for d, lam in zip(deltas, lams)
     ]
     nnz = np.array([np.count_nonzero(d) for d in deltas])
     zeros = np.zeros(len(deltas))

@@ -188,7 +188,7 @@ class TestSolvePath:
         path = solve_path(pair, lams)
         assert calls == ["sigma_x", "sigma_y"]
         # Bitwise the same as refactoring the pair in every solve, each
-        # from its prediction (whose replay factors it once).
+        # from the start the path gave it.
         starts = path_starts(pair, path)
         del calls[:]
         for lam, est, start in zip(lams, path.estimates, starts):
@@ -408,4 +408,5 @@ class TestPathCsv:
             assert float(line.split(",")[6]) == kkt
         predicted = [int(line.split(",")[7]) for line in lines[1:]]
         assert predicted == list(path.predict_iterations)
+        assert predicted == [est.predict_iterations for est in path.estimates]
         assert predicted[0] == 0 and sum(predicted) > 0

@@ -19,7 +19,7 @@ from difftrace.linalg import (
     solve_plan,
     spectral_scale,
 )
-from difftrace.model_selection import lambda_grid, lambda_max, solve_path
+from difftrace.model_selection import lambda_grid, lambda_max, select_by_bic, solve_path
 from difftrace.simulation import SimulationSpec, gen_sim1, generate, sample_gaussian
 from difftrace.solver import (
     DIVERGENCE_LIMIT,
@@ -94,24 +94,23 @@ def fixed_point(pair, delta):
     return delta, delta, delta, -(diff - m) / 2.0, (diff - m.T) / 2.0, np.zeros_like(diff)
 
 
-def path_starts(pair, path, cfg=None):
-    """The start of each solve of ``path``: the predictor's point at every
-    0 < lambda < lambda_max, started from the line through the last two
-    estimates, or that start itself elsewhere. Checks the recorded
-    predictor iterations on the way."""
-    factors = factor_pair(pair)
+def path_starts(pair, path):
+    """The start ``solve_path`` gives ``admm_solve`` at each penalty of
+    ``path``: the line through the last two estimates at that penalty, the
+    last estimate at the second, zero at the first."""
     deltas = [np.zeros((pair.p, pair.p))] + [est.delta for est in path.estimates]
     starts = []
     for i, lam in enumerate(path.lambdas):
-        start = deltas[i] if i < 2 else deltas[i] + (
+        starts.append(deltas[i] if i < 2 else deltas[i] + (
             (lam - path.lambdas[i - 1]) / (path.lambdas[i - 2] - path.lambdas[i - 1])
-        ) * (deltas[i - 1] - deltas[i])
-        used = 0
-        if 0 < lam < lambda_max(pair):
-            start, used = fista_predict(pair, lam, start, cfg, factors)
-        assert used == path.predict_iterations[i]
-        starts.append(start)
+        ) * (deltas[i - 1] - deltas[i]))
     return starts
+
+
+def without_prediction(monkeypatch):
+    """Make ``admm_solve`` take a given start as it stands: the predictor
+    returns its start after 0 iterations."""
+    monkeypatch.setattr(solver, "fista_predict", lambda factors, lam, start, cfg: (start, 0))
 
 
 def reference_admm_solve(pair, lam, rho, cfg=None, start=None):
@@ -129,7 +128,7 @@ def reference_admm_solve(pair, lam, rho, cfg=None, start=None):
 
     if lam >= norm_entrywise_linf(diff):
         state = zero_state(pair)
-        return DeltaEstimate(state[2].copy(), float(lam), 0, True, 0.0), state
+        return DeltaEstimate(state[2].copy(), float(lam), 0, True, 0.0, 0), state
 
     factors = factor_pair(pair)
     eig_x, eig_y = factors.x, factors.y
@@ -178,7 +177,7 @@ def reference_admm_solve(pair, lam, rho, cfg=None, start=None):
     delta = (d3 + d3.T) / 2.0
     objective = penalized_objective(delta, sx, sy, lam)
     state = (d1, d2, d3, l1, l2, l3)
-    return DeltaEstimate(delta, float(lam), iterations, converged, objective), state
+    return DeltaEstimate(delta, float(lam), iterations, converged, objective, 0), state
 
 
 def numerical_ranges(pair):
@@ -361,10 +360,11 @@ class TestAdmmSolve:
             start = warm_est.delta
 
     def test_divergence_guard(self):
+        # At lambda = 0 a start is swept as it stands, never predicted.
         rng = np.random.default_rng(13)
         pair = make_pair(3, rng)
         with pytest.raises(SolverError, match="diverged at iteration 1$"):
-            admm_solve(pair, 0.01, start=np.full((3, 3), 1e13))
+            admm_solve(pair, 0.0, start=np.full((3, 3), 1e13))
 
     def test_negative_lambda_rejected(self):
         rng = np.random.default_rng(14)
@@ -449,15 +449,18 @@ class TestSweepMatchesReference:
             assert_same_solve(est, ref[0])
 
     def test_warm_started_path(self):
-        # Each solve of a path starts from its prediction: a prediction
+        # Each solve of a path predicts from its start: a prediction
         # certified at tol is the estimate, bit for bit; any other is swept
         # from its fixed point as the reference sweeps it.
         pair = sampled_pair(10, 40, 32)
         grid = lambda_grid(pair, count=10, ratio=0.05)
         path = solve_path(pair, grid)
         assert len(path) == len(grid) and path.predict_iterations.sum() > 0
-        rho = effective_rho(pair)
+        rho, factors = effective_rho(pair), factor_pair(pair)
         for lam, est, start in zip(grid, path.estimates, path_starts(pair, path)):
+            if 0 < lam < lambda_max(pair):
+                start, used = fista_predict(factors, lam, start, SolverConfig())
+                assert used == est.predict_iterations
             if est.iterations == 0 and lam < lambda_max(pair):
                 assert est.delta.tobytes() == start.tobytes()
                 assert kkt_check(est.delta, pair, lam) <= SolverConfig().tol * lam
@@ -575,16 +578,20 @@ def test_cold_solve_is_second_solve_of_path(n, ratio):
         assert cold.direction.tobytes() == second.direction.tobytes()
         assert cold.iterations == second.iterations
     else:
+        # Taken as it stands, zero is swept as the cold solve sweeps.
         cold, _ = admm_solve(pair, lam)
-        at_zero, _ = admm_solve(pair, lam, start=np.zeros((12, 12)))
+        with pytest.MonkeyPatch.context() as mp:
+            without_prediction(mp)
+            at_zero, _ = admm_solve(pair, lam, start=np.zeros((12, 12)))
         assert cold.delta.tobytes() == at_zero.delta.tobytes()
         assert cold.iterations == at_zero.iterations > 0
-        guess, used = fista_predict(pair, lam, np.zeros((12, 12)))
+        # The path's second solve is a lone solve from zero, which predicts.
+        _, used = fista_predict(factor_pair(pair), lam, np.zeros((12, 12)), SolverConfig())
         second = path.estimates[1]
-        finish, _ = admm_solve(pair, lam, start=guess)
+        finish, _ = admm_solve(pair, lam, start=np.zeros((12, 12)))
         assert finish.delta.tobytes() == second.delta.tobytes()
         assert finish.iterations == second.iterations
-        assert used == path.predict_iterations[1] > 0
+        assert used == finish.predict_iterations == path.predict_iterations[1] > 0
 
 
 class TestRecessionCertificate:
@@ -751,12 +758,12 @@ def lp_threshold(pair):
 
 def close(bracket, iterations):
     """Advance ``bracket`` by ``iterations``, one at a time at the middle of
-    its gap; a middle asked again gets one more iteration of its budget.
-    Returns (lower, upper) after each one."""
+    its gap, each asked with a budget of one. Returns (lower, upper) after
+    each one."""
     history = []
     for _ in range(iterations):
         lam = (bracket.lower + bracket.upper) / 2.0
-        bracket.separate(lam, (bracket.spent if lam == bracket.penalty else 0) + 1)
+        bracket.separate(lam, 1)
         history.append((bracket.lower, bracket.upper))
     return history
 
@@ -893,8 +900,8 @@ def reference_context(pair, dtype):
 
 class TestSolveContext:
     """``factor_pair`` derives every constant of the pair once, bit for bit
-    as the solves derived it at each penalty, and each penalty spends one
-    bracket budget whichever solves ask about it."""
+    as the solves derived it at each penalty, and each penalty's one solve
+    asks the bracket once."""
 
     @pytest.mark.parametrize(
         "make_pair",
@@ -923,8 +930,9 @@ class TestSolveContext:
                 assert built.tobytes() == old.tobytes()
 
     def test_path_penalty_spends_one_budget(self, monkeypatch):
-        # The predictor and the solve both ask the bracket about this
-        # undecided penalty; each spent max_iter = 5 iterations on it.
+        # The solve asks the bracket about this penalty once, which spends
+        # max_iter = 5 iterations and leaves it undecided: the start is
+        # swept without a prediction.
         pair = sim2_replicate_zero()
         made = []
         monkeypatch.setattr(
@@ -933,14 +941,32 @@ class TestSolveContext:
         path = solve_path(pair, [0.32211], SolverConfig(max_iter=5))
         (factors,) = made
         assert factors.bracket.iterations == 5
-        assert factors.bracket.spent == 5
         assert factors.bracket.lower <= 0.32211 < factors.bracket.upper
         assert path.estimates[0].iterations == 5 and not path.estimates[0].converged
+        assert path.predict_iterations[0] == 0
+
+    def test_path_asks_the_bracket_once_per_penalty(self, monkeypatch):
+        # The sim2 replicate-0 path solves 16 penalties below lambda_max and
+        # refuses the 17th; the predictor and the solve used to ask about
+        # each, 34 asks in all.
+        pair = sim2_replicate_zero()
+        asked = []
+        separate = solver.ThresholdBracket.separate
+
+        def counting(bracket, lam, max_iter):
+            asked.append(lam)
+            return separate(bracket, lam, max_iter)
+
+        monkeypatch.setattr(solver.ThresholdBracket, "separate", counting)
+        grid = lambda_grid(pair)
+        path = solve_path(pair, grid)
+        assert len(path) == 17 and path.no_minimizer_at == grid[17]
+        assert asked == list(grid[1:18])
 
     def test_refusal_through_a_path_reports_the_spend(self):
-        # ``estimate --lambda 0.31`` on this replicate: the predictor's
+        # ``estimate --lambda 0.31`` on this replicate: the solve's one
         # advance of the bracket separates the penalty, and the refusal
-        # reports what that took. It used to report the solve's own 0.
+        # reports what that took.
         pair = sim2_replicate_zero()
         with pytest.raises(NoMinimizerError) as err:
             solve_path(pair, [0.31])
@@ -1182,10 +1208,12 @@ class TestFixedPointState:
     """A solve from ``start`` sweeps from the state a sweep leaves in
     place when ``start`` is a minimizer."""
 
-    def test_zero_is_the_cold_start(self):
+    def test_zero_is_the_cold_start(self, monkeypatch):
         # The fixed point at zero is the old cold state, bit for bit, so a
-        # cold solve, a solve from zero and the reference from the old cold
-        # state take the same sweeps.
+        # cold solve, which forms no product of zero, a solve from zero
+        # taken as it stands and the reference from the old cold state take
+        # the same sweeps.
+        without_prediction(monkeypatch)
         for pair, ratio in ((make_pair(6, np.random.default_rng(41)), 0.3),
                             (sampled_pair(12, 6, 36), 0.8)):
             zeros = np.zeros((pair.p, pair.p))
@@ -1196,11 +1224,13 @@ class TestFixedPointState:
             at_zero, zero_grad = admm_solve(pair, lam, start=zeros)
             assert cold.iterations == at_zero.iterations > 0
             assert cold.delta.tobytes() == at_zero.delta.tobytes()
+            assert cold.objective == at_zero.objective
             assert cold_grad.tobytes() == zero_grad.tobytes()
             assert_same_solve(cold, reference_admm_solve(pair, lam, effective_rho(pair))[0])
 
     @pytest.mark.parametrize("ratio", [0.3, 0.1])
-    def test_one_sweep_leaves_a_minimizer_in_place(self, ratio):
+    def test_one_sweep_leaves_a_minimizer_in_place(self, monkeypatch, ratio):
+        without_prediction(monkeypatch)
         pair = make_pair(5, np.random.default_rng(40))
         lam = ratio * lambda_max(pair)
         delta = prox_grad_oracle(pair, lam, tol=0.0, max_iter=5000)
@@ -1235,7 +1265,7 @@ def record_predictions(monkeypatch):
     (see ``fista_predict``), each iteration's soft threshold (its step
     times that penalty, redone iterations included) with the dtype it ran
     in, and what it returned. The bracket's own thresholds are left out.
-    Returns the records and the recording predictor the path calls."""
+    Returns the records and the recording predictor ``admm_solve`` calls."""
     calls = []
 
     def threshold(a, tau):
@@ -1244,15 +1274,15 @@ def record_predictions(monkeypatch):
             calls[-1]["dtypes"].append(a.dtype)
         return soft_threshold(a, tau)
 
-    def predict(pair, lam, start, cfg=None, factors=None):
+    def predict(factors, lam, start, cfg):
         a, b = float(factors.x.values[0]), float(factors.y.values[0])
         call = {"lam": lam, "floor_tau": lam / (a**0.5 * b**0.5), "taus": [], "dtypes": []}
         calls.append(call)
-        call["x"], call["used"] = fista_predict(pair, lam, start, cfg, factors)
+        call["x"], call["used"] = fista_predict(factors, lam, start, cfg)
         return call["x"], call["used"]
 
     monkeypatch.setattr(solver, "soft_threshold", threshold)
-    monkeypatch.setattr(model_selection, "fista_predict", predict)
+    monkeypatch.setattr(solver, "fista_predict", predict)
     return calls, predict
 
 
@@ -1322,7 +1352,7 @@ class TestFistaPredict:
 
         def precision(lam, start, tol):
             calls.clear()
-            predict(pair, lam, start, SolverConfig(tol=tol), factors)
+            predict(factors, lam, start, SolverConfig(tol=tol))
             (call,) = calls
             (dtype,) = set(call["dtypes"])
             return dtype
@@ -1377,7 +1407,7 @@ class TestFistaPredict:
         pair = make_pair(6, np.random.default_rng(42), cond=1.1)
         lam = 0.1 * lambda_max(pair)
         calls, predict = record_predictions(monkeypatch)
-        x, used = predict(pair, lam, np.zeros((6, 6)), None, factor_pair(pair))
+        x, used = predict(factor_pair(pair), lam, np.zeros((6, 6)), SolverConfig())
         (call,) = calls
         assert 1 < used < SolverConfig().max_iter
         assert kkt_check(x, pair, lam) <= SolverConfig().tol * lam
@@ -1403,44 +1433,61 @@ class TestFistaPredict:
         # The sign of d / step matters at this step.
         assert abs(norm_entrywise_linf(hd + d / step) - bound) > 1e-3 * bound
         stop = bound / (solver.PREDICT_MARGIN * lam)
-        x, used = fista_predict(pair, lam, start, SolverConfig(tol=(1 + 1e-4) * stop))
+        x, used = fista_predict(factors, lam, start, SolverConfig(tol=(1 + 1e-4) * stop))
         assert used == 1
         np.testing.assert_allclose(x, first, rtol=0, atol=1e-6 * np.abs(first).max())
-        _, used = fista_predict(pair, lam, start, SolverConfig(tol=(1 - 1e-4) * stop))
+        _, used = fista_predict(factors, lam, start, SolverConfig(tol=(1 - 1e-4) * stop))
         assert used > 1
 
 
 class TestWarmCertificate:
-    """``admm_solve`` returns a start certified at tol without a sweep, and
-    sweeps from any other."""
+    """``admm_solve`` predicts from a given start, returns a prediction
+    certified at tol without a sweep, and sweeps from any other."""
 
     def test_certified_warm_start_is_returned_without_a_sweep(self):
         pair = sampled_pair(12, 80, 23)
         lam = 0.3 * lambda_max(pair)
-        guess, used = fista_predict(pair, lam, np.zeros((12, 12)))
-        assert 0 < used < SolverConfig().max_iter
-        # A start off by rounding from symmetric is symmetrized.
+        factors, cfg = factor_pair(pair), SolverConfig()
+        guess, _ = fista_predict(factors, lam, np.zeros((12, 12)), cfg)
+        # A start off by rounding from symmetric is symmetrized, then
+        # predicted from.
         start = guess * (1.0 + np.triu(np.full((12, 12), 1e-15), 1))
         symmetrized = (start + start.T) / 2.0
         assert not np.array_equal(start, start.T)
+        predicted, used = fista_predict(factors, lam, symmetrized, cfg)
+        assert 0 < used < cfg.max_iter
         est, grad = admm_solve(pair, lam, start=start)
-        assert est.iterations == 0 and est.converged
-        assert est.delta.tobytes() == symmetrized.tobytes()
+        assert est.iterations == 0 and est.converged and est.predict_iterations == used
+        assert est.delta.tobytes() == predicted.tobytes()
         assert est.objective == penalized_objective(est.delta, pair.sigma_x, pair.sigma_y, lam)
         assert grad.tobytes() == dtrace_gradient(est.delta, pair.sigma_x, pair.sigma_y).tobytes()
 
-    def test_uncertified_warm_start_is_swept(self):
-        # A prediction cut short fails the certificate, and the sweeps run
-        # from it as the reference runs them.
+    def test_uncertified_warm_start_is_swept(self, monkeypatch):
+        # A prediction stopped 100 times above the certificate's stop fails
+        # the certificate, and the sweeps run from it as the reference runs
+        # them.
+        monkeypatch.setattr(solver, "PREDICT_MARGIN", 100.0)
         pair = sampled_pair(12, 80, 23)
         lam = 0.3 * lambda_max(pair)
-        guess, used = fista_predict(pair, lam, np.zeros((12, 12)), SolverConfig(max_iter=3))
-        assert used == 3
+        zeros = np.zeros((12, 12))
+        guess, used = fista_predict(factor_pair(pair), lam, zeros, SolverConfig())
         assert kkt_check(guess, pair, lam) > SolverConfig().tol * lam
-        est, _ = admm_solve(pair, lam, start=guess)
+        est, _ = admm_solve(pair, lam, start=zeros)
         ref, _ = reference_admm_solve(pair, lam, effective_rho(pair), start=guess)
-        assert est.iterations > 0
+        assert est.iterations > 0 and est.predict_iterations == used > 0
         assert_same_solve(est, ref)
+
+    def test_library_warm_call_is_a_certified_prediction(self):
+        # The README's warm call, at 0.8 times the BIC-selected penalty from
+        # the selected estimate, took 17 sweeps when the start was swept as
+        # given.
+        truth = gen_sim1(100)
+        pair = build_pair(sample_gaussian(truth.omega_x, 500, 1),
+                          sample_gaussian(truth.omega_y, 500, 2))
+        lam, est = select_by_bic(solve_path(pair, lambda_grid(pair, count=50)), "frobenius")
+        warm, _ = admm_solve(pair, 0.8 * lam, start=est.delta)
+        assert warm.iterations == 0 and warm.converged and warm.predict_iterations > 0
+        assert kkt_check(warm.delta, pair, 0.8 * lam) <= SolverConfig().tol * 0.8 * lam
 
 
 class TestReturnedGradient:
@@ -1460,16 +1507,18 @@ class TestReturnedGradient:
     def test_certified_start(self):
         pair = sampled_pair(12, 80, 23)
         lam = 0.3 * lambda_max(pair)
-        guess, _ = fista_predict(pair, lam, np.zeros((12, 12)))
-        est, grad = admm_solve(pair, lam, start=guess)
-        assert est.iterations == 0 and est.converged
+        est, grad = admm_solve(pair, lam, start=np.zeros((12, 12)))
+        assert est.iterations == 0 and est.converged and est.predict_iterations > 0
         self.assert_gradient(pair, est, grad)
 
     @pytest.mark.parametrize("lam_ratio", [0.3, 0.0])
-    def test_swept_start(self, lam_ratio):
+    def test_swept_start(self, monkeypatch, lam_ratio):
+        # At 0.3 lambda_max a prediction stopped 100 times above the
+        # certificate's stop is swept; at lambda = 0 the start itself is.
+        monkeypatch.setattr(solver, "PREDICT_MARGIN", 100.0)
         pair = sampled_pair(12, 80, 23)
         lam = lam_ratio * lambda_max(pair)
-        guess, _ = fista_predict(pair, 0.3 * lambda_max(pair), np.zeros((12, 12)),
+        guess, _ = fista_predict(factor_pair(pair), 0.3 * lambda_max(pair), np.zeros((12, 12)),
                                  SolverConfig(max_iter=3))
         est, grad = admm_solve(pair, lam, start=guess)
         assert est.iterations > 0
@@ -1479,6 +1528,28 @@ class TestReturnedGradient:
         pair = sampled_pair(12, 80, 23)
         est, grad = admm_solve(pair, 0.3 * lambda_max(pair))
         assert est.iterations > 0
+        self.assert_gradient(pair, est, grad)
+
+    def test_cold_solve_forms_one_product_per_check(self, monkeypatch):
+        # The solve returns its last KKT check's gradient, each check forms
+        # its gradient from the context's D, and the cold start multiplies
+        # no zeros: 5 checks in 36 sweeps take 5 products, none through
+        # dtrace_gradient. They took 7 products and 6 dtrace_gradient calls.
+        pair = sampled_pair(12, 80, 23)
+        products, checks = [], []
+        product = solver._product
+        monkeypatch.setattr(solver, "_product", lambda *args: products.append(1) or product(*args))
+        monkeypatch.setattr(solver, "kkt_check",
+                            lambda *args: checks.append(args) or kkt_check(*args))
+
+        def refuse(*args):
+            raise AssertionError("gradient formed through dtrace_gradient")
+
+        monkeypatch.setattr(solver, "dtrace_gradient", refuse)
+        est, grad = admm_solve(pair, 0.3 * lambda_max(pair))
+        assert est.converged and est.iterations == 36 and est.predict_iterations == 0
+        assert len(checks) == len(products) == 5
+        assert all(len(args) == 4 for args in checks)
         self.assert_gradient(pair, est, grad)
 
 
