@@ -321,28 +321,57 @@ def reap(children: Sequence[Tuple[int, BinaryIO]]) -> None:
         os.waitpid(pid, 0)
 
 
+def _run_share(run, items):
+    """(results, None) for ``items`` in order, or (results so far, error)
+    at the first that raises. The error passes through ``_portable`` in
+    every process, so that an item fails the same way whichever process
+    ran it."""
+    results = []
+    for item in items:
+        try:
+            results.append(run(item))
+        except Exception as err:
+            return results, _portable(err)
+    return results, None
+
+
+def _run_split(run, items: list, workers: int, task) -> list:
+    """``[run(item) for item in items]``, split over ``workers`` processes:
+    this one runs items 0, W, 2W, ..., forked worker k runs items k, k+W,
+    ..., and the results come back in item order. The error raised is that
+    of the lowest-indexed failing item, as in the serial loop; a worker
+    that ends without a result raises a RuntimeError naming ``task`` of its
+    items. Every worker is reaped on every path."""
+    shares = [items[k::workers] for k in range(workers)]
+    children = []
+    try:
+        for share in shares[1:]:
+            children.append(fork(_run_share, run, share))
+        done = [_run_share(run, shares[0])]
+        for child, share in zip(children, shares[1:]):
+            done.append(receive(child, task(share)))
+    finally:
+        reap(children)
+    # Worker k's share stops at its first failure: item k + W * len(its results).
+    failures = [(k + workers * len(results), err)
+                for k, (results, err) in enumerate(done) if err is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results = [None] * len(items)
+    for k, (share_results, _) in enumerate(done):
+        results[k::workers] = share_results
+    return results
+
+
 def _load_pair(args) -> Tuple[CovariancePair, SolverConfig]:
     """Covariance pair of the --x/--y files and the flags' solver settings.
 
-    Where the platform has ``os.fork``, --x is parsed in a child process
-    while this one parses --y, on a second core. Either way, --x's error is
-    raised before --y's.
+    Where the platform has ``os.fork``, this process parses --x while a
+    forked child parses --y, on a second core (``_run_split``). Either way,
+    --x's error is raised before --y's.
     """
-    if hasattr(os, "fork"):
-        child = fork(read_matrix_csv, args.x, True)
-        work = f"reading {args.x}"
-        try:
-            try:
-                y = read_matrix_csv(args.y, allow_header=True)
-            except Exception:
-                receive(child, work)
-                raise
-            x = receive(child, work)
-        finally:
-            reap([child])
-    else:
-        x = read_matrix_csv(args.x, allow_header=True)
-        y = read_matrix_csv(args.y, allow_header=True)
+    x, y = _run_split(lambda path: read_matrix_csv(path, allow_header=True), [args.x, args.y],
+                      2 if hasattr(os, "fork") else 1, lambda paths: "reading " + ", ".join(paths))
     return build_pair(x, y), _solver_config(args)
 
 
@@ -426,48 +455,6 @@ def _workers(reps: int) -> int:
     return max(1, min(reps, cpus // blas))
 
 
-def _run_share(run, reps):
-    """(rows, None) for the replicates ``reps`` in order, or (rows so far,
-    (rep, error)) at the first that raises. The error passes through
-    ``_portable`` in every process, so that a replicate fails the same way
-    whichever process ran it."""
-    rows = []
-    for rep in reps:
-        try:
-            rows.append(run(rep))
-        except Exception as err:
-            return rows, (rep, _portable(err))
-    return rows, None
-
-
-def _run_replicates(run, reps: int) -> list:
-    """``[run(r) for r in range(reps)]``, split over ``_workers(reps)``
-    processes: worker k runs replicates k, k+W, ..., this process runs
-    worker 0's share, and the rows come back in replicate order. The error
-    raised is that of the lowest-numbered failing replicate, as in the
-    serial loop."""
-    workers = _workers(reps)
-    if workers == 1:
-        return [run(r) for r in range(reps)]
-    shares = [range(k, reps, workers) for k in range(workers)]
-    children = []
-    try:
-        for share in shares[1:]:
-            children.append(fork(_run_share, run, share))
-        results = [_run_share(run, shares[0])]
-        for child, share in zip(children, shares[1:]):
-            results.append(receive(child, f"running replicates {list(share)}"))
-    finally:
-        reap(children)
-    failures = [failure for _, failure in results if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    rows = [None] * reps
-    for k, (share_rows, _) in enumerate(results):
-        rows[k::workers] = share_rows
-    return rows
-
-
 def _format_mean_sd(values: Sequence[float], reps: int) -> Tuple[str, str, str]:
     """Mean and replicate SD in percent, then "mean(sd)"; the SD is empty
     and the last text is the mean alone for a single replicate."""
@@ -488,7 +475,9 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     write_ground_truth(truth, out)
 
-    rows = _run_replicates(lambda r: _simulate_replicate(spec, truth, r, cfg, args), args.reps)
+    rows = _run_split(lambda rep: _simulate_replicate(spec, truth, rep, cfg, args),
+                      list(range(args.reps)), _workers(args.reps),
+                      lambda reps: f"running replicates {reps}")
 
     if args.save_data:
         # The first replicate's data, re-drawn from its seeds: replicates

@@ -65,15 +65,13 @@ def build_pair(x, y) -> CovariancePair:
     Both groups must observe the same p variables. The covariances are
     judged PSD when a solve factors them (``solver.factor_pair``).
     """
-    x = check_observations(x, "group X")
-    y = check_observations(y, "group Y")
-    if x.shape[1] != y.shape[1]:
-        raise ValueError(
-            f"variable-count mismatch: group X has p={x.shape[1]}, group Y has p={y.shape[1]}"
-        )
     sigma_x = sample_covariance(x, name="group X")
     sigma_y = sample_covariance(y, name="group Y")
-    return CovariancePair(sigma_x, sigma_y, x.shape[0], y.shape[0])
+    if sigma_x.shape != sigma_y.shape:
+        raise ValueError(
+            f"variable-count mismatch: group X has p={len(sigma_x)}, group Y has p={len(sigma_y)}"
+        )
+    return CovariancePair(sigma_x, sigma_y, len(x), len(y))
 
 
 def pair_from_covariances(sigma_x, sigma_y, n_x: int, n_y: int) -> CovariancePair:

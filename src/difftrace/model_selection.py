@@ -17,7 +17,6 @@ from .solver import (
     admm_solve,
     dtrace_gradient,
     factor_pair,
-    kkt_check,
 )
 
 # Residual norms of the two information criteria: Frobenius and max-abs.
@@ -106,13 +105,13 @@ def solve_path(
     context of the pair (``factor_pair``). Each penalty takes one
     ``admm_solve`` call, which decides it, started from the line through
     the last two estimates (the path is piecewise linear in lambda).
-    Records both BIC variants and the KKT residual per entry from the loss
-    gradient that call returns, so a certified penalty takes one float64
-    Hessian product. The path stops at the first penalty certified to
-    have no minimizer (``NoMinimizerError``), since no smaller one has one
-    either; the error propagates when that is the first penalty. Bad input
-    raises ValueError; a failed solve raises SolverError naming its
-    penalty."""
+    Records both BIC variants per entry from the loss gradient that call
+    returns, and the KKT residual it measured, so a certified penalty
+    takes one float64 Hessian product. The path stops at the first
+    penalty certified to have no minimizer (``NoMinimizerError``), since
+    no smaller one has one either; the error propagates when that is the
+    first penalty. Bad input raises ValueError; a failed solve raises
+    SolverError naming its penalty."""
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.size == 0:
         raise ValueError("empty penalty grid")
@@ -140,7 +139,7 @@ def solve_path(
             raise SolverError(f"path solve failed at lambda={lam:g}: {err}") from err
         estimates.append(est)
         bic_f[i], bic_inf[i] = bic_score(est.delta, pair, grad)
-        kkt[i] = kkt_check(est.delta, pair, lam, grad) / (lam or 1.0)
+        kkt[i] = est.kkt / (lam or 1.0)
         nnz[i] = est.nnz
     k = len(estimates)
     predicted = np.array([est.predict_iterations for est in estimates], dtype=int)

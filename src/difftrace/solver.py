@@ -108,6 +108,7 @@ class DeltaEstimate:
     converged: bool
     objective: float
     predict_iterations: int  # fista_predict iterations before the sweeps
+    kkt: float  # kkt_check residual at delta
 
     @property
     def nnz(self) -> int:
@@ -356,8 +357,9 @@ def admm_solve(
     by callers that solve it at several penalties; computed here otherwise.
 
     Returns the estimate (the certified delta, or the final third block,
-    symmetrized) together with the loss gradient at it, bit for bit
-    ``dtrace_gradient``: that of the KKT check that stopped the sweeps.
+    symmetrized, with its ``kkt_check`` residual in ``kkt``) together with
+    the loss gradient at it, bit for bit ``dtrace_gradient``: that of the
+    KKT check that stopped the sweeps.
     """
     if not lam >= 0:
         raise ValueError(f"penalty must be nonnegative, got {lam}")
@@ -367,8 +369,8 @@ def admm_solve(
     eig_x, eig_y, bracket, diff = factors.x, factors.y, factors.bracket, factors.diff
 
     if lam >= factors.lam_max:
-        # H(0) - D, where H(0) is +0.0 throughout.
-        return DeltaEstimate(np.zeros_like(diff), float(lam), 0, True, 0.0, 0), 0.0 - diff
+        # H(0) - D, where H(0) is +0.0 throughout; each |D_ij| <= lam, so KKT is 0.
+        return DeltaEstimate(np.zeros_like(diff), float(lam), 0, True, 0.0, 0, 0.0), 0.0 - diff
 
     if lam == 0 and min(factors.ranks) < pair.p:
         raise ValueError(
@@ -391,9 +393,10 @@ def admm_solve(
         m = _product(delta, sx, sy)
         if lam > 0:
             grad = 0.5 * (m + m.T) - diff
-            if kkt_check(delta, pair, lam, grad) <= cfg.tol * lam:
+            kkt = kkt_check(delta, pair, lam, grad)
+            if kkt <= cfg.tol * lam:
                 objective = _loss_from_gradient(delta, grad, diff) + lam * norm_entrywise_l1(delta)
-                return DeltaEstimate(delta, float(lam), 0, True, objective, predicted), grad
+                return DeltaEstimate(delta, float(lam), 0, True, objective, predicted, kkt), grad
     rho = factors.rho
     d1 = d2 = d3 = delta
     # Scaled duals u_i = lambda_i / rho. Each block equation divided by
@@ -462,7 +465,8 @@ def admm_solve(
             if check:
                 delta = (d3 + d3.T) / 2.0
                 grad = _hessian(delta, sx, sy) - diff
-            converged = check and kkt_check(delta, pair, lam, grad) <= cfg.tol * lam
+                kkt = kkt_check(delta, pair, lam, grad)
+            converged = check and kkt <= cfg.tol * lam
             if check and not converged:
                 due, gap = iterations + gap, min(2 * gap, KKT_PERIOD)
         if converged:
@@ -471,10 +475,11 @@ def admm_solve(
     if not (converged and lam > 0):
         delta = (d3 + d3.T) / 2.0
         grad = _hessian(delta, sx, sy) - diff
+        kkt = kkt_check(delta, pair, lam, grad)
     objective = _loss_from_gradient(delta, grad, diff) + lam * norm_entrywise_l1(delta)
     if not np.isfinite(objective):
         raise SolverError(f"non-finite objective after {iterations} iterations")
-    return DeltaEstimate(delta, float(lam), iterations, converged, objective, predicted), grad
+    return DeltaEstimate(delta, float(lam), iterations, converged, objective, predicted, kkt), grad
 
 
 def kkt_check(delta, pair: CovariancePair, lam: float, grad=None) -> float:

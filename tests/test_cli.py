@@ -718,7 +718,7 @@ def _no_child_left():
 
 
 class TestConcurrentRead:
-    """estimate parses --x in a forked child while it parses --y."""
+    """estimate parses --y in a forked child while it parses --x."""
 
     def test_pair_is_bitwise_the_serial_pair(self, sim_data, monkeypatch):
         _, x_path, y_path = sim_data
@@ -738,7 +738,7 @@ class TestConcurrentRead:
         args = cli.build_parser().parse_args(["estimate", "--x", str(x_path), "--y", str(y_path)])
         pair, _ = cli._load_pair(args)
         assert forks == [os.getpid()]
-        assert reads == [str(y_path)]
+        assert reads == [str(x_path)]
         expected = build_pair(read(x_path, allow_header=True), read(y_path, allow_header=True))
         for field in dataclasses.fields(pair):
             got, want = getattr(pair, field.name), getattr(expected, field.name)
@@ -780,10 +780,10 @@ class TestConcurrentRead:
                   "--out", str(tmp_path / "out")])
         if failure == "raises":
             assert type(err.value) is ReaderFailure
-            assert str(err.value) == f"child cannot read {x_path}"
+            assert str(err.value) == f"child cannot read {y_path}"
         else:
             assert type(err.value) is RuntimeError
-            assert str(err.value) == f"the process reading {x_path} ended without a result"
+            assert str(err.value) == f"the process reading {y_path} ended without a result"
         _no_child_left()
 
     def test_interrupted_parent_reaps_child(self, tmp_path, sim_data, monkeypatch):
@@ -860,6 +860,63 @@ class TestForkHelper:
             cli.reap([child])
         assert str(err.value) == "the process loading ended without a result"
         assert isinstance(err.value.__cause__, TypeError)
+        _no_child_left()
+
+
+class TestRunSplit:
+    """_run_split: the one process map behind estimate's two reads and
+    simulate's replicates."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_come_back_in_item_order(self, workers):
+        parent = os.getpid()
+        got = cli._run_split(lambda item: (item, os.getpid() == parent), list(range(5)),
+                             workers, str)
+        # This process runs items 0, W, 2W, ...; the forked workers the rest.
+        assert got == [(item, item % workers == 0) for item in range(5)]
+        _no_child_left()
+
+    @pytest.mark.parametrize(
+        "workers, failing, lowest",
+        [(2, {1, 2}, 1), (2, {2, 3}, 2), (3, {2, 4}, 2), (3, {3, 4}, 3), (1, {3, 1}, 1)],
+        ids=["child-first", "parent-first", "two-children", "parent-and-child", "serial"],
+    )
+    def test_lowest_indexed_error_wins(self, workers, failing, lowest):
+        def run(item):
+            if item in failing:
+                raise ReaderFailure(f"item {item}")
+            return item
+
+        with pytest.raises(ReaderFailure) as err:
+            cli._run_split(run, list(range(5)), workers, str)
+        assert str(err.value) == f"item {lowest}"
+        _no_child_left()
+
+    def test_dead_worker_is_named_by_its_items(self):
+        parent = os.getpid()
+
+        def dying_in_child(item):
+            if os.getpid() != parent:
+                os._exit(1)
+            return item
+
+        with pytest.raises(RuntimeError) as err:
+            cli._run_split(dying_in_child, list(range(5)), 3, lambda share: f"running {share}")
+        # Worker 1, the first received, runs items 1 and 4.
+        assert str(err.value) == "the process running [1, 4] ended without a result"
+        _no_child_left()
+
+    @pytest.mark.parametrize("has_fork", [True, False])
+    def test_both_files_bad_names_x(self, tmp_path, capsys, monkeypatch, has_fork):
+        if not has_fork:
+            monkeypatch.delattr(os, "fork")
+        bad_x, bad_y = tmp_path / "bad_x.csv", tmp_path / "bad_y.csv"
+        bad_x.write_text("1,2\n3\n")
+        bad_y.write_text("1,2\nz,4\n")
+        code = main(["estimate", "--x", str(bad_x), "--y", str(bad_y), "--lambda", "0.05",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bad_x}: line 2 has 1 fields, expected 2\n"
         _no_child_left()
 
 

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from difftrace import covariance
 from difftrace.covariance import (
     CovariancePair,
     build_pair,
@@ -85,6 +86,30 @@ class TestBuildPair:
         rng = np.random.default_rng(7)
         with pytest.raises(ValueError, match="mismatch"):
             build_pair(rng.standard_normal((10, 3)), rng.standard_normal((10, 4)))
+
+    def test_each_group_is_validated_once(self, monkeypatch):
+        names, check = [], covariance.check_observations
+        monkeypatch.setattr(covariance, "check_observations",
+                            lambda data, name="data": names.append(name) or check(data, name))
+        pair = build_pair([[0.0, 1.0], [2.0, 3.0]], np.ones((3, 2)))
+        assert names == ["group X", "group Y"]
+        assert (pair.n_x, pair.n_y) == (2, 3)
+
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            (np.full((2, 3), np.nan), np.ones((1, 4)),
+             "group X has a non-finite value at row 1, column 1"),
+            (np.ones((2, 3)), np.ones((1, 4)), "group Y needs at least 2 observations, got 1"),
+            (np.ones((2, 3)), np.ones(4), "group Y must be 2-d (rows = observations), got ndim=1"),
+            (np.ones((2, 3)), np.ones((2, 4)),
+             "variable-count mismatch: group X has p=3, group Y has p=4"),
+        ],
+        ids=["x-first", "y-rows", "y-ndim", "mismatch-last"],
+    )
+    def test_errors_come_in_group_order(self, x, y, message):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            build_pair(x, y)
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(8)

@@ -128,7 +128,7 @@ def reference_admm_solve(pair, lam, rho, cfg=None, start=None):
 
     if lam >= norm_entrywise_linf(diff):
         state = zero_state(pair)
-        return DeltaEstimate(state[2].copy(), float(lam), 0, True, 0.0, 0), state
+        return DeltaEstimate(state[2].copy(), float(lam), 0, True, 0.0, 0, 0.0), state
 
     factors = factor_pair(pair)
     eig_x, eig_y = factors.x, factors.y
@@ -177,7 +177,8 @@ def reference_admm_solve(pair, lam, rho, cfg=None, start=None):
     delta = (d3 + d3.T) / 2.0
     objective = penalized_objective(delta, sx, sy, lam)
     state = (d1, d2, d3, l1, l2, l3)
-    return DeltaEstimate(delta, float(lam), iterations, converged, objective, 0), state
+    kkt = kkt_check(delta, pair, lam)
+    return DeltaEstimate(delta, float(lam), iterations, converged, objective, 0, kkt), state
 
 
 def numerical_ranges(pair):
@@ -1492,10 +1493,12 @@ class TestWarmCertificate:
 
 class TestReturnedGradient:
     """``admm_solve`` returns the loss gradient at its estimate, bit for
-    bit ``dtrace_gradient``, however the estimate was reached."""
+    bit ``dtrace_gradient``, and the estimate's ``kkt``, bit for bit
+    ``kkt_check``, however the estimate was reached."""
 
     def assert_gradient(self, pair, est, grad):
         assert grad.tobytes() == dtrace_gradient(est.delta, pair.sigma_x, pair.sigma_y).tobytes()
+        assert est.kkt == kkt_check(est.delta, pair, est.lam, grad)
 
     def test_at_lambda_max(self):
         pair = sampled_pair(12, 80, 23)
@@ -1528,6 +1531,12 @@ class TestReturnedGradient:
         pair = sampled_pair(12, 80, 23)
         est, grad = admm_solve(pair, 0.3 * lambda_max(pair))
         assert est.iterations > 0
+        self.assert_gradient(pair, est, grad)
+
+    def test_unconverged_solve(self):
+        pair = sampled_pair(12, 80, 23)
+        est, grad = admm_solve(pair, 0.3 * lambda_max(pair), SolverConfig(max_iter=3))
+        assert est.iterations == 3 and not est.converged
         self.assert_gradient(pair, est, grad)
 
     def test_cold_solve_forms_one_product_per_check(self, monkeypatch):
