@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import codecs
 import csv
+import gc
+import io
 import itertools
 import json
 import os
@@ -64,11 +66,6 @@ class InputError(ValueError):
     """Bad user input: malformed file, inconsistent shapes, invalid flags."""
 
 
-# Line boundaries of str.splitlines() in ASCII that a text-mode file read
-# keeps inside a line.
-_ASCII_LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
-
-
 def _parse_numeric_line(line: str):
     """(delimiter, values) of a numeric line, or None.
 
@@ -83,20 +80,6 @@ def _parse_numeric_line(line: str):
             except ValueError:
                 pass
     return None
-
-
-def _checked_lines(lines):
-    # A line that str.splitlines() would split is left to the line-by-line
-    # reader, so that both readers see the same rows. ASCII lines, the
-    # common case, skip the slower exact test.
-    for line in lines:
-        if line.isascii():
-            split = any(ch in line for ch in _ASCII_LINE_BREAKS)
-        else:
-            split = len(line.splitlines()) > 1
-        if split:
-            raise ValueError("line break inside a line")
-        yield line
 
 
 def _trimmed_lines(lines, delim):
@@ -119,8 +102,7 @@ def _load_numeric(fh, allow_header: bool) -> np.ndarray:
     ValueError on anything this one call does not cover, a width mismatch
     included.
     """
-    lines = _checked_lines(fh)
-    for line in lines:
+    for line in fh:
         if not line.strip():
             continue
         parsed = _parse_numeric_line(line)
@@ -129,7 +111,7 @@ def _load_numeric(fh, allow_header: bool) -> np.ndarray:
                 continue
             raise ValueError("non-numeric line")
         return np.loadtxt(
-            _trimmed_lines(itertools.chain([line], lines), parsed[0]),
+            _trimmed_lines(itertools.chain([line], fh), parsed[0]),
             dtype=float,
             delimiter=parsed[0],
             comments=None,
@@ -138,20 +120,22 @@ def _load_numeric(fh, allow_header: bool) -> np.ndarray:
     raise ValueError("no numeric line")
 
 
-def _read_lines(path: Path) -> List[str]:
-    """Lines of a UTF-8 file, less one leading byte-order mark; InputError
-    names the file and its first bad line."""
+def _read_lines(path: Path) -> List[Tuple[int, str]]:
+    """Numbered non-blank lines of a UTF-8 file, less one leading byte-order
+    mark, split at LF, CRLF and CR as a text-mode read splits them;
+    InputError names the file and its first bad line."""
     try:
         data = path.read_bytes()
-        return data.decode("utf-8-sig").splitlines()
+        lines = io.StringIO(data.decode("utf-8-sig"), newline=None)
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from err
     except UnicodeDecodeError as err:
         # The error's offset does not count the mark. The sentinel counts a
         # bad byte at the start of a line.
         text = data.removeprefix(codecs.BOM_UTF8)[: err.start].decode("utf-8")
-        lineno = len((text + "x").splitlines())
+        lineno = len(io.StringIO(text + "x", newline=None).readlines())
         raise InputError(f"{path}: line {lineno} is not UTF-8 text") from err
+    return [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip()]
 
 
 def _read_rows(path: Path, allow_header: bool) -> np.ndarray:
@@ -159,9 +143,7 @@ def _read_rows(path: Path, allow_header: bool) -> np.ndarray:
     # fields and "1_0" literals, and names the first bad line.
     rows: List[List[float]] = []
     width: Optional[int] = None
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        if not raw.strip():
-            continue
+    for lineno, raw in _read_lines(path):
         parsed = _parse_numeric_line(raw)
         if parsed is None:
             if allow_header and not rows:
@@ -205,9 +187,7 @@ def read_support_csv(path, p: int) -> set:
     """Parse a support list of 1-based "i,j[,value]" rows into 0-based pairs."""
     path = Path(path)
     support = set()
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        if not raw.strip():
-            continue
+    for lineno, raw in _read_lines(path):
         parts = [item.strip() for item in raw.split(",")]
         try:
             i, j = float(parts[0]), float(parts[1])
@@ -407,7 +387,7 @@ def cmd_estimate(args) -> int:
         "no_minimizer_at": path.no_minimizer_at,
     }
     (out / "run.json").write_text(json.dumps(record, indent=2) + "\n")
-    return 0 if estimate.converged else 1
+    return 0 if all(est.converged for est in path.estimates) else 1
 
 
 def _replicate_data(spec: SimulationSpec, truth, rep: int):
@@ -650,5 +630,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
 
+def entry() -> None:
+    """The console script: exit with ``main()``'s code. Freezing the heap
+    first spares the exit a collection of objects it frees anyway."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -90,7 +91,7 @@ class TestReadMatrixCsv:
             ("1,2\n3\t4\n5 6\n", False, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
             ("1_0,2\n3,4\n", False, [[10.0, 2.0], [3.0, 4.0]]),
             ("# comment\n1,2\n", True, [[1.0, 2.0]]),
-            ("1 2\x0c3 4\n", False, [[1.0, 2.0], [3.0, 4.0]]),
+            ("1 2\x0c3 4\n", False, [[1.0, 2.0, 3.0, 4.0]]),
             ("\u00b5g,ng\n1,2\n", True, [[1.0, 2.0]]),
             ("1,2\n# note\n3,4\n", True, "line 2 is not numeric"),
             ("g1,g2\n\n1,2\n3,4,5\n", True, "line 4 has 3 fields, expected 2"),
@@ -106,7 +107,7 @@ class TestReadMatrixCsv:
         ids=[
             "comma", "tab", "whitespace", "header-then-blank-lines", "crlf",
             "single-row", "single-column", "trailing-delimiter", "mixed-delimiters",
-            "underscore-literal", "hash-line-as-header", "form-feed-line-break",
+            "underscore-literal", "hash-line-as-header", "form-feed-inside-line",
             "non-ascii-header", "hash-line-after-data",
             "ragged-after-header", "non-numeric-after-header", "header-refused",
             "empty", "delimiter-only-line", "byte-order-mark-observations",
@@ -129,8 +130,10 @@ class TestReadMatrixCsv:
     @pytest.mark.parametrize(
         "data, line",
         [(b"\xff1,2\n", 1), (b"1,2\n\xff", 2), (b"1,2\r\n3,4\r\n5,\xe9\n", 3),
-         (b"1,2\r3,4\n\n5,6\xff\n", 4), (b"\xef\xbb\xbf1,2\n3,4\n5,\xff\n", 3)],
-        ids=["first-byte", "line-start", "crlf", "cr-and-blank-line", "after-byte-order-mark"],
+         (b"1,2\r3,4\n\n5,6\xff\n", 4), (b"\xef\xbb\xbf1,2\n3,4\n5,\xff\n", 3),
+         (b"1 2\x0c\xff\n", 1), (b"1,2\x0c\n3,4\n\xff", 3)],
+        ids=["first-byte", "line-start", "crlf", "cr-and-blank-line", "after-byte-order-mark",
+             "after-form-feed", "line-after-form-feed"],
     )
     def test_non_utf8_byte_is_named(self, tmp_path, data, line):
         f = tmp_path / "m.csv"
@@ -200,6 +203,45 @@ class TestReadMatrixCsv:
                 assert outcome(read_matrix_csv, allow_header) == outcome(_read_rows, allow_header)
 
 
+# The characters that str.splitlines() breaks a line at and a text-mode
+# file read keeps inside one.
+INLINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineModel:
+    """A line ends at LF, CRLF or CR only, in every reader."""
+
+    @pytest.mark.parametrize("char", INLINE_BREAKS, ids=lambda char: f"U+{ord(char):04X}")
+    @pytest.mark.parametrize(
+        "line, expected",
+        [("4 5{}6\n", [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+         ("4,5{}6\n", "line 2 is not numeric")],
+        ids=["whitespace", "comma"],
+    )
+    def test_character_stays_inside_its_line(self, tmp_path, char, line, expected):
+        f = tmp_path / "m.csv"
+        f.write_text("1 2 3\n" + line.format(char), encoding="utf-8", newline="")
+        for read in (read_matrix_csv, _read_rows):
+            if isinstance(expected, str):
+                with pytest.raises(InputError) as err:
+                    read(f, allow_header=False)
+                assert str(err.value) == f"{f}: {expected}"
+            else:
+                data = read(f, allow_header=False)
+                assert data.tobytes() == np.array(expected).tobytes()
+                assert data.shape == (2, 3)
+
+    @pytest.mark.parametrize("char", INLINE_BREAKS, ids=lambda char: f"U+{ord(char):04X}")
+    def test_support_line_keeps_its_number(self, tmp_path, char):
+        f = tmp_path / "support.csv"
+        f.write_text(f"i,j\n1,{char}2{char}\n2,1\n", encoding="utf-8", newline="")
+        assert read_support_csv(f, p=4) == {(0, 1), (1, 0)}
+        f.write_text(f"i,j\n1,2{char}\n3,9\n", encoding="utf-8", newline="")
+        with pytest.raises(InputError) as err:
+            read_support_csv(f, p=4)
+        assert str(err.value) == f"{f}: line 3 index out of range for p=4"
+
+
 class TestEstimate:
     def test_identical_files_give_zero(self, tmp_path, sim_data):
         _, x_path, _ = sim_data
@@ -254,6 +296,45 @@ class TestEstimate:
         assert code == 1
         record = json.loads((out / "run.json").read_text())
         assert record["converged"] is False
+
+    def test_unconverged_path_exit_code_1(self, tmp_path, sim_data):
+        # BIC selects lambda_max, which converges without a sweep; every
+        # other penalty stops at one sweep.
+        _, x_path, y_path = sim_data
+        out = tmp_path / "out"
+        code = main(
+            ["estimate", "--x", str(x_path), "--y", str(y_path),
+             "--grid-count", "8", "--max-iter", "1", "--out", str(out)]
+        )
+        assert code == 1
+        record = json.loads((out / "run.json").read_text())
+        assert record["converged"] is True
+        with open(out / "path.csv", newline="") as fh:
+            converged = [row["converged"] for row in csv.DictReader(fh)]
+        assert converged[0] == "True" and "False" in converged
+
+    def test_module_run_exits_with_main_code(self, tmp_path, sim_data):
+        _, x_path, y_path = sim_data
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "difftrace.cli", "estimate", "--x", str(x_path),
+             "--y", str(y_path), "--grid-count", "8", "--max-iter", "1",
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert (tmp_path / "out" / "run.json").exists()
+
+    def test_entry_freezes_the_heap_before_exit(self, monkeypatch):
+        monkeypatch.setattr(cli, "main", lambda: 3)
+        try:
+            with pytest.raises(SystemExit) as stop:
+                cli.entry()
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+        assert stop.value.code == 3
 
     def test_run_scored_once(self, tmp_path, sim_data, monkeypatch):
         _, x_path, y_path = sim_data
