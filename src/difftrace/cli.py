@@ -46,13 +46,7 @@ from .model_selection import (
     solve_path,
     write_path_csv,
 )
-from .simulation import (
-    SCENARIOS,
-    SimulationSpec,
-    generate,
-    sample_gaussian,
-    write_ground_truth,
-)
+from .simulation import SCENARIOS, GroundTruth, SimulationSpec, generate, sample_gaussian
 from .solver import SolverConfig
 from .solver import admm_solve  # noqa: F401  unused here, but perfbench/traced.py rebinds it
 
@@ -60,6 +54,17 @@ from .solver import admm_solve  # noqa: F401  unused here, but perfbench/traced.
 # BLAS thread-count variables; the first set to a positive integer is
 # taken as the thread count.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# The BIC norms that simulate scores, each with its column-name suffix.
+_NORM_TAGS = (("frobenius", "f"), ("max", "inf"))
+
+# Columns of simulate's replicates.csv, one row per replicate.
+REPLICATE_COLUMNS = (
+    "replicate",
+    "lambda_f", "tp_f", "tn_f", "td_f", "nnz_f",
+    "lambda_inf", "tp_inf", "tn_inf", "td_inf", "nnz_inf",
+    "auc",
+)
 
 
 class InputError(ValueError):
@@ -184,15 +189,17 @@ def read_matrix_csv(path, allow_header: bool = False) -> np.ndarray:
 
 
 def read_support_csv(path, p: int) -> set:
-    """Parse a support list of 1-based "i,j[,value]" rows into 0-based pairs."""
+    """Parse a support list of 1-based "i,j[,value]" rows into 0-based pairs.
+    The first non-blank line may be a header."""
     path = Path(path)
     support = set()
-    for lineno, raw in _read_lines(path):
+    lines = _read_lines(path)
+    for lineno, raw in lines:
         parts = [item.strip() for item in raw.split(",")]
         try:
             i, j = float(parts[0]), float(parts[1])
         except (ValueError, IndexError):
-            if lineno == 1:
+            if lineno == lines[0][0]:
                 continue
             raise InputError(f"{path}: line {lineno} is not an 'i,j[,value]' row")
         if not (i.is_integer() and j.is_integer()):
@@ -210,13 +217,27 @@ def write_matrix_csv(matrix: np.ndarray, path) -> None:
     np.savetxt(path, matrix, delimiter=",")
 
 
-def write_support_csv(delta: np.ndarray, path) -> None:
-    """Write the nonzero entries as 1-based "i,j,value" rows."""
+def _write_table(path, header: Sequence[str], rows) -> None:
+    """Write a CSV table. Rows hold ints, strings and Python floats; csv
+    writes a float as its ``repr``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(("i", "j", "value"))
-        for i, j in np.argwhere(delta != 0):
-            writer.writerow((i + 1, j + 1, repr(float(delta[i, j]))))
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_support_csv(delta: np.ndarray, path) -> None:
+    """Write the nonzero entries as 1-based "i,j,value" rows."""
+    _write_table(path, ("i", "j", "value"),
+                 ((i + 1, j + 1, float(delta[i, j])) for i, j in np.argwhere(delta != 0)))
+
+
+def write_ground_truth(truth: GroundTruth, out: Path) -> None:
+    """Export the true matrices as headerless CSV plus a 1-based support list."""
+    write_matrix_csv(truth.omega_x, out / "truth_omega_x.csv")
+    write_matrix_csv(truth.omega_y, out / "truth_omega_y.csv")
+    write_matrix_csv(truth.delta_star, out / "truth_delta.csv")
+    write_support_csv(truth.delta_star, out / "truth_support.csv")
 
 
 def _solver_config(args) -> SolverConfig:
@@ -403,7 +424,7 @@ def _simulate_replicate(spec: SimulationSpec, truth, rep: int, cfg: SolverConfig
     path = solve_path(pair, grid, cfg)
     points, auc = curve_from_path(path, truth.delta_star)
     row = {"replicate": rep, "auc": auc, "points": points}
-    for norm, tag in (("frobenius", "f"), ("max", "inf")):
+    for norm, tag in _NORM_TAGS:
         lam, est = select_by_bic(path, norm)
         report = support_metrics(est.delta, truth.delta_star)
         row[f"lambda_{tag}"] = lam
@@ -435,11 +456,11 @@ def _workers(reps: int) -> int:
     return max(1, min(reps, cpus // blas))
 
 
-def _format_mean_sd(values: Sequence[float], reps: int) -> Tuple[str, str, str]:
+def _format_mean_sd(values: Sequence[float]) -> Tuple[str, str, str]:
     """Mean and replicate SD in percent, then "mean(sd)"; the SD is empty
     and the last text is the mean alone for a single replicate."""
     mean = f"{100.0 * float(np.mean(values)):.1f}"
-    if reps < 2:
+    if len(values) < 2:
         return mean, "", mean
     sd = f"{100.0 * float(np.std(values, ddof=1)):.1f}"
     return mean, sd, f"{mean}({sd})"
@@ -465,56 +486,24 @@ def cmd_simulate(args) -> int:
         for name, data in zip(("x.csv", "y.csv"), _replicate_data(spec, truth, 0)):
             write_matrix_csv(data, out / name)
 
-    with open(out / "replicates.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            (
-                "replicate",
-                "lambda_f", "tp_f", "tn_f", "td_f", "nnz_f",
-                "lambda_inf", "tp_inf", "tn_inf", "td_inf", "nnz_inf",
-                "auc",
-            )
-        )
-        for row in rows:
-            writer.writerow(
-                (
-                    row["replicate"],
-                    repr(row["lambda_f"]), repr(row["tp_f"]), repr(row["tn_f"]),
-                    repr(row["td_f"]), row["nnz_f"],
-                    repr(row["lambda_inf"]), repr(row["tp_inf"]), repr(row["tn_inf"]),
-                    repr(row["td_inf"]), row["nnz_inf"],
-                    repr(row["auc"]),
-                )
-            )
-
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("norm", "metric", "mean_pct", "sd_pct", "formatted"))
-        for norm, tag in (("frobenius", "f"), ("max", "inf")):
-            for metric in ("tp", "tn", "td"):
-                values = [row[f"{metric}_{tag}"] for row in rows]
-                writer.writerow((norm, metric, *_format_mean_sd(values, args.reps)))
+    _write_table(out / "replicates.csv", REPLICATE_COLUMNS,
+                 ([row[column] for column in REPLICATE_COLUMNS] for row in rows))
+    _write_table(out / "summary.csv", ("norm", "metric", "mean_pct", "sd_pct", "formatted"),
+                 ((norm, metric, *_format_mean_sd([row[f"{metric}_{tag}"] for row in rows]))
+                  for norm, tag in _NORM_TAGS for metric in ("tp", "tn", "td")))
 
     for row in rows:
         with open(out / f"curve_{row['replicate']:03d}.csv", "w", newline="") as fh:
             write_curve_csv(row["points"], fh)
 
     # Curves averaged pointwise across replicates at matched grid positions.
-    n_points = min(len(row["points"]) for row in rows)
-    with open(out / "roc.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("index", "mean_fp", "mean_tp"))
-        for i in range(n_points):
-            fp = float(np.mean([row["points"][i].fp_rate for row in rows]))
-            tp = float(np.mean([row["points"][i].tp_rate for row in rows]))
-            writer.writerow((i, repr(fp), repr(tp)))
-    with open(out / "pr.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("index", "mean_recall", "mean_precision"))
-        for i in range(n_points):
-            recall = float(np.mean([row["points"][i].tp_rate for row in rows]))
-            precision = float(np.mean([row["points"][i].precision for row in rows]))
-            writer.writerow((i, repr(recall), repr(precision)))
+    index = range(min(len(row["points"]) for row in rows))
+    fp, tp, precision = ([float(np.mean([getattr(row["points"][i], field) for row in rows]))
+                          for i in index]
+                         for field in ("fp_rate", "tp_rate", "precision"))
+    _write_table(out / "roc.csv", ("index", "mean_fp", "mean_tp"), zip(index, fp, tp))
+    _write_table(out / "pr.csv", ("index", "mean_recall", "mean_precision"),
+                 zip(index, tp, precision))
 
     return 0 if all(row["converged"] for row in rows) else 1
 

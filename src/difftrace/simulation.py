@@ -9,7 +9,6 @@ arguments, bitwise-reproducible for a fixed seed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import FrozenSet, Set, Tuple
 
@@ -245,17 +244,3 @@ def sample_gaussian(omega, n: int, seed: int) -> np.ndarray:
     # omega = L L^T, so x = L^-T z has covariance omega^-1.
     return np.linalg.solve(chol.T, z.T).T
 
-
-def write_ground_truth(truth: GroundTruth, out_dir) -> None:
-    """Export the matrices as headerless CSV plus a 1-based support list."""
-    from pathlib import Path
-
-    out = Path(out_dir)
-    np.savetxt(out / "truth_omega_x.csv", truth.omega_x, delimiter=",")
-    np.savetxt(out / "truth_omega_y.csv", truth.omega_y, delimiter=",")
-    np.savetxt(out / "truth_delta.csv", truth.delta_star, delimiter=",")
-    with open(out / "truth_support.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("i", "j", "value"))
-        for i, j in sorted(truth.support):
-            writer.writerow((i + 1, j + 1, repr(float(truth.delta_star[i, j]))))

@@ -58,8 +58,17 @@ class TestReadMatrixCsv:
 
     def test_support_round_trip(self, tmp_path):
         f = tmp_path / "support.csv"
-        f.write_text("i,j,value\n1,2,0.5\n2,1,0.5\n")
-        assert read_support_csv(f, p=4) == {(0, 1), (1, 0)}
+        # The header is the first non-blank line, wherever that is.
+        for text in ("i,j,value\n1,2,0.5\n2,1,0.5\n", "\ni,j,value\n1,2,0.5\n2,1,0.5\n"):
+            f.write_text(text)
+            assert read_support_csv(f, p=4) == {(0, 1), (1, 0)}
+
+    def test_support_header_only_on_first_line(self, tmp_path):
+        f = tmp_path / "support.csv"
+        f.write_text("1,2\nfoo\n")
+        with pytest.raises(InputError) as err:
+            read_support_csv(f, p=4)
+        assert str(err.value) == f"{f}: line 2 is not an 'i,j[,value]' row"
 
     def test_support_ignores_byte_order_mark(self, tmp_path):
         f = tmp_path / "support.csv"
@@ -638,8 +647,39 @@ class TestSimulate:
         out2 = tmp_path / "b"
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
-        for name in ("replicates.csv", "summary.csv", "roc.csv", "pr.csv", "curve_000.csv"):
+        for name in ("replicates.csv", "summary.csv", "roc.csv", "pr.csv", "curve_000.csv",
+                     "truth_omega_x.csv", "truth_omega_y.csv", "truth_delta.csv",
+                     "truth_support.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_tables_read_back(self, tmp_path):
+        out = tmp_path / "sim"
+        code = main(
+            ["simulate", "--scenario", "sim1", "--p", "12", "--n", "60",
+             "--reps", "3", "--seed", "5", "--grid-count", "6", "--out", str(out)]
+        )
+        assert code == 0
+        with open(out / "replicates.csv", newline="") as fh:
+            assert next(csv.reader(fh)) == list(cli.REPLICATE_COLUMNS)
+        assert cli.REPLICATE_COLUMNS == (
+            "replicate", "lambda_f", "tp_f", "tn_f", "td_f", "nnz_f",
+            "lambda_inf", "tp_inf", "tn_inf", "td_inf", "nnz_inf", "auc",
+        )
+        # roc.csv and pr.csv are the pointwise means of the replicate curves.
+        curves = []
+        for rep in range(3):
+            with open(out / f"curve_{rep:03d}.csv", newline="") as fh:
+                curves.append([{key: float(value) for key, value in row.items()}
+                               for row in csv.DictReader(fh)])
+        n_points = min(len(curve) for curve in curves)
+        assert n_points == 6
+        for name, columns in (("roc.csv", ("fp", "tp")), ("pr.csv", ("tp", "precision"))):
+            with open(out / name, newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert len(rows) == n_points
+            for i, row in enumerate(rows):
+                means = [float(np.mean([curve[i][col] for curve in curves])) for col in columns]
+                assert [int(row[0])] + [float(value) for value in row[1:]] == [i] + means
 
 
 class TestEvaluate:

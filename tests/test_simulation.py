@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from difftrace.cli import write_ground_truth
 from difftrace.simulation import (
     PD_MARGIN,
     GroundTruth,
@@ -11,7 +12,6 @@ from difftrace.simulation import (
     gen_sim3,
     generate,
     sample_gaussian,
-    write_ground_truth,
 )
 
 
