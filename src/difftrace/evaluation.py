@@ -79,10 +79,10 @@ def curve_from_path(path: RegPath, truth) -> Tuple[List[CurvePoint], float]:
     if len(path) == 0:
         raise ValueError("empty path")
     points = []
-    for lam, est in zip(path.lambdas, path.estimates):
+    for est in path.estimates:
         report = support_metrics(est.delta, truth)
         points.append(
-            CurvePoint(float(lam), report.tp_rate, 1.0 - report.tn_rate, report.td_rate)
+            CurvePoint(float(est.lam), report.tp_rate, 1.0 - report.tn_rate, report.td_rate)
         )
     return points, _roc_auc(points)
 

@@ -77,23 +77,37 @@ def bic_score(delta, pair: CovariancePair, grad=None) -> Tuple[float, float]:
 
 @dataclass
 class RegPath:
-    """Solutions along a descending penalty grid with both BIC variants,
-    each solution's KKT residual over its penalty (``kkt_check`` / lambda;
-    the residual itself at lambda = 0) and its ``predict_iterations``.
+    """Solutions along a descending penalty grid with both BIC variants.
     ``no_minimizer_at`` is the grid's first penalty certified to have no
-    minimizer, where the path stops, None when every penalty was solved."""
+    minimizer, where the path stops, None when every penalty was solved.
+    Each penalty's lambda, nnz, KKT residual over lambda and predictor
+    iterations are read from its estimate."""
 
-    lambdas: np.ndarray
     estimates: List[DeltaEstimate]
     bic_f: np.ndarray
     bic_inf: np.ndarray
-    nnz: np.ndarray
-    kkt: np.ndarray
-    predict_iterations: np.ndarray
     no_minimizer_at: Optional[float] = None
 
     def __len__(self) -> int:
         return len(self.estimates)
+
+    @property
+    def lambdas(self) -> np.ndarray:
+        return np.array([est.lam for est in self.estimates], dtype=float)
+
+    @property
+    def nnz(self) -> np.ndarray:
+        return np.array([est.nnz for est in self.estimates], dtype=int)
+
+    @property
+    def kkt(self) -> np.ndarray:
+        """Each ``kkt_check`` residual over its penalty; the residual
+        itself at lambda = 0."""
+        return np.array([est.kkt / (est.lam or 1.0) for est in self.estimates], dtype=float)
+
+    @property
+    def predict_iterations(self) -> np.ndarray:
+        return np.array([est.predict_iterations for est in self.estimates], dtype=int)
 
 
 def solve_path(
@@ -105,13 +119,12 @@ def solve_path(
     context of the pair (``factor_pair``). Each penalty takes one
     ``admm_solve`` call, which decides it, started from the line through
     the last two estimates (the path is piecewise linear in lambda).
-    Records both BIC variants per entry from the loss gradient that call
-    returns, and the KKT residual it measured, so a certified penalty
-    takes one float64 Hessian product. The path stops at the first
-    penalty certified to have no minimizer (``NoMinimizerError``), since
-    no smaller one has one either; the error propagates when that is the
-    first penalty. Bad input raises ValueError; a failed solve raises
-    SolverError naming its penalty."""
+    Scores both BIC variants per entry from the loss gradient that call
+    returns, so a certified penalty takes one float64 Hessian product. The
+    path stops at the first penalty certified to have no minimizer
+    (``NoMinimizerError``), since no smaller one has one either; the error
+    propagates when that is the first penalty. Bad input raises
+    ValueError; a failed solve raises SolverError naming its penalty."""
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.size == 0:
         raise ValueError("empty penalty grid")
@@ -120,43 +133,34 @@ def solve_path(
     if np.isinf(lambdas).any():
         raise ValueError(f"penalty must be finite, got {lambdas[np.isinf(lambdas)][0]}")
     estimates: List[DeltaEstimate] = []
-    bic_f = np.empty(lambdas.size)
-    bic_inf = np.empty(lambdas.size)
-    nnz = np.empty(lambdas.size, dtype=int)
-    kkt = np.empty(lambdas.size)
+    scores: List[Tuple[float, float]] = []
     factors = factor_pair(pair)
     no_minimizer_at = None
-    for i, lam in enumerate(lambdas):
-        guess = _extrapolate(lambdas[:i], estimates, lam, pair.p)
+    for lam in lambdas:
+        guess = _extrapolate(estimates, lam, pair.p)
         try:
             est, grad = admm_solve(pair, float(lam), cfg, start=guess, factors=factors)
         except NoMinimizerError:
-            if i == 0:
+            if not estimates:
                 raise
             no_minimizer_at = float(lam)
             break
         except SolverError as err:
             raise SolverError(f"path solve failed at lambda={lam:g}: {err}") from err
         estimates.append(est)
-        bic_f[i], bic_inf[i] = bic_score(est.delta, pair, grad)
-        kkt[i] = est.kkt / (lam or 1.0)
-        nnz[i] = est.nnz
-    k = len(estimates)
-    predicted = np.array([est.predict_iterations for est in estimates], dtype=int)
-    return RegPath(
-        lambdas[:k], estimates, bic_f[:k], bic_inf[:k], nnz[:k], kkt[:k], predicted,
-        no_minimizer_at,
-    )
+        scores.append(bic_score(est.delta, pair, grad))
+    bic_f, bic_inf = np.array(scores).T
+    return RegPath(estimates, bic_f, bic_inf, no_minimizer_at)
 
 
-def _extrapolate(lambdas, estimates: List[DeltaEstimate], lam: float, p: int) -> np.ndarray:
+def _extrapolate(estimates: List[DeltaEstimate], lam: float, p: int) -> np.ndarray:
     """The line through the last two estimates, at ``lam``; the last
     estimate when there is one, zero when there is none."""
     if not estimates:
         return np.zeros((p, p))
     if len(estimates) == 1:
         return estimates[-1].delta
-    (lam1, lam2), (d1, d2) = lambdas[-2:], (est.delta for est in estimates[-2:])
+    (lam1, d1), (lam2, d2) = ((est.lam, est.delta) for est in estimates[-2:])
     return d2 + ((lam - lam2) / (lam1 - lam2)) * (d1 - d2)
 
 
@@ -168,24 +172,14 @@ def select_by_bic(path: RegPath, norm: str = "frobenius") -> Tuple[float, DeltaE
     if len(path) == 0:
         raise ValueError("empty path")
     scores = path.bic_f if norm == "frobenius" else path.bic_inf
-    best = int(np.argmin(scores))
-    return float(path.lambdas[best]), path.estimates[best]
+    best = path.estimates[int(np.argmin(scores))]
+    return float(best.lam), best
 
 
 def write_path_csv(path: RegPath, fileobj) -> None:
     """Export the path summary (one row per penalty)."""
     writer = csv.writer(fileobj)
     writer.writerow(PATH_CSV_COLUMNS)
-    for i, est in enumerate(path.estimates):
-        writer.writerow(
-            [
-                repr(float(path.lambdas[i])),
-                int(path.nnz[i]),
-                repr(float(path.bic_f[i])),
-                repr(float(path.bic_inf[i])),
-                est.converged,
-                est.iterations,
-                repr(float(path.kkt[i])),
-                int(path.predict_iterations[i]),
-            ]
-        )
+    for est, bic_f, bic_inf, kkt in zip(path.estimates, path.bic_f, path.bic_inf, path.kkt):
+        writer.writerow([repr(float(est.lam)), est.nnz, repr(float(bic_f)), repr(float(bic_inf)),
+                         est.converged, est.iterations, repr(float(kkt)), est.predict_iterations])

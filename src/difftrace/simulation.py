@@ -41,16 +41,20 @@ def check_dimension(scenario: str, p: int) -> None:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """True precision pair, their difference, and its support set."""
+    """True precision pair and their difference."""
 
     omega_x: np.ndarray
     omega_y: np.ndarray
     delta_star: np.ndarray
-    support: FrozenSet[Tuple[int, int]]
 
     @property
     def p(self) -> int:
         return self.omega_x.shape[0]
+
+    @property
+    def support(self) -> FrozenSet[Tuple[int, int]]:
+        """The 0-based (i, j) positions of ``delta_star``'s nonzeros."""
+        return frozenset(map(tuple, np.argwhere(self.delta_star != 0)))
 
 
 @dataclass(frozen=True)
@@ -84,9 +88,7 @@ def _finalize(omega_x: np.ndarray, omega_y: np.ndarray, margin: float) -> Ground
         eye = np.eye(omega_x.shape[0])
         omega_x = omega_x + shift * eye
         omega_y = omega_y + shift * eye
-    delta = omega_y - omega_x
-    support = frozenset(map(tuple, np.argwhere(delta != 0)))
-    return GroundTruth(omega_x, omega_y, delta, support)
+    return GroundTruth(omega_x, omega_y, omega_y - omega_x)
 
 
 def gen_sim1(p: int) -> GroundTruth:

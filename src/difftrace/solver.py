@@ -252,7 +252,6 @@ class PairFactors(NamedTuple):
     x: EigenPair  # psd_eig of sigma_x
     y: EigenPair  # psd_eig of sigma_y
     bracket: Optional[ThresholdBracket]  # None at full numerical rank
-    ranks: Tuple[int, int]  # range_size of x and y
     diff: np.ndarray  # D = sigma_x - sigma_y
     lam_max: float  # ||D||_inf, the smallest penalty at which zero is optimal
     rho: float  # the ADMM's weight, spectral_scale(x, y)
@@ -281,7 +280,6 @@ def factor_pair(pair: CovariancePair) -> PairFactors:
     scaled = 0.5 * (pair.sigma_x / a), pair.sigma_y / b, diff / c
     return PairFactors(
         eig_x, eig_y, None if null is None else ThresholdBracket(null, diff),
-        ranks=(range_size(eig_x.values), range_size(eig_y.values)),
         diff=diff, lam_max=norm_entrywise_linf(diff), rho=spectral_scale(eig_x, eig_y), scale=c,
         operands={t: tuple(m.astype(t, copy=False) for m in scaled)
                   for t in (np.float32, np.float64)},
@@ -372,10 +370,10 @@ def admm_solve(
         # H(0) - D, where H(0) is +0.0 throughout; each |D_ij| <= lam, so KKT is 0.
         return DeltaEstimate(np.zeros_like(diff), float(lam), 0, True, 0.0, 0, 0.0), 0.0 - diff
 
-    if lam == 0 and min(factors.ranks) < pair.p:
-        raise ValueError(
-            f"penalty 0 needs nonsingular sigma_x, sigma_y: ranks {factors.ranks}, p={pair.p}"
-        )
+    if lam == 0 and bracket is not None:
+        ranks = (range_size(eig_x.values), range_size(eig_y.values))
+        raise ValueError(f"penalty 0 needs nonsingular sigma_x, sigma_y: ranks {ranks}, "
+                         f"p={pair.p}")
     if bracket is not None:
         spent = bracket.separate(lam, cfg.max_iter)
         if lam < bracket.lower:

@@ -21,9 +21,8 @@ def fake_path(deltas):
     ests = [
         DeltaEstimate(d, float(lam), 1, True, 0.0, 0, 0.0) for d, lam in zip(deltas, lams)
     ]
-    nnz = np.array([np.count_nonzero(d) for d in deltas])
     zeros = np.zeros(len(deltas))
-    return RegPath(lams, ests, zeros, zeros, nnz, zeros, np.zeros(len(deltas), dtype=int))
+    return RegPath(ests, zeros, zeros)
 
 
 class TestSupportMetrics:

@@ -18,6 +18,7 @@ from difftrace.model_selection import (
 from difftrace import model_selection, solver
 from difftrace.simulation import gen_sim1, sample_gaussian
 from difftrace.solver import (
+    DeltaEstimate,
     NoMinimizerError,
     SolverConfig,
     admm_solve,
@@ -364,18 +365,14 @@ class TestSelectByBic:
 
     def test_ties_break_to_larger_lambda(self):
         scores = np.array([5.0, 3.0, 3.0, 4.0])
-        path = RegPath(
-            lambdas=np.array([0.4, 0.3, 0.2, 0.1]),
-            estimates=["a", "b", "c", "d"],
-            bic_f=scores,
-            bic_inf=scores,
-            nnz=np.zeros(4, dtype=int),
-            kkt=np.zeros(4),
-            predict_iterations=np.zeros(4, dtype=int),
-        )
+        estimates = [
+            DeltaEstimate(np.zeros((2, 2)), lam, 0, True, 0.0, 0, 0.0)
+            for lam in (0.4, 0.3, 0.2, 0.1)
+        ]
+        path = RegPath(estimates, bic_f=scores, bic_inf=scores)
         lam, est = select_by_bic(path, "frobenius")
-        assert lam == pytest.approx(0.3)
-        assert est == "b"
+        assert lam == 0.3
+        assert est is estimates[1]
 
     def test_selected_score_is_minimal(self):
         pair = sampled_pair(15, 90, 18)
@@ -387,26 +384,37 @@ class TestSelectByBic:
 
     def test_empty_path_rejected(self):
         empty = np.array([])
-        path = RegPath(empty, [], empty, empty, empty, empty, empty)
+        path = RegPath([], empty, empty)
         with pytest.raises(ValueError, match="empty"):
             select_by_bic(path)
 
 
 class TestPathCsv:
     def test_columns_and_rows(self):
-        pair = sampled_pair(10, 60, 19)
-        path = solve_path(pair, lambda_grid(pair, count=4))
-        buf = io.StringIO()
-        write_path_csv(path, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == ",".join(PATH_CSV_COLUMNS)
-        assert len(lines) == 5
-        first = lines[1].split(",")
-        assert float(first[0]) == pytest.approx(float(path.lambdas[0]))
-        assert int(first[1]) == path.nnz[0]
-        for line, kkt in zip(lines[1:], path.kkt):
-            assert float(line.split(",")[6]) == kkt
-        predicted = [int(line.split(",")[7]) for line in lines[1:]]
-        assert predicted == list(path.predict_iterations)
-        assert predicted == [est.predict_iterations for est in path.estimates]
-        assert predicted[0] == 0 and sum(predicted) > 0
+        # The second pair is singular (n < p): its path stops at no_minimizer_at.
+        for p, n, seed, count, ratio, stops in ((10, 60, 19, 4, 0.01, False),
+                                                (12, 6, 31, 10, 0.1, True)):
+            pair = sampled_pair(p, n, seed)
+            path = solve_path(pair, lambda_grid(pair, count=count, ratio=ratio))
+            assert (path.no_minimizer_at is not None) == stops == (len(path) < count)
+            buf = io.StringIO()
+            write_path_csv(path, buf)
+            lines = buf.getvalue().strip().splitlines()
+            assert lines[0] == ",".join(PATH_CSV_COLUMNS)
+            assert len(lines) == 1 + len(path)
+            columns = (path.lambdas, path.nnz, path.bic_f, path.bic_inf, path.kkt,
+                       path.predict_iterations)
+            assert [len(column) for column in columns] == [len(path)] * len(columns)
+            assert [column.dtype.kind for column in columns] == ["f", "i", "f", "f", "f", "i"]
+            rows = [dict(zip(PATH_CSV_COLUMNS, line.split(","))) for line in lines[1:]]
+            for row, est, f, inf in zip(rows, path.estimates, path.bic_f, path.bic_inf):
+                assert float(row["lambda"]) == est.lam
+                assert int(row["nnz"]) == est.nnz
+                assert (float(row["bic_f"]), float(row["bic_inf"])) == (f, inf)
+                assert (f, inf) == bic_score(est.delta, pair)
+                assert row["converged"] == str(est.converged)
+                assert int(row["iterations"]) == est.iterations
+                assert float(row["kkt"]) == est.kkt / est.lam
+                assert int(row["predict_iterations"]) == est.predict_iterations
+            predicted = [int(row["predict_iterations"]) for row in rows]
+            assert predicted[0] == 0 and sum(predicted) > 0

@@ -919,7 +919,8 @@ class TestSolveContext:
         factors = factor_pair(pair)
         diff = pair.sigma_x - pair.sigma_y
         assert factors.diff.tobytes() == diff.tobytes()
-        assert factors.ranks == tuple(range_size(e.values) for e in (factors.x, factors.y))
+        full = [range_size(e.values) == pair.p for e in (factors.x, factors.y)]
+        assert (factors.bracket is None) == all(full)
         assert factors.rho == spectral_scale(factors.x, factors.y)
         for dtype in (np.float32, np.float64):
             lam_max, c, scaled_max, operands = reference_context(pair, dtype)
