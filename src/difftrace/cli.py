@@ -369,11 +369,19 @@ def _load_pair(args) -> Tuple[CovariancePair, SolverConfig]:
 
     Where the platform has ``os.fork``, this process parses --x while a
     forked child parses --y, on a second core (``_run_split``). Either way,
-    --x's error is raised before --y's.
+    --x's error is raised before --y's. A group's constant columns, which
+    make its covariance singular, are named on stderr; they are found on the
+    raw data, since rounding in the mean can leave their variance positive.
     """
     x, y = _run_split(lambda path: read_matrix_csv(path, allow_header=True), [args.x, args.y],
                       2 if hasattr(os, "fork") else 1, lambda paths: "reading " + ", ".join(paths))
-    return build_pair(x, y), _solver_config(args)
+    pair = build_pair(x, y)
+    for group, data in (("X", x), ("Y", y)):
+        constant = np.flatnonzero((data == data[0]).all(axis=0)) + 1
+        if constant.size:
+            print(f"warning: group {group} is constant in columns {', '.join(map(str, constant))}"
+                  f" (1-based), so its covariance is singular", file=sys.stderr)
+    return pair, _solver_config(args)
 
 
 def cmd_estimate(args) -> int:
@@ -406,6 +414,7 @@ def cmd_estimate(args) -> int:
         "nnz": estimate.nnz,
         "wallclock_ms": wallclock_ms,
         "no_minimizer_at": path.no_minimizer_at,
+        **_environment(),
     }
     (out / "run.json").write_text(json.dumps(record, indent=2) + "\n")
     return 0 if all(est.converged for est in path.estimates) else 1
@@ -436,6 +445,26 @@ def _simulate_replicate(spec: SimulationSpec, truth, rep: int, cfg: SolverConfig
     return row
 
 
+def _blas_threads() -> Optional[int]:
+    """The pinned BLAS thread count (``_BLAS_THREAD_VARS``), None when unpinned."""
+    for var in _BLAS_THREAD_VARS:
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return None
+
+
+def _environment() -> dict:
+    """What a run's last bits depend on: the numpy version, the BLAS numpy
+    was built against, and the pinned BLAS thread count."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"numpy_version": np.__version__, "blas": blas.get("name"),
+            "blas_version": blas.get("version"), "blas_threads": _blas_threads()}
+
+
 def _workers(reps: int) -> int:
     """Processes for ``reps`` replicates: as many as the usable CPUs hold
     at the pinned BLAS thread count, and no more than ``reps``. Without
@@ -444,16 +473,7 @@ def _workers(reps: int) -> int:
         return 1
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else (os.cpu_count() or 1)
-    blas = cpus
-    for var in _BLAS_THREAD_VARS:
-        try:
-            threads = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            blas = threads
-            break
-    return max(1, min(reps, cpus // blas))
+    return max(1, min(reps, cpus // (_blas_threads() or cpus)))
 
 
 def _format_mean_sd(values: Sequence[float]) -> Tuple[str, str, str]:

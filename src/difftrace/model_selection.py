@@ -137,7 +137,7 @@ def solve_path(
     factors = factor_pair(pair)
     no_minimizer_at = None
     for lam in lambdas:
-        guess = _extrapolate(estimates, lam, pair.p)
+        guess = _extrapolate(estimates, lam)
         try:
             est, grad = admm_solve(pair, float(lam), cfg, start=guess, factors=factors)
         except NoMinimizerError:
@@ -153,13 +153,11 @@ def solve_path(
     return RegPath(estimates, bic_f, bic_inf, no_minimizer_at)
 
 
-def _extrapolate(estimates: List[DeltaEstimate], lam: float, p: int) -> np.ndarray:
+def _extrapolate(estimates: List[DeltaEstimate], lam: float) -> Optional[np.ndarray]:
     """The line through the last two estimates, at ``lam``; the last
-    estimate when there is one, zero when there is none."""
-    if not estimates:
-        return np.zeros((p, p))
-    if len(estimates) == 1:
-        return estimates[-1].delta
+    estimate when there is one, None (a start from zero) when there is none."""
+    if len(estimates) < 2:
+        return estimates[-1].delta if estimates else None
     (lam1, d1), (lam2, d2) = ((est.lam, est.delta) for est in estimates[-2:])
     return d2 + ((lam - lam2) / (lam1 - lam2)) * (d1 - d2)
 

@@ -310,40 +310,38 @@ def admm_solve(
     exact objective drop along its certificate, ``NoMinimizerError`` names
     the penalty. A full-rank pair has no bracket.
 
-    ``start`` is a symmetric estimate (one off by rounding from symmetric
-    is symmetrized). At a positive penalty the bracket admits (no bracket,
-    or ``lam`` at or above its upper bound), ``fista_predict`` first
-    predicts from it; on an undecided one ``start`` is kept. One product m
-    = sigma_x delta sigma_y of the resulting delta serves the rest. At a
-    positive penalty delta is certified first: when the gradient (m +
-    m^T)/2 - (sigma_x - sigma_y) passes ``kkt_check`` at ``cfg.tol`` *
-    ``lam``, delta is returned with 0 sweeps and ``converged=True``, and
-    the same gradient gives the objective. Otherwise the sweeps start from
-    the state a sweep leaves in place at a minimizer: every block at
-    delta, lambda_1 = (m - D)/2, lambda_2 = (D - m^T)/2 and lambda_3 = 0,
-    D = sigma_x - sigma_y. The dual differences then cancel the linear
-    term of each block update, so the first sweep is a proximal-gradient
-    step of size 1/2rho from delta. ``start=None`` is the cold start from
-    zero, the fixed point at lambda_max (m = 0), with nothing predicted or
-    certified.
+    Then a start. At ``lam = 0`` it is sigma_y^-1 - sigma_x^-1 in closed
+    form, from the context's eigendecompositions. Above 0, where the
+    bracket admits ``lam`` (no bracket, or ``lam`` at or above its upper
+    bound), ``fista_predict`` predicts it from ``start``, a symmetric
+    estimate (one off by rounding from symmetric is symmetrized), or from
+    zero when ``start`` is None; on an undecided bracket the start is kept.
+    One product m = sigma_x delta sigma_y of the start serves the rest. Its
+    gradient (m + m^T)/2 - D, D = sigma_x - sigma_y, gives the one
+    certificate: the ``kkt_check`` residual at most ``cfg.tol`` * ``lam``,
+    with lambda_max in place of ``lam`` at 0, where tol * 0 cannot be met.
+    A certified start is returned with 0 sweeps and ``converged=True``, and
+    the same gradient gives the objective.
 
-    Each sweep updates the three primal blocks in closed form -- two
-    matrix-equation solves (see ``solve_axb_plus_gx``) and one soft
-    threshold -- followed by the three dual ascent steps. At a positive
-    penalty the sweeps stop only when the estimate's KKT residual
-    (``kkt_check``) is at most ``cfg.tol`` times ``lam``. It is checked
+    Otherwise the ADMM sweeps, from the state a sweep leaves in place at a
+    minimizer: every block at delta, lambda_1 = (m - D)/2, lambda_2 = (D -
+    m^T)/2 and lambda_3 = 0. The dual differences then cancel the linear
+    term of each block update, so the first sweep is a proximal-gradient
+    step of size 1/2rho from delta. Each sweep updates the three primal
+    blocks in closed form -- two matrix-equation solves (see
+    ``solve_axb_plus_gx``) and one soft threshold -- followed by the three
+    dual ascent steps. The same certificate stops the sweeps. It is checked
     after each sweep that passes the relative step test (no block moved
     more than ``cfg.tol`` times the larger of its Frobenius norms before
-    and after the sweep), and every ``KKT_PERIOD`` sweeps, since a
-    minimizer sitting at the block solves' rounding level never passes the
-    step test. After a failed check, the next one the step test prompts
-    waits 1, 2, 4, ... sweeps, up to ``KKT_PERIOD``. At ``lam = 0``, where
-    tol * lam cannot be met, the step test alone stops them. Otherwise
-    they stop at ``cfg.max_iter`` with ``converged=False``. ``SolverError``
-    is raised when a block or the scaled dual lambda_1/rho grows beyond
-    ``DIVERGENCE_LIMIT`` times the norm of (sigma_x - sigma_y)/2rho, the
-    scaled dual of the zero solution: the limit is a ratio, both sides in
-    the units of the estimate.
+    and after the sweep), every ``KKT_PERIOD`` sweeps, since a minimizer
+    sitting at the block solves' rounding level never passes the step test,
+    and after the last of ``cfg.max_iter`` sweeps; ``converged=False``
+    when that last check fails. After a failed check, the next one the step
+    test prompts waits 1, 2, 4, ... sweeps, up to ``KKT_PERIOD``.
+    ``SolverError`` is raised when a block or the scaled dual lambda_1/rho
+    grows beyond ``DIVERGENCE_LIMIT`` times the norm of (sigma_x -
+    sigma_y)/2rho, the scaled dual of the zero solution: the limit is a
+    ratio, both sides in the units of the estimate.
 
     The sweeps run at the context's weight rho = sqrt(a_1 b_1 a_r b_s)
     (``spectral_scale``), the geometric mean of the block equations'
@@ -357,7 +355,7 @@ def admm_solve(
     Returns the estimate (the certified delta, or the final third block,
     symmetrized, with its ``kkt_check`` residual in ``kkt``) together with
     the loss gradient at it, bit for bit ``dtrace_gradient``: that of the
-    KKT check that stopped the sweeps.
+    last certificate check.
     """
     if not lam >= 0:
         raise ValueError(f"penalty must be nonnegative, got {lam}")
@@ -382,43 +380,49 @@ def admm_solve(
             # grows by 1e3 lam / gain.
             if penalized_objective(1e3 / gain * direction, sx, sy, lam) < 0.0:
                 raise NoMinimizerError(lam, gain, direction, spent)
-    # The cold start's m = sigma_x 0 sigma_y is +0.0 throughout.
-    delta, m, predicted = np.zeros_like(diff), np.zeros_like(diff), 0
-    if start is not None:
-        delta = as_symmetric(start, "start")
-        if lam > 0 and (bracket is None or lam >= bracket.upper):
-            delta, predicted = fista_predict(factors, lam, delta, cfg)
-        m = _product(delta, sx, sy)
-        if lam > 0:
-            grad = 0.5 * (m + m.T) - diff
-            kkt = kkt_check(delta, pair, lam, grad)
-            if kkt <= cfg.tol * lam:
-                objective = _loss_from_gradient(delta, grad, diff) + lam * norm_entrywise_l1(delta)
-                return DeltaEstimate(delta, float(lam), 0, True, objective, predicted, kkt), grad
-    rho = factors.rho
-    d1 = d2 = d3 = delta
-    # Scaled duals u_i = lambda_i / rho. Each block equation divided by
-    # 2 rho reads (S/2rho) X S' + 2 X = rhs; the scale is folded into the
-    # first factor and its eigenvalues once per call, and each block
-    # solve's plan is built once per call. -(D - m) rather than m - D
-    # keeps the sign of D's zeros at delta = 0.
-    two_rho = 2.0 * rho
-    u1, u2 = (-(diff - m) / 2.0) / rho, ((diff - m.T) / 2.0) / rho
-    u3 = np.zeros_like(diff)
-    ax, ay = sx / two_rho, sy / two_rho
-    plan1 = solve_plan(EigenPair(eig_x.values / two_rho, eig_x.vectors), eig_y, 2.0)
-    plan2 = solve_plan(EigenPair(eig_y.values / two_rho, eig_y.vectors), eig_x, 2.0)
-    shift = diff / two_rho
-    kappa = lam / two_rho
-    tol_sq = cfg.tol**2
-    limit_sq = DIVERGENCE_LIMIT**2 * _sq_norm(shift)
-    shared, work = np.empty_like(diff), np.empty_like(diff)
-    sq = [_sq_norm(delta)] * 3
+    delta = np.zeros_like(diff) if start is None else as_symmetric(start, "start")
+    predicted = 0
+    if lam == 0:
+        # sigma_y^-1 - sigma_x^-1 from the context's eigendecompositions.
+        (a, ux), (b, uy) = eig_x, eig_y
+        delta = (uy / b) @ uy.T - (ux / a) @ ux.T
+        delta = (delta + delta.T) / 2.0
+    elif bracket is None or lam >= bracket.upper:
+        delta, predicted = fista_predict(factors, lam, delta, cfg)
+    # At lam = 0, where tol * lam cannot be met, lambda_max stands in for lam.
+    bound = cfg.tol * (lam or factors.lam_max)
 
-    converged = False
-    iterations, due, gap = 0, 0, 1
-    for k in range(cfg.max_iter):
-        iterations = k + 1
+    def certify(delta, m):
+        grad = 0.5 * (m + m.T) - diff
+        kkt = kkt_check(delta, pair, lam, grad)
+        return grad, kkt, kkt <= bound
+
+    m = _product(delta, sx, sy)
+    grad, kkt, converged = certify(delta, m)
+    iterations = 0
+    if not converged:
+        d1 = d2 = d3 = delta
+        # Scaled duals u_i = lambda_i / rho. Each block equation divided by
+        # 2 rho reads (S/2rho) X S' + 2 X = rhs; the scale is folded into
+        # the first factor and its eigenvalues once per call, and each block
+        # solve's plan is built once per call. -(D - m) rather than m - D
+        # keeps the sign of D's zeros at delta = 0.
+        two_rho = 2.0 * factors.rho
+        u1, u2 = -(diff - m) / two_rho, (diff - m.T) / two_rho
+        u3 = np.zeros_like(diff)
+        ax, ay = sx / two_rho, sy / two_rho
+        plan1 = solve_plan(EigenPair(eig_x.values / two_rho, eig_x.vectors), eig_y, 2.0)
+        plan2 = solve_plan(EigenPair(eig_y.values / two_rho, eig_y.vectors), eig_x, 2.0)
+        shift = diff / two_rho
+        kappa = lam / two_rho
+        tol_sq = cfg.tol**2
+        limit_sq = DIVERGENCE_LIMIT**2 * _sq_norm(shift)
+        shared, work = np.empty_like(diff), np.empty_like(diff)
+        sq = [_sq_norm(delta)] * 3
+        due, gap = 0, 1
+
+    while not converged:
+        iterations += 1
         # Both right-hand sides start from d3 + (sx - sy) / 2rho.
         np.add(d3, shift, out=shared)
         np.add(shared, d2, out=work)
@@ -444,36 +448,28 @@ def admm_solve(
         # Relative-step test and divergence guard, both in squared norms;
         # once one block fails the test the other steps are not needed. The
         # strict test passes a block that is zero before and after.
-        converged = True
+        stepped = True
         largest_sq = _sq_norm(u1)
         for i, (old, new) in enumerate(((d1, d1_new), (d2, d2_new), (d3, d3_new))):
             new_sq = _sq_norm(new)
             largest_sq = max(largest_sq, new_sq)
-            if converged:
+            if stepped:
                 np.subtract(new, old, out=work)
                 if _sq_norm(work) > tol_sq * max(sq[i], new_sq):
-                    converged = False
+                    stepped = False
             sq[i] = new_sq
         d1, d2, d3 = d1_new, d2_new, d3_new
 
         if not np.isfinite(largest_sq) or largest_sq > limit_sq:
             raise SolverError(f"iterates diverged at iteration {iterations}")
-        if lam > 0:
-            check = iterations % KKT_PERIOD == 0 or (converged and iterations >= due)
-            if check:
-                delta = (d3 + d3.T) / 2.0
-                grad = _hessian(delta, sx, sy) - diff
-                kkt = kkt_check(delta, pair, lam, grad)
-            converged = check and kkt <= cfg.tol * lam
-            if check and not converged:
-                due, gap = iterations + gap, min(2 * gap, KKT_PERIOD)
-        if converged:
-            break
+        last = iterations == cfg.max_iter
+        if last or iterations % KKT_PERIOD == 0 or (stepped and iterations >= due):
+            delta = (d3 + d3.T) / 2.0
+            grad, kkt, converged = certify(delta, _product(delta, sx, sy))
+            if last:
+                break
+            due, gap = iterations + gap, min(2 * gap, KKT_PERIOD)
 
-    if not (converged and lam > 0):
-        delta = (d3 + d3.T) / 2.0
-        grad = _hessian(delta, sx, sy) - diff
-        kkt = kkt_check(delta, pair, lam, grad)
     objective = _loss_from_gradient(delta, grad, diff) + lam * norm_entrywise_l1(delta)
     if not np.isfinite(objective):
         raise SolverError(f"non-finite objective after {iterations} iterations")

@@ -277,9 +277,12 @@ class TestEstimate:
         record = json.loads((out / "run.json").read_text())
         for key in ("lambda", "tol", "iterations", "converged",
                     "objective", "bic_f", "bic_inf", "nnz", "wallclock_ms",
-                    "no_minimizer_at"):
+                    "no_minimizer_at", "numpy_version", "blas", "blas_version",
+                    "blas_threads"):
             assert key in record
         assert record["no_minimizer_at"] is None
+        assert record["numpy_version"] == np.__version__
+        assert record["blas_threads"] == cli._blas_threads()
         assert (out / "delta.csv").exists()
         assert (out / "support.csv").exists()
         assert (out / "path.csv").exists()
@@ -398,6 +401,76 @@ class TestEstimate:
         assert int(row["nnz"]) == record["nnz"]
         assert float(row["bic_f"]) == record["bic_f"]
         assert int(row["predict_iterations"]) > 0
+
+    @pytest.mark.parametrize("env, threads", [({}, None), ({"OMP_NUM_THREADS": "2"}, 2)],
+                             ids=["unpinned", "pinned"])
+    def test_run_records_blas_threads(self, tmp_path, sim_data, monkeypatch, env, threads):
+        # Read as _workers reads it: the first variable set to a positive count.
+        for var in cli._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        _, x_path, y_path = sim_data
+        out = tmp_path / "out"
+        assert main(["estimate", "--x", str(x_path), "--y", str(y_path),
+                     "--lambda", "0.1", "--out", str(out)]) == 0
+        assert json.loads((out / "run.json").read_text())["blas_threads"] == threads
+
+    def test_zero_penalty_is_the_inverse_difference(self, tmp_path, sim_data):
+        # The closed form, certified without a sweep.
+        _, x_path, y_path = sim_data
+        out = tmp_path / "out"
+        assert main(["estimate", "--x", str(x_path), "--y", str(y_path),
+                     "--lambda", "0", "--out", str(out)]) == 0
+        pair = build_pair(read_matrix_csv(x_path), read_matrix_csv(y_path))
+        inverse = np.linalg.inv(pair.sigma_y) - np.linalg.inv(pair.sigma_x)
+        delta = read_matrix_csv(out / "delta.csv")
+        assert np.linalg.norm(delta - inverse) <= 1e-12 * np.linalg.norm(inverse)
+        record = json.loads((out / "run.json").read_text())
+        assert record["iterations"] == 0 and record["converged"] is True
+
+    @pytest.mark.parametrize("lam, code", [(None, 0), ("0.05", 2)], ids=["path", "fixed"])
+    def test_constant_column_is_named(self, tmp_path, capsys, lam, code):
+        # A column constant in one group makes its covariance singular: the
+        # path stops at its first penalty below lambda_max, and 0.05 has no
+        # minimizer. Both calls name the column before they solve, and
+        # exit and write as any singular pair does.
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal((200, 30)), rng.standard_normal((200, 30))
+        x[:, 29] = 5.0
+        for name, data in (("x", x), ("y", y)):
+            np.savetxt(tmp_path / f"{name}.csv", data, delimiter=",")
+        out = tmp_path / "out"
+        argv = ["estimate", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+                "--out", str(out)]
+        assert main(argv + ([] if lam is None else ["--lambda", lam])) == code
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == ("warning: group X is constant in columns 30 (1-based), "
+                          "so its covariance is singular")
+        if code:
+            assert err[1].startswith("error: penalty 0.05 has no minimizer") and len(err) == 2
+            assert not out.exists()
+        else:
+            assert len(err) == 1
+            with open(out / "path.csv", newline="") as fh:
+                (row,) = list(csv.DictReader(fh))
+            assert float(row["lambda"]) == lambda_max(build_pair(x, y))
+            assert json.loads((out / "run.json").read_text())["no_minimizer_at"] is not None
+
+    def test_constant_columns_of_each_group_are_named(self, tmp_path, capsys):
+        _, y = np.random.default_rng(4).standard_normal((2, 40, 6))
+        x = np.tile(np.arange(6.0), (40, 1))
+        x[:, [1, 4]] += np.random.default_rng(5).standard_normal((40, 2))
+        y[:, 5] = -1.0
+        for name, data in (("x", x), ("y", y)):
+            np.savetxt(tmp_path / f"{name}.csv", data, delimiter=",")
+        main(["estimate", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+              "--out", str(tmp_path / "out")])
+        assert capsys.readouterr().err.splitlines()[:2] == [
+            "warning: group X is constant in columns 1, 3, 4, 6 (1-based), "
+            "so its covariance is singular",
+            "warning: group Y is constant in columns 6 (1-based), so its covariance is singular",
+        ]
 
     @pytest.mark.parametrize(
         "flag, value, message",

@@ -360,12 +360,13 @@ class TestAdmmSolve:
             np.testing.assert_allclose(warm_est.delta, cold_est.delta, atol=1e-3)
             start = warm_est.delta
 
-    def test_divergence_guard(self):
-        # At lambda = 0 a start is swept as it stands, never predicted.
+    def test_divergence_guard(self, monkeypatch):
+        # A start taken as it stands fails the certificate and is swept.
+        without_prediction(monkeypatch)
         rng = np.random.default_rng(13)
         pair = make_pair(3, rng)
         with pytest.raises(SolverError, match="diverged at iteration 1$"):
-            admm_solve(pair, 0.0, start=np.full((3, 3), 1e13))
+            admm_solve(pair, 0.5 * lambda_max(pair), start=np.full((3, 3), 1e13))
 
     def test_negative_lambda_rejected(self):
         rng = np.random.default_rng(14)
@@ -404,7 +405,8 @@ class TestAdmmSolve:
         with pytest.raises(ValueError, match="positive semidefinite"):
             admm_solve(pair, 0.0)
 
-    def test_estimate_records_iterations_and_lambda(self):
+    def test_estimate_records_iterations_and_lambda(self, monkeypatch):
+        without_prediction(monkeypatch)
         rng = np.random.default_rng(15)
         pair = make_pair(4, rng)
         est, _ = admm_solve(pair, 0.07)
@@ -414,11 +416,14 @@ class TestAdmmSolve:
 
 class TestSweepMatchesReference:
     """The scaled-dual, in-place sweep takes the same iterations as the
-    unscaled loop it replaced, to rounding."""
+    unscaled loop it replaced, to rounding. A start taken as it stands
+    (``without_prediction``) is swept from zero as the old cold solve was."""
 
     @pytest.mark.parametrize("scale", [1.0, 0.05])
-    def test_well_posed_pair(self, scale):
-        # At the small scale the blocks' norms exceed 1.
+    def test_well_posed_pair(self, monkeypatch, scale):
+        # At the small scale the blocks' norms exceed 1. At lambda = 0 the
+        # closed form is certified without a sweep.
+        without_prediction(monkeypatch)
         rng = np.random.default_rng(30)
         pair = pair_from_covariances(
             scale * random_spd(8, rng, 8.0), scale * random_spd(8, rng, 8.0), 100, 100
@@ -426,14 +431,20 @@ class TestSweepMatchesReference:
         for lam in (0.0, 0.02, 0.1):
             lam *= scale
             est, _ = admm_solve(pair, lam)
-            assert_same_solve(est, reference_admm_solve(pair, lam, effective_rho(pair))[0])
+            if lam == 0:
+                inverse = np.linalg.inv(pair.sigma_y) - np.linalg.inv(pair.sigma_x)
+                assert est.iterations == 0 and est.converged
+                assert np.linalg.norm(est.delta - inverse) <= 1e-12 * np.linalg.norm(inverse)
+            else:
+                assert_same_solve(est, reference_admm_solve(pair, lam, effective_rho(pair))[0])
             if scale < 1:
                 assert np.linalg.norm(est.delta) > 1.0
 
-    def test_singular_pair(self):
+    def test_singular_pair(self, monkeypatch):
         # The pair's threshold is lambda_b = 0.6378 lambda_max: none of the
         # grid's penalties below lambda_max has a minimizer, nor has 0.6
         # lambda_max. The sweeps are compared at penalties above it.
+        without_prediction(monkeypatch)
         pair = sampled_pair(12, 6, 31)
         assert np.linalg.matrix_rank(pair.sigma_x) < pair.p
         cfg = SolverConfig(max_iter=2000)
@@ -560,9 +571,9 @@ class TestPathMatchesReferenceKernel:
 @pytest.mark.parametrize("ratio", [0.5, 0.1])
 @pytest.mark.parametrize("n", [6, 60], ids=["n-below-p", "n-above-p"])
 def test_cold_solve_is_second_solve_of_path(n, ratio):
-    # A cold solve starts from the lambda_max fixed point, where a path's
-    # second solve starts its prediction. At n < p neither penalty has a
-    # minimizer, and both solves reach the same certificate.
+    # A cold solve starts from zero, the lambda_max estimate, from which a
+    # path's second solve starts its prediction. At n < p neither penalty
+    # has a minimizer, and both solves reach the same certificate.
     pair = sampled_pair(12, n, 34)
     lam = ratio * lambda_max(pair)
     grid = [lambda_max(pair), lam]
@@ -579,20 +590,21 @@ def test_cold_solve_is_second_solve_of_path(n, ratio):
         assert cold.direction.tobytes() == second.direction.tobytes()
         assert cold.iterations == second.iterations
     else:
-        # Taken as it stands, zero is swept as the cold solve sweeps.
-        cold, _ = admm_solve(pair, lam)
+        # Taken as it stands, zero is swept alike, given or not.
         with pytest.MonkeyPatch.context() as mp:
             without_prediction(mp)
+            cold, _ = admm_solve(pair, lam)
             at_zero, _ = admm_solve(pair, lam, start=np.zeros((12, 12)))
         assert cold.delta.tobytes() == at_zero.delta.tobytes()
         assert cold.iterations == at_zero.iterations > 0
-        # The path's second solve is a lone solve from zero, which predicts.
+        # The path's second solve is a lone solve from zero, which predicts,
+        # and so is a cold solve.
         _, used = fista_predict(factor_pair(pair), lam, np.zeros((12, 12)), SolverConfig())
         second = path.estimates[1]
-        finish, _ = admm_solve(pair, lam, start=np.zeros((12, 12)))
-        assert finish.delta.tobytes() == second.delta.tobytes()
-        assert finish.iterations == second.iterations
-        assert used == finish.predict_iterations == path.predict_iterations[1] > 0
+        for finish, _ in (admm_solve(pair, lam, start=np.zeros((12, 12))), admm_solve(pair, lam)):
+            assert finish.delta.tobytes() == second.delta.tobytes()
+            assert finish.iterations == second.iterations
+            assert used == finish.predict_iterations == path.predict_iterations[1] > 0
 
 
 class TestRecessionCertificate:
@@ -1026,9 +1038,11 @@ def test_sweep_calls_go_through_solver_namespace(monkeypatch):
     pair = sampled_pair(10, 40, 35)
     grid = lambda_grid(pair, count=5, ratio=0.1)
     path = solve_path(pair, grid)
-    # The path's predictions are certified without a sweep; a cold solve
-    # sweeps.
-    cold, _ = admm_solve(pair, grid[-1])
+    # The path's predictions are certified without a sweep; zero taken as
+    # it stands is swept.
+    with pytest.MonkeyPatch.context() as mp:
+        without_prediction(mp)
+        cold, _ = admm_solve(pair, grid[-1])
     sweeps = sum(est.iterations for est in path.estimates) + cold.iterations
     predicted = int(path.predict_iterations.sum())
     assert cold.iterations > 0 and predicted > 0
@@ -1191,17 +1205,20 @@ def test_default_path_kkt_bound_when_n_below_p():
 
 
 @pytest.mark.parametrize("n", [50, 500], ids=["n-below-p", "n-above-p"])
-def test_kkt_stop_certifies_a_minimizer_at_rounding_level(n):
+def test_kkt_stop_certifies_a_minimizer_at_rounding_level(monkeypatch, n):
     # Just below lambda_max the minimizer is at the block solves' rounding
     # level, where the relative step test never passes; the KKT check
-    # after the first 100 sweeps ends the solve as converged.
+    # after the first 100 sweeps ends the solve as converged. Zero, taken as
+    # it stands, is swept: its residual lambda_max - lam, 1e-13 lam or
+    # less, passes the default tol's certificate but not 1e-15's.
+    without_prediction(monkeypatch)
     truth = gen_sim1(100)
     pair = build_pair(
         sample_gaussian(truth.omega_x, n, 1), sample_gaussian(truth.omega_y, n, 101)
     )
     for k in (13, 14):
         lam = lambda_max(pair) * (1.0 - 10.0**-k)
-        est, _ = admm_solve(pair, lam)
+        est, _ = admm_solve(pair, lam, SolverConfig(tol=1e-15))
         assert est.converged and est.iterations == solver.KKT_PERIOD
         assert kkt_check(est.delta, pair, lam) <= 1e-15 * lam
 
@@ -1518,17 +1535,20 @@ class TestReturnedGradient:
     @pytest.mark.parametrize("lam_ratio", [0.3, 0.0])
     def test_swept_start(self, monkeypatch, lam_ratio):
         # At 0.3 lambda_max a prediction stopped 100 times above the
-        # certificate's stop is swept; at lambda = 0 the start itself is.
+        # certificate's stop is swept; at lambda = 0 the closed form is,
+        # under a tol that it cannot meet, up to the sweep cap.
         monkeypatch.setattr(solver, "PREDICT_MARGIN", 100.0)
         pair = sampled_pair(12, 80, 23)
         lam = lam_ratio * lambda_max(pair)
+        cfg = SolverConfig(tol=1e-300, max_iter=3) if lam == 0 else SolverConfig()
         guess, _ = fista_predict(factor_pair(pair), 0.3 * lambda_max(pair), np.zeros((12, 12)),
                                  SolverConfig(max_iter=3))
-        est, grad = admm_solve(pair, lam, start=guess)
+        est, grad = admm_solve(pair, lam, cfg, start=guess)
         assert est.iterations > 0
         self.assert_gradient(pair, est, grad)
 
-    def test_cold_solve(self):
+    def test_cold_solve(self, monkeypatch):
+        without_prediction(monkeypatch)
         pair = sampled_pair(12, 80, 23)
         est, grad = admm_solve(pair, 0.3 * lambda_max(pair))
         assert est.iterations > 0
@@ -1541,10 +1561,11 @@ class TestReturnedGradient:
         self.assert_gradient(pair, est, grad)
 
     def test_cold_solve_forms_one_product_per_check(self, monkeypatch):
-        # The solve returns its last KKT check's gradient, each check forms
-        # its gradient from the context's D, and the cold start multiplies
-        # no zeros: 5 checks in 36 sweeps take 5 products, none through
-        # dtrace_gradient. They took 7 products and 6 dtrace_gradient calls.
+        # The solve returns its last KKT check's gradient, and each check
+        # forms its gradient from the context's D: the certificate of zero
+        # and 5 checks in 36 sweeps take 6 products, none through
+        # dtrace_gradient.
+        without_prediction(monkeypatch)
         pair = sampled_pair(12, 80, 23)
         products, checks = [], []
         product = solver._product
@@ -1558,19 +1579,42 @@ class TestReturnedGradient:
         monkeypatch.setattr(solver, "dtrace_gradient", refuse)
         est, grad = admm_solve(pair, 0.3 * lambda_max(pair))
         assert est.converged and est.iterations == 36 and est.predict_iterations == 0
-        assert len(checks) == len(products) == 5
+        assert len(checks) == len(products) == 6
         assert all(len(args) == 4 for args in checks)
         self.assert_gradient(pair, est, grad)
 
 
 def assert_converged_is_certified(pair, est, tol):
-    if est.converged and est.lam > 0:
-        assert kkt_check(est.delta, pair, est.lam) <= tol * est.lam
+    # lambda_max stands in for lambda at 0, where tol * 0 cannot be met.
+    if est.converged:
+        assert kkt_check(est.delta, pair, est.lam) <= tol * (est.lam or lambda_max(pair))
 
 
 class TestConvergedIsCertified:
-    """At a positive penalty ``converged=True`` means KKT <= tol * lambda:
-    the step test only prompts the check."""
+    """``converged=True`` means KKT <= tol * lambda, with lambda_max in
+    place of lambda at 0: the step test only prompts the check."""
+
+    def test_every_kind_of_call(self):
+        # The lambda_max shortcut, lambda = 0, a cold call, a warm path, a
+        # singular pair's path and a fallback to the sweeps, each certified
+        # by the one check.
+        cfg = SolverConfig()
+        pair, singular = sampled_pair(12, 80, 23), sampled_pair(12, 6, 36)
+        top = lambda_max(pair)
+        shortcut, zero, cold = (admm_solve(pair, lam, cfg)[0] for lam in (top, 0.0, 0.3 * top))
+        assert zero.iterations == cold.iterations == 0 and cold.predict_iterations > 0
+        with pytest.MonkeyPatch.context() as mp:
+            without_prediction(mp)
+            fallback, _ = admm_solve(pair, 0.3 * top, cfg)
+        assert fallback.iterations > 0
+        warm = solve_path(pair, lambda_grid(pair, count=7), cfg)
+        stopped = solve_path(singular, lambda_grid(singular, count=8, ratio=0.05), cfg)
+        assert len(stopped) == 2 and stopped.no_minimizer_at is not None
+        solves = [(pair, est) for est in [shortcut, zero, cold, fallback] + warm.estimates]
+        solves += [(singular, est) for est in stopped.estimates]
+        for solved, est in solves:
+            assert est.converged
+            assert_converged_is_certified(solved, est, cfg.tol)
 
     def test_swept_path(self, monkeypatch):
         # Predictions stopped 100 times above the certificate's stop miss
