@@ -392,10 +392,8 @@ def cmd_estimate(args) -> int:
         grid = [args.lam]  # a one-point path
     start = time.perf_counter()
     path = solve_path(pair, grid, cfg)
-    lam, estimate = select_by_bic(path, args.bic)
+    best, estimate = select_by_bic(path, args.bic)
     wallclock_ms = int(1000 * (time.perf_counter() - start))
-    # The path scored every penalty once; reuse the selected scores.
-    best = path.lambdas.tolist().index(lam)
 
     # After the solve, so that a refused penalty leaves no --out behind.
     out = _out_dir(args)
@@ -404,7 +402,7 @@ def cmd_estimate(args) -> int:
     write_matrix_csv(estimate.delta, out / "delta.csv")
     write_support_csv(estimate.delta, out / "support.csv")
     record = {
-        "lambda": lam,
+        "lambda": estimate.lam,
         "tol": cfg.tol,
         "iterations": estimate.iterations,
         "converged": estimate.converged,
@@ -434,9 +432,9 @@ def _simulate_replicate(spec: SimulationSpec, truth, rep: int, cfg: SolverConfig
     points, auc = curve_from_path(path, truth.delta_star)
     row = {"replicate": rep, "auc": auc, "points": points}
     for norm, tag in _NORM_TAGS:
-        lam, est = select_by_bic(path, norm)
+        _, est = select_by_bic(path, norm)
         report = support_metrics(est.delta, truth.delta_star)
-        row[f"lambda_{tag}"] = lam
+        row[f"lambda_{tag}"] = est.lam
         row[f"tp_{tag}"] = report.tp_rate
         row[f"tn_{tag}"] = report.tn_rate
         row[f"td_{tag}"] = report.td_rate
@@ -585,7 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_solver_flags(sp):
         sp.add_argument("--tol", type=float, default=SolverConfig.tol,
                         help="each estimate is certified at KKT residual <= tol * lambda")
-        sp.add_argument("--max-iter", type=int, default=SolverConfig.max_iter, dest="max_iter")
+        sp.add_argument("--max-iter", type=int, default=SolverConfig.max_iter, dest="max_iter",
+                        help="iteration cap of each stage of a penalty's solve")
         sp.add_argument("--grid-count", type=int, default=GRID_COUNT, dest="grid_count")
         sp.add_argument("--grid-ratio", type=float, default=GRID_RATIO, dest="grid_ratio")
         sp.add_argument("--out", default=".", help="output directory")

@@ -106,14 +106,6 @@ def range_values(a_eig: EigenPair, b_eig: EigenPair) -> Tuple[np.ndarray, np.nda
     return (a, b) if a.size else (np.ones(1), np.ones(1))
 
 
-def spectral_scale(a_eig: EigenPair, b_eig: EigenPair) -> float:
-    """Geometric mean sqrt(a_1 b_1 a_r b_s) of the extreme curvatures a_i
-    b_j of X -> A X B on the ``range_values`` of A and B, so always
-    positive. Scaling A and B by c scales it by c^2."""
-    a, b = range_values(a_eig, b_eig)
-    return float(np.sqrt(a[0]) * np.sqrt(a[-1]) * np.sqrt(b[0]) * np.sqrt(b[-1]))
-
-
 def solve_plan(a_eig: EigenPair, b_eig: EigenPair, gamma: float) -> SolvePlan:
     """Factors shared by every solve of A X B + gamma X = C with the same
     A, B and gamma, from their ``psd_eig`` results."""
@@ -161,9 +153,10 @@ def solve_axb_plus_gx(
     a, b : (p, p) symmetric nonnegative-definite arrays.
     c : (p, p) array, any values.
     gamma : positive scalar, so every divisor a_i b_j + gamma is positive.
-    plan : optional ``solve_plan(psd_eig(a), psd_eig(b), gamma)``; the
-        ADMM loop passes one so the factors are built once per solve. When
-        given, a and b are not read.
+    plan : optional ``solve_plan(psd_eig(a), psd_eig(b), gamma)``, passed
+        by a caller that solves with the same A, B and gamma many times, as
+        the paper's ADMM does once per sweep, so the factors are built once.
+        When given, a and b are not read.
     """
     if plan is None:
         plan = solve_plan(psd_eig(a, "A"), psd_eig(b, "B"), gamma)

@@ -78,14 +78,15 @@ def bic_score(delta, pair: CovariancePair, grad=None) -> Tuple[float, float]:
 @dataclass
 class RegPath:
     """Solutions along a descending penalty grid with both BIC variants.
-    ``no_minimizer_at`` is the grid's first penalty certified to have no
-    minimizer, where the path stops, None when every penalty was solved.
-    Each penalty's lambda, nnz, KKT residual over lambda and predictor
-    iterations are read from its estimate."""
+    ``lam_max`` is the pair's lambda_max. ``no_minimizer_at`` is the grid's
+    first penalty certified to have no minimizer, where the path stops,
+    None when every penalty was solved. Each penalty's lambda, nnz, KKT
+    residual and predictor iterations are read from its estimate."""
 
     estimates: List[DeltaEstimate]
     bic_f: np.ndarray
     bic_inf: np.ndarray
+    lam_max: float
     no_minimizer_at: Optional[float] = None
 
     def __len__(self) -> int:
@@ -101,9 +102,10 @@ class RegPath:
 
     @property
     def kkt(self) -> np.ndarray:
-        """Each ``kkt_check`` residual over its penalty; the residual
-        itself at lambda = 0."""
-        return np.array([est.kkt / (est.lam or 1.0) for est in self.estimates], dtype=float)
+        """Each ``kkt_check`` residual over its penalty, or over lambda_max
+        at lambda = 0, the scale its certificate used: unit-free throughout."""
+        return np.array([est.kkt / (est.lam or self.lam_max) for est in self.estimates],
+                        dtype=float)
 
     @property
     def predict_iterations(self) -> np.ndarray:
@@ -150,7 +152,7 @@ def solve_path(
         estimates.append(est)
         scores.append(bic_score(est.delta, pair, grad))
     bic_f, bic_inf = np.array(scores).T
-    return RegPath(estimates, bic_f, bic_inf, no_minimizer_at)
+    return RegPath(estimates, bic_f, bic_inf, factors.lam_max, no_minimizer_at)
 
 
 def _extrapolate(estimates: List[DeltaEstimate], lam: float) -> Optional[np.ndarray]:
@@ -162,16 +164,16 @@ def _extrapolate(estimates: List[DeltaEstimate], lam: float) -> Optional[np.ndar
     return d2 + ((lam - lam2) / (lam1 - lam2)) * (d1 - d2)
 
 
-def select_by_bic(path: RegPath, norm: str = "frobenius") -> Tuple[float, DeltaEstimate]:
-    """Path entry minimizing the chosen BIC; ties go to the larger penalty
-    (sparser model)."""
+def select_by_bic(path: RegPath, norm: str = "frobenius") -> Tuple[int, DeltaEstimate]:
+    """Index and estimate of the path entry minimizing the chosen BIC; ties
+    go to the larger penalty (sparser model)."""
     if norm not in BIC_NORMS:
         raise ValueError(f"norm must be one of {BIC_NORMS}, got {norm!r}")
     if len(path) == 0:
         raise ValueError("empty path")
     scores = path.bic_f if norm == "frobenius" else path.bic_inf
-    best = path.estimates[int(np.argmin(scores))]
-    return float(best.lam), best
+    best = int(np.argmin(scores))
+    return best, path.estimates[best]
 
 
 def write_path_csv(path: RegPath, fileobj) -> None:

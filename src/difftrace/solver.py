@@ -1,5 +1,5 @@
-"""Difference-of-precisions estimator: quadratic trace loss minimized by a
-three-block alternating-direction method with closed-form updates.
+"""Difference-of-precisions estimator: quadratic trace loss minimized by
+accelerated proximal gradient, each result certified by its KKT residual.
 
 The loss for a candidate difference D given covariances (Sx, Sy) is
 
@@ -8,7 +8,9 @@ The loss for a candidate difference D given covariances (Sx, Sy) is
 with <A, B> = tr(A B^T). Its unique minimizer over PD inputs is
 Sy^-1 - Sx^-1, so adding an l1 penalty gives a sparse estimate of the
 difference of the two precision matrices without inverting either
-covariance.
+covariance. The paper minimizes it by a three-block ADMM whose block
+updates solve A X B + gamma X = C (``solve_axb_plus_gx``); that method is
+kept as the test suite's reference, not run here.
 """
 
 from __future__ import annotations
@@ -32,14 +34,9 @@ from .linalg import (
     range_size,
     range_values,
     soft_threshold,
-    solve_axb_plus_gx,
-    solve_plan,
-    spectral_scale,
 )
+from .linalg import solve_axb_plus_gx  # noqa: F401  unused here, but perfbench/traced.py rebinds it
 
-DIVERGENCE_LIMIT = 1e12
-# Sweeps between the ADMM's KKT stopping checks.
-KKT_PERIOD = 100
 # Factor by which the predictor's step grows after each accepted iteration.
 STEP_GROWTH = 1.25
 # Fraction of the certificate's tol * lam at which the predictor stops, so
@@ -50,9 +47,10 @@ PREDICT_MARGIN = 0.75
 EPS32 = float(np.finfo(np.float32).eps)
 FLOAT32_FLOOR = 32 * EPS32
 # A nonzero covariance whose largest eigenvalue lies outside [1/SCALE_LIMIT,
-# SCALE_LIMIT] is refused: the ADMM's weight and the solves' squared norms
-# reach its square, times condition numbers up to 1e14 and the divergence
-# guard's DIVERGENCE_LIMIT^2, and float64 must hold them.
+# SCALE_LIMIT] is refused: the iterations run on the pair divided by its
+# scale, but the bracket's squared norms reach that scale's square, and the
+# certificate's bound tol * lam shrinks with it, so float64 must hold both
+# with room to spare.
 SCALE_LIMIT = 1e50
 
 
@@ -81,11 +79,11 @@ class NoMinimizerError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """ADMM parameters: relative stopping tolerance 1e-3 and a 5000-sweep
-    cap by default; in each ``admm_solve`` call the cap also bounds the
-    predictor's iterations (``fista_predict``) and, on a singular pair, the
-    bracket iterations. The augmented-Lagrangian weight is not a
-    parameter: it comes from the pair (see ``admm_solve``)."""
+    """Solve parameters: a penalty lam is certified at KKT residual at most
+    ``tol`` * lam (1e-3 by default), and each ``admm_solve`` call spends at
+    most ``max_iter`` (5000 by default) iterations on each of its stages:
+    the bracket on a singular pair, the prediction (``fista_predict``) and
+    the float64 continuation after a missed certificate."""
 
     tol: float = 1e-3
     max_iter: int = 5000
@@ -104,10 +102,10 @@ class DeltaEstimate:
 
     delta: np.ndarray
     lam: float
-    iterations: int  # ADMM sweeps
+    iterations: int  # float64 continuation iterations after a missed certificate
     converged: bool
     objective: float
-    predict_iterations: int  # fista_predict iterations before the sweeps
+    predict_iterations: int  # fista_predict iterations
     kkt: float  # kkt_check residual at delta
 
     @property
@@ -254,7 +252,6 @@ class PairFactors(NamedTuple):
     bracket: Optional[ThresholdBracket]  # None at full numerical rank
     diff: np.ndarray  # D = sigma_x - sigma_y
     lam_max: float  # ||D||_inf, the smallest penalty at which zero is optimal
-    rho: float  # the ADMM's weight, spectral_scale(x, y)
     scale: float  # the predictor's c = sqrt(a_1) sqrt(b_1), from range_values(x, y)
     # np.float32 and np.float64 -> the predictor's operands in that dtype,
     # (sigma_x / 2a_1, sigma_y / b_1, D / c); halving commutes with rounding.
@@ -280,7 +277,7 @@ def factor_pair(pair: CovariancePair) -> PairFactors:
     scaled = 0.5 * (pair.sigma_x / a), pair.sigma_y / b, diff / c
     return PairFactors(
         eig_x, eig_y, None if null is None else ThresholdBracket(null, diff),
-        diff=diff, lam_max=norm_entrywise_linf(diff), rho=spectral_scale(eig_x, eig_y), scale=c,
+        diff=diff, lam_max=norm_entrywise_linf(diff), scale=c,
         operands={t: tuple(m.astype(t, copy=False) for m in scaled)
                   for t in (np.float32, np.float64)},
     )
@@ -294,7 +291,10 @@ def admm_solve(
     factors: Optional[PairFactors] = None,
 ) -> Tuple[DeltaEstimate, np.ndarray]:
     """Minimize the penalized trace loss for one penalty value; the one
-    place where a penalty is decided.
+    place where a penalty is decided. The name is the paper's method's: it
+    stays because it is the library's entry point and perfbench/traced.py
+    rebinds it, while the paper's ADMM now serves only as the test suite's
+    reference.
 
     When ``lam`` is at least lambda_max = ||sigma_x - sigma_y||_inf, the
     zero matrix is certified optimal by the stationarity condition (the
@@ -320,42 +320,25 @@ def admm_solve(
     gradient (m + m^T)/2 - D, D = sigma_x - sigma_y, gives the one
     certificate: the ``kkt_check`` residual at most ``cfg.tol`` * ``lam``,
     with lambda_max in place of ``lam`` at 0, where tol * 0 cannot be met.
-    A certified start is returned with 0 sweeps and ``converged=True``, and
-    the same gradient gives the objective.
+    A certified start is returned with ``iterations`` 0 and
+    ``converged=True``, and the same gradient gives the objective.
 
-    Otherwise the ADMM sweeps, from the state a sweep leaves in place at a
-    minimizer: every block at delta, lambda_1 = (m - D)/2, lambda_2 = (D -
-    m^T)/2 and lambda_3 = 0. The dual differences then cancel the linear
-    term of each block update, so the first sweep is a proximal-gradient
-    step of size 1/2rho from delta. Each sweep updates the three primal
-    blocks in closed form -- two matrix-equation solves (see
-    ``solve_axb_plus_gx``) and one soft threshold -- followed by the three
-    dual ascent steps. The same certificate stops the sweeps. It is checked
-    after each sweep that passes the relative step test (no block moved
-    more than ``cfg.tol`` times the larger of its Frobenius norms before
-    and after the sweep), every ``KKT_PERIOD`` sweeps, since a minimizer
-    sitting at the block solves' rounding level never passes the step test,
-    and after the last of ``cfg.max_iter`` sweeps; ``converged=False``
-    when that last check fails. After a failed check, the next one the step
-    test prompts waits 1, 2, 4, ... sweeps, up to ``KKT_PERIOD``.
-    ``SolverError`` is raised when a block or the scaled dual lambda_1/rho
-    grows beyond ``DIVERGENCE_LIMIT`` times the norm of (sigma_x -
-    sigma_y)/2rho, the scaled dual of the zero solution: the limit is a
-    ratio, both sides in the units of the estimate.
-
-    The sweeps run at the context's weight rho = sqrt(a_1 b_1 a_r b_s)
-    (``spectral_scale``), the geometric mean of the block equations'
-    extreme curvatures, always positive and finite. Scaling both samples
-    by c scales rho by c^4 and every iterate by c^-2, and every test above
-    is relative, so the sweeps do not depend on the data's units.
+    A start that misses the certificate at ``lam`` > 0 -- a float32
+    prediction that rounding kept above it, one stopped at its cap, or a
+    start kept on an undecided bracket -- is continued once: the
+    predictor's iterations (``_accelerate``) run again from it in float64,
+    with a fresh ``cfg.max_iter`` budget and the same ``PREDICT_MARGIN``
+    stop, and the result takes the same certificate; ``converged=False``
+    when it fails, and ``iterations`` counts the continuation's
+    iterations. A closed form that misses at 0 is returned unconverged.
+    ``SolverError`` is raised when the result's objective is not finite.
 
     ``factors`` is ``factor_pair(pair)``, the pair's solve context, passed
     by callers that solve it at several penalties; computed here otherwise.
 
-    Returns the estimate (the certified delta, or the final third block,
-    symmetrized, with its ``kkt_check`` residual in ``kkt``) together with
-    the loss gradient at it, bit for bit ``dtrace_gradient``: that of the
-    last certificate check.
+    Returns the estimate, with its ``kkt_check`` residual in ``kkt``,
+    together with the loss gradient at it, bit for bit ``dtrace_gradient``:
+    that of its certificate.
     """
     if not lam >= 0:
         raise ValueError(f"penalty must be nonnegative, got {lam}")
@@ -392,83 +375,20 @@ def admm_solve(
     # At lam = 0, where tol * lam cannot be met, lambda_max stands in for lam.
     bound = cfg.tol * (lam or factors.lam_max)
 
-    def certify(delta, m):
+    def certify(delta):
+        m = _product(delta, sx, sy)
         grad = 0.5 * (m + m.T) - diff
         kkt = kkt_check(delta, pair, lam, grad)
         return grad, kkt, kkt <= bound
 
-    m = _product(delta, sx, sy)
-    grad, kkt, converged = certify(delta, m)
+    grad, kkt, converged = certify(delta)
     iterations = 0
-    if not converged:
-        d1 = d2 = d3 = delta
-        # Scaled duals u_i = lambda_i / rho. Each block equation divided by
-        # 2 rho reads (S/2rho) X S' + 2 X = rhs; the scale is folded into
-        # the first factor and its eigenvalues once per call, and each block
-        # solve's plan is built once per call. -(D - m) rather than m - D
-        # keeps the sign of D's zeros at delta = 0.
-        two_rho = 2.0 * factors.rho
-        u1, u2 = -(diff - m) / two_rho, (diff - m.T) / two_rho
-        u3 = np.zeros_like(diff)
-        ax, ay = sx / two_rho, sy / two_rho
-        plan1 = solve_plan(EigenPair(eig_x.values / two_rho, eig_x.vectors), eig_y, 2.0)
-        plan2 = solve_plan(EigenPair(eig_y.values / two_rho, eig_y.vectors), eig_x, 2.0)
-        shift = diff / two_rho
-        kappa = lam / two_rho
-        tol_sq = cfg.tol**2
-        limit_sq = DIVERGENCE_LIMIT**2 * _sq_norm(shift)
-        shared, work = np.empty_like(diff), np.empty_like(diff)
-        sq = [_sq_norm(delta)] * 3
-        due, gap = 0, 1
-
-    while not converged:
-        iterations += 1
-        # Both right-hand sides start from d3 + (sx - sy) / 2rho.
-        np.add(d3, shift, out=shared)
-        np.add(shared, d2, out=work)
-        work += u1
-        work -= u3
-        d1_new = solve_axb_plus_gx(ax, sy, work, 2.0, plan=plan1)
-        np.add(shared, d1_new, out=work)
-        work += u3
-        work -= u2
-        d2_new = solve_axb_plus_gx(ay, sx, work, 2.0, plan=plan2)
-        np.add(d1_new, d2_new, out=work)
-        work -= u1
-        work += u2
-        work *= 0.5
-        d3_new = soft_threshold(work, kappa)
-        np.subtract(d3_new, d1_new, out=work)
-        u1 += work
-        np.subtract(d2_new, d3_new, out=work)
-        u2 += work
-        np.subtract(d1_new, d2_new, out=work)
-        u3 += work
-
-        # Relative-step test and divergence guard, both in squared norms;
-        # once one block fails the test the other steps are not needed. The
-        # strict test passes a block that is zero before and after.
-        stepped = True
-        largest_sq = _sq_norm(u1)
-        for i, (old, new) in enumerate(((d1, d1_new), (d2, d2_new), (d3, d3_new))):
-            new_sq = _sq_norm(new)
-            largest_sq = max(largest_sq, new_sq)
-            if stepped:
-                np.subtract(new, old, out=work)
-                if _sq_norm(work) > tol_sq * max(sq[i], new_sq):
-                    stepped = False
-            sq[i] = new_sq
-        d1, d2, d3 = d1_new, d2_new, d3_new
-
-        if not np.isfinite(largest_sq) or largest_sq > limit_sq:
-            raise SolverError(f"iterates diverged at iteration {iterations}")
-        last = iterations == cfg.max_iter
-        if last or iterations % KKT_PERIOD == 0 or (stepped and iterations >= due):
-            delta = (d3 + d3.T) / 2.0
-            grad, kkt, converged = certify(delta, _product(delta, sx, sy))
-            if last:
-                break
-            due, gap = iterations + gap, min(2 * gap, KKT_PERIOD)
+    if not converged and lam > 0:
+        c = factors.scale
+        x, iterations = _accelerate(factors.operands[np.float64], lam / c, c * delta,
+                                    PREDICT_MARGIN * (cfg.tol * lam / c), cfg.max_iter)
+        delta = x / c
+        grad, kkt, converged = certify(delta)
 
     objective = _loss_from_gradient(delta, grad, diff) + lam * norm_entrywise_l1(delta)
     if not np.isfinite(objective):
@@ -508,7 +428,8 @@ def fista_predict(
     O'Donoghue & Candes (2015) and a step that backtracks and grows
     (Scheinberg, Goldfarb & Bai 2014). Returns it in float64 with the
     iterations run, at most ``cfg.max_iter``, unchecked: ``admm_solve``
-    calls it on penalties the bracket admits and certifies the result.
+    calls it on penalties the bracket admits, certifies the result and
+    continues a miss in float64.
 
     The iterations run on the pair divided by the context's c
     (``PairFactors``), where the Hessian H has norm at most 1, the estimate

@@ -310,8 +310,9 @@ class TestEstimate:
         assert record["converged"] is False
 
     def test_unconverged_path_exit_code_1(self, tmp_path, sim_data):
-        # BIC selects lambda_max, which converges without a sweep; every
-        # other penalty stops at one sweep.
+        # BIC selects lambda_max, which converges without an iteration;
+        # every other penalty stops after one predictor and one float64
+        # continuation iteration.
         _, x_path, y_path = sim_data
         out = tmp_path / "out"
         code = main(
@@ -417,7 +418,7 @@ class TestEstimate:
         assert json.loads((out / "run.json").read_text())["blas_threads"] == threads
 
     def test_zero_penalty_is_the_inverse_difference(self, tmp_path, sim_data):
-        # The closed form, certified without a sweep.
+        # The closed form, certified without an iteration.
         _, x_path, y_path = sim_data
         out = tmp_path / "out"
         assert main(["estimate", "--x", str(x_path), "--y", str(y_path),
@@ -496,8 +497,8 @@ class TestEstimate:
         "scale", [2.0**-20, 1e-6, 2.0**20, 1e6], ids=["2^-20", "1e-6", "2^20", "1e6"]
     )
     def test_fixed_penalty_is_scale_free(self, tmp_path, scale):
-        # Samples times c with the penalty times c^2 give the same sweeps and
-        # the same support.
+        # Samples times c with the penalty times c^2 give the same
+        # iterations and the same support.
         truth = gen_sim1(20)
         x = sample_gaussian(truth.omega_x, 200, 40)
         y = sample_gaussian(truth.omega_y, 200, 41)

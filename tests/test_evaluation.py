@@ -22,7 +22,7 @@ def fake_path(deltas):
         DeltaEstimate(d, float(lam), 1, True, 0.0, 0, 0.0) for d, lam in zip(deltas, lams)
     ]
     zeros = np.zeros(len(deltas))
-    return RegPath(ests, zeros, zeros)
+    return RegPath(ests, zeros, zeros, 1.0)
 
 
 class TestSupportMetrics:

@@ -12,11 +12,12 @@ from difftrace.linalg import (
     psd_eig,
     soft_threshold,
     solve_plan,
-    spectral_scale,
     sym_eig,
 )
 from difftrace.linalg import solve_axb_plus_gx as kernel
-from conftest import checked, random_psd, random_spd, reference_solve_axb_plus_gx
+from conftest import (
+    checked, random_psd, random_spd, reference_solve_axb_plus_gx, spectral_scale,
+)
 
 # Every direct solve below also asserts the residual contract.
 solve_axb_plus_gx = checked(kernel)
@@ -133,7 +134,7 @@ class TestSolveAxbPlusGx:
 
     def test_residual_property_random(self):
         # 60 random PSD pairs across the gamma range; the full 500-instance
-        # sweep runs in the acceptance suite.
+        # run is in the acceptance suite.
         rng = np.random.default_rng(11)
         for trial in range(60):
             p = int(rng.integers(2, 13))
@@ -276,6 +277,7 @@ class TestSolveMatchesReference:
     ],
 )
 def test_spectral_scale(a, b, scale):
+    # The reference ADMM's weight, on the range rule's edge cases.
     assert spectral_scale(psd_eig(np.diag(a)), psd_eig(np.diag(b))) == scale
 
 

@@ -298,11 +298,17 @@ class TestSolvePath:
         assert all(est.converged and est.iterations == 0 for est in path.estimates)
         assert 0 < path.predict_iterations.max() < cfg.max_iter
 
-    def test_kkt_at_zero_penalty_is_the_residual(self):
+    def test_kkt_at_zero_penalty_is_over_lambda_max(self):
+        # lambda_max, the scale of the certificate at 0, makes the column
+        # unit-free there too: the raw residual grows with the data's units.
         rng = np.random.default_rng(24)
-        pair = pair_from_covariances(random_spd(4, rng), random_spd(4, rng), 30, 30)
-        path = solve_path(pair, [lambda_max(pair), 0.0])
-        assert path.kkt[1] == kkt_check(path.estimates[1].delta, pair, 0.0)
+        sx, sy = random_spd(4, rng), random_spd(4, rng)
+        for c in (1.0, 1e3):
+            pair = pair_from_covariances(c * sx, c * sy, 30, 30)
+            path = solve_path(pair, [lambda_max(pair), 0.0])
+            assert path.lam_max == lambda_max(pair)
+            assert path.kkt[1] == kkt_check(path.estimates[1].delta, pair, 0.0) / lambda_max(pair)
+            assert path.kkt[1] <= 1e-14
 
     def test_rejects_ascending_grid(self):
         pair = sampled_pair(10, 50, 12)
@@ -346,8 +352,8 @@ class TestSelectByBic:
     def test_single_entry_path(self):
         pair = sampled_pair(10, 50, 14)
         path = solve_path(pair, [lambda_max(pair)])
-        lam, est = select_by_bic(path, "frobenius")
-        assert lam == lambda_max(pair)
+        best, est = select_by_bic(path, "frobenius")
+        assert best == 0 and est.lam == lambda_max(pair)
         assert est is path.estimates[0]
 
     def test_zero_model_selected_when_best(self):
@@ -359,8 +365,8 @@ class TestSelectByBic:
         y = sample_gaussian(truth.omega_x, 400, 17)
         pair = build_pair(x, y)
         path = solve_path(pair, lambda_grid(pair, count=10))
-        lam, est = select_by_bic(path, "frobenius")
-        assert lam == path.lambdas[0]
+        best, est = select_by_bic(path, "frobenius")
+        assert best == 0 and est.lam == path.lambdas[0]
         assert est.nnz == 0
 
     def test_ties_break_to_larger_lambda(self):
@@ -369,22 +375,22 @@ class TestSelectByBic:
             DeltaEstimate(np.zeros((2, 2)), lam, 0, True, 0.0, 0, 0.0)
             for lam in (0.4, 0.3, 0.2, 0.1)
         ]
-        path = RegPath(estimates, bic_f=scores, bic_inf=scores)
-        lam, est = select_by_bic(path, "frobenius")
-        assert lam == 0.3
+        path = RegPath(estimates, bic_f=scores, bic_inf=scores, lam_max=0.4)
+        best, est = select_by_bic(path, "frobenius")
+        assert best == 1 and est.lam == 0.3
         assert est is estimates[1]
 
     def test_selected_score_is_minimal(self):
         pair = sampled_pair(15, 90, 18)
         path = solve_path(pair, lambda_grid(pair, count=9))
         for norm, scores in (("frobenius", path.bic_f), ("max", path.bic_inf)):
-            lam, est = select_by_bic(path, norm)
-            idx = list(path.lambdas).index(lam)
-            assert scores[idx] == scores.min()
+            best, est = select_by_bic(path, norm)
+            assert est is path.estimates[best]
+            assert scores[best] == scores.min()
 
     def test_empty_path_rejected(self):
         empty = np.array([])
-        path = RegPath([], empty, empty)
+        path = RegPath([], empty, empty, 1.0)
         with pytest.raises(ValueError, match="empty"):
             select_by_bic(path)
 
