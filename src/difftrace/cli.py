@@ -22,7 +22,7 @@ import signal
 import sys
 import time
 from pathlib import Path
-from typing import BinaryIO, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,14 +76,23 @@ def _parse_numeric_line(line: str):
 
     The delimiter is the first of comma, tab and whitespace (``None``) that
     splits the line into floats; comma and tab must give at least two.
+    Empty fields are dropped, except that a comma line whose other fields
+    are floats raises ValueError at an empty one before its last value.
     """
     for delim in (",", "\t", None):
-        parts = [item.strip() for item in line.split(delim) if item.strip() != ""]
-        if len(parts) > 1 or delim is None:
+        fields = [item.strip() for item in line.split(delim)]
+        while fields and not fields[-1]:
+            fields.pop()
+        parts = [item for item in fields if item]
+        gap = delim == "," and len(parts) < len(fields)
+        if len(parts) > 1 or delim is None or gap:
             try:
-                return delim, [float(item) for item in parts]
+                values = [float(item) for item in parts]
             except ValueError:
-                pass
+                continue
+            if gap:
+                raise ValueError("empty field")
+            return delim, values
     return None
 
 
@@ -144,12 +153,15 @@ def _read_lines(path: Path) -> List[Tuple[int, str]]:
 
 
 def _read_rows(path: Path, allow_header: bool) -> np.ndarray:
-    # Line-by-line parse: accepts ragged spacing, mixed delimiters, empty
-    # fields and "1_0" literals, and names the first bad line.
+    # Line-by-line parse: accepts ragged spacing, mixed delimiters, trailing
+    # or tab empty fields and "1_0" literals, and names the first bad line.
     rows: List[List[float]] = []
     width: Optional[int] = None
     for lineno, raw in _read_lines(path):
-        parsed = _parse_numeric_line(raw)
+        try:
+            parsed = _parse_numeric_line(raw)
+        except ValueError:
+            raise InputError(f"{path}: line {lineno} has an empty field") from None
         if parsed is None:
             if allow_header and not rows:
                 continue
@@ -253,106 +265,70 @@ def _out_dir(args) -> Path:
     return out
 
 
-def fork(fn, *args) -> Tuple[int, BinaryIO]:
-    """Run ``fn(*args)`` in a forked child process.
-
-    Returns the child's pid and the read end of a pipe that carries back the
-    pickled pair (result, None), or (None, exception) when the call raised;
-    an exception that does not survive pickling is sent as a RuntimeError
-    with its type name and message.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, open(read_fd, "rb")
-    # The child: os._exit skips the parent's exit handlers and buffered
-    # output, which the fork copied.
-    try:
-        os.close(read_fd)
-        with open(write_fd, "wb") as pipe:
-            try:
-                result = (fn(*args), None)
-            except BaseException as err:
-                result = (None, _portable(err))
-            pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
-    finally:
-        os._exit(0)
-
-
-def _portable(err: BaseException) -> BaseException:
-    """``err``, or a RuntimeError with its type name and message where
-    ``err`` does not come back whole from pickling."""
-    try:
-        pickle.loads(pickle.dumps(err, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        return RuntimeError(f"{type(err).__name__}: {err}")
-    return err
-
-
-def receive(child: Tuple[int, BinaryIO], work: str):
-    """The result the forked ``child`` sent, or raise the error it sent.
-
-    Closes the child's pipe. ``work`` names the child's task in the
-    RuntimeError raised when nothing readable arrives.
-    """
-    _, pipe = child
-    with pipe:
-        try:
-            result, err = pickle.load(pipe)
-        except Exception as exc:
-            raise RuntimeError(f"the process {work} ended without a result") from exc
-    if err is not None:
-        raise err
-    return result
-
-
-def reap(children: Sequence[Tuple[int, BinaryIO]]) -> None:
-    """Wait for every child to end. A child whose result was not received
-    is no longer wanted: its pipe is closed and it is killed."""
-    for pid, pipe in children:
-        if not pipe.closed:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-
-
 def _run_share(run, items):
-    """(results, None) for ``items`` in order, or (results so far, error)
-    at the first that raises. The error passes through ``_portable`` in
-    every process, so that an item fails the same way whichever process
-    ran it."""
+    """The envelope of one process's share: (results, None) for ``items``
+    in order, or (results so far, error) at the first that raises. An
+    error that does not come back whole from pickling is replaced by a
+    RuntimeError with its type name and message, in every process, so that
+    an item fails the same way whichever process ran it."""
     results = []
     for item in items:
         try:
             results.append(run(item))
         except Exception as err:
-            return results, _portable(err)
+            try:
+                pickle.loads(pickle.dumps(err, protocol=pickle.HIGHEST_PROTOCOL))
+            except Exception:
+                err = RuntimeError(f"{type(err).__name__}: {err}")
+            return results, err
     return results, None
 
 
 def _run_split(run, items: list, workers: int, task) -> list:
-    """``[run(item) for item in items]``, split over ``workers`` processes:
-    this one runs items 0, W, 2W, ..., forked worker k runs items k, k+W,
-    ..., and the results come back in item order. The error raised is that
-    of the lowest-indexed failing item, as in the serial loop; a worker
-    that ends without a result raises a RuntimeError naming ``task`` of its
-    items. Every worker is reaped on every path."""
+    """``[run(item) for item in items]``, split over ``workers`` processes
+    where the platform has ``os.fork``: this one runs items 0, W, 2W, ...,
+    forked worker k runs items k, k+W, ... and pickles its ``_run_share``
+    envelope into a pipe. Results come back in item order; the error raised
+    is the lowest-indexed failing item's, as in the serial loop. A worker
+    that sends no envelope (a crash, ``os._exit``, a BaseException such as
+    SystemExit) raises a RuntimeError naming ``task`` of its items. Every
+    worker is reaped, and killed when its envelope is no longer wanted."""
+    if not hasattr(os, "fork"):
+        workers = 1
     shares = [items[k::workers] for k in range(workers)]
-    children = []
+    children = []  # (pid, read end of its pipe)
     try:
         for share in shares[1:]:
-            children.append(fork(_run_share, run, share))
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if not pid:
+                # os._exit skips the exit handlers and buffers the fork copied.
+                try:
+                    os.close(read_fd)
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump(_run_share(run, share), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
         done = [_run_share(run, shares[0])]
-        for child, share in zip(children, shares[1:]):
-            done.append(receive(child, task(share)))
+        for (_, pipe), share in zip(children, shares[1:]):
+            try:
+                with pipe:
+                    done.append(pickle.load(pipe))
+            except Exception as exc:
+                raise RuntimeError(f"the process {task(share)} ended without a result") from exc
     finally:
-        reap(children)
+        for pid, pipe in children:
+            if not pipe.closed:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     # Worker k's share stops at its first failure: item k + W * len(its results).
     failures = [(k + workers * len(results), err)
                 for k, (results, err) in enumerate(done) if err is not None]
@@ -373,8 +349,8 @@ def _load_pair(args) -> Tuple[CovariancePair, SolverConfig]:
     make its covariance singular, are named on stderr; they are found on the
     raw data, since rounding in the mean can leave their variance positive.
     """
-    x, y = _run_split(lambda path: read_matrix_csv(path, allow_header=True), [args.x, args.y],
-                      2 if hasattr(os, "fork") else 1, lambda paths: "reading " + ", ".join(paths))
+    x, y = _run_split(lambda path: read_matrix_csv(path, allow_header=True), [args.x, args.y], 2,
+                      lambda paths: "reading " + ", ".join(paths))
     pair = build_pair(x, y)
     for group, data in (("X", x), ("Y", y)):
         constant = np.flatnonzero((data == data[0]).all(axis=0)) + 1
@@ -465,10 +441,8 @@ def _environment() -> dict:
 
 def _workers(reps: int) -> int:
     """Processes for ``reps`` replicates: as many as the usable CPUs hold
-    at the pinned BLAS thread count, and no more than ``reps``. Without
-    ``os.fork``, or with BLAS threads not pinned, one."""
-    if not hasattr(os, "fork"):
-        return 1
+    at the pinned BLAS thread count, and no more than ``reps``; with BLAS
+    threads not pinned, one."""
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else (os.cpu_count() or 1)
     return max(1, min(reps, cpus // (_blas_threads() or cpus)))

@@ -15,6 +15,7 @@ kept as the test suite's reference, not run here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, NamedTuple, Optional, Tuple
 
@@ -186,8 +187,8 @@ class ThresholdBracket:
     ||q||^2, q = P_N(D), so the iterates scale with the data. Each iterate
     x in V gives lower = <D, x> / ||x||_1 and is kept in ``best`` when it
     raises ``lower``. The dual side takes the scaled dual u: with t = <u,
-    q> / ||q||^2 > 0, a = P_N^perp(u) / t + q lies in D + N^perp, and is
-    kept in ``dual`` when ||a||_inf lowers ``upper``. q = 0 means
+    q> / ||q||^2 > 0, a = P_N^perp(u) / t + q lies in D + N^perp, and
+    ``upper`` is lowered to ||a||_inf when that is lower. q = 0 means
     lambda_b = 0.
     """
 
@@ -196,8 +197,7 @@ class ThresholdBracket:
         self.q = project_null(null, diff)
         self.q_sq = _sq_norm(self.q)
         # a = D and a = q both lie in D + N^perp.
-        self.dual = min(diff, self.q, key=norm_entrywise_linf)
-        self.upper = norm_entrywise_linf(self.dual)
+        self.upper = min(norm_entrywise_linf(diff), norm_entrywise_linf(self.q))
         self.lower = 0.0
         self.iterations = 0
         if self.q_sq == 0.0:
@@ -230,9 +230,7 @@ class ThresholdBracket:
             t = float(np.vdot(self.u, q)) / q_sq
             if t > 0.0:
                 a = (self.u - project_null(null, self.u)) / t + q
-                size = norm_entrywise_linf(a)
-                if size < self.upper:
-                    self.upper, self.dual = size, a
+                self.upper = min(self.upper, norm_entrywise_linf(a))
         return spent
 
     @property
@@ -464,7 +462,8 @@ def _accelerate(operands, lam, x, target, max_iter) -> Tuple[np.ndarray, int]:
     the curvature <d, Hd> of the step d = x+ - y, and, from the optimality
     of the proximal step, ||Hd - d/step||_inf, a bound on the KKT residual
     at x+. The iteration stops at the first bound at most ``target``, or
-    after ``max_iter`` iterations.
+    after ``max_iter`` iterations, or at the first iteration whose squared
+    step norm or curvature is not finite, which returns that iterate.
 
     The step starts at 1, which bounds the Hessian's norm, and never falls
     below it. It grows by ``STEP_GROWTH`` after each accepted iteration. A
@@ -491,6 +490,8 @@ def _accelerate(operands, lam, x, target, max_iter) -> Tuple[np.ndarray, int]:
         hx_new = hessian(x_new)
         hd = hx_new - hy
         d_sq, curvature = _sq_norm(d), float(np.vdot(d, hd))
+        if not (math.isfinite(d_sq) and math.isfinite(curvature)):
+            return x_new, k + 1
         if curvature * step > d_sq and step > 1.0:
             step = max(1.0, min(step / 2.0, 0.9 * d_sq / curvature))
             continue

@@ -112,6 +112,14 @@ class TestReadMatrixCsv:
             ("\ufeff1,2\n3,5\n4,1\n", False, [[1.0, 2.0], [3.0, 5.0], [4.0, 1.0]]),
             ("\ufeffg1,g2\n1,2\n", True, [[1.0, 2.0]]),
             ("\ufeff\ufeff1,2\n", False, "line 1 is not numeric"),
+            ("1,,2\n3,4,5\n", False, "line 1 has an empty field"),
+            ("a,b,c,d\n1,,2,3\n4,5,,6\n", True, "line 2 has an empty field"),
+            ("1,,2\n3,4,5\n", True, "line 1 has an empty field"),
+            (",1,2\n", False, "line 1 has an empty field"),
+            ("1,2\n3, ,4\n", False, "line 2 has an empty field"),
+            ("1,2,,\n3,4, ,\n", False, [[1.0, 2.0], [3.0, 4.0]]),
+            ("1\t\t2\n3\t4\n", False, [[1.0, 2.0], [3.0, 4.0]]),
+            ("g1,,g3\n1,2,3\n", True, [[1.0, 2.0, 3.0]]),
         ],
         ids=[
             "comma", "tab", "whitespace", "header-then-blank-lines", "crlf",
@@ -121,6 +129,9 @@ class TestReadMatrixCsv:
             "ragged-after-header", "non-numeric-after-header", "header-refused",
             "empty", "delimiter-only-line", "byte-order-mark-observations",
             "byte-order-mark-matrix", "byte-order-mark-header", "second-byte-order-mark",
+            "empty-field", "empty-field-after-header", "empty-field-where-header-allowed",
+            "leading-empty-field", "blank-field", "trailing-empty-fields", "empty-tab-field",
+            "header-with-empty-field",
         ],
     )
     def test_reader_table(self, tmp_path, text, allow_header, expected):
@@ -1029,35 +1040,6 @@ class Unloadable:
         return _refuse_to_load, ()
 
 
-class TestForkHelper:
-    def test_error_that_does_not_pickle_arrives_as_runtime_error(self):
-        class LocalError(Exception):
-            """Local to this test, so pickle cannot find it by name."""
-
-        def raising():
-            raise LocalError("no way back")
-
-        child = cli.fork(raising)
-        try:
-            with pytest.raises(RuntimeError) as err:
-                cli.receive(child, "raising")
-        finally:
-            cli.reap([child])
-        assert str(err.value) == "LocalError: no way back"
-        _no_child_left()
-
-    def test_result_that_does_not_unpickle_names_the_work(self):
-        child = cli.fork(Unloadable)
-        try:
-            with pytest.raises(RuntimeError) as err:
-                cli.receive(child, "loading")
-        finally:
-            cli.reap([child])
-        assert str(err.value) == "the process loading ended without a result"
-        assert isinstance(err.value.__cause__, TypeError)
-        _no_child_left()
-
-
 class TestRunSplit:
     """_run_split: the one process map behind estimate's two reads and
     simulate's replicates."""
@@ -1099,6 +1081,47 @@ class TestRunSplit:
             cli._run_split(dying_in_child, list(range(5)), 3, lambda share: f"running {share}")
         # Worker 1, the first received, runs items 1 and 4.
         assert str(err.value) == "the process running [1, 4] ended without a result"
+        _no_child_left()
+
+    def test_error_that_does_not_pickle_arrives_as_runtime_error(self):
+        parent = os.getpid()
+
+        class LocalError(Exception):
+            """Local to this test, so pickle cannot find it by name."""
+
+        def raising_in_child(item):
+            if os.getpid() != parent:
+                raise LocalError("no way back")
+            return item
+
+        with pytest.raises(RuntimeError) as err:
+            cli._run_split(raising_in_child, [0, 1], 2, str)
+        assert str(err.value) == "LocalError: no way back"
+        _no_child_left()
+
+    def test_result_that_does_not_unpickle_names_the_items(self):
+        parent = os.getpid()
+        with pytest.raises(RuntimeError) as err:
+            cli._run_split(lambda item: item if os.getpid() == parent else Unloadable(),
+                           [0, 1, 2], 2, lambda share: f"loading {share}")
+        assert str(err.value) == "the process loading [1] ended without a result"
+        assert isinstance(err.value.__cause__, TypeError)
+        _no_child_left()
+
+    def test_base_exception_in_worker_is_named_by_its_items(self):
+        # SystemExit is not an Exception: it ends the worker before the
+        # worker sends its envelope.
+        parent = os.getpid()
+
+        def exiting_in_child(item):
+            if os.getpid() != parent:
+                sys.exit(3)
+            return item
+
+        with pytest.raises(RuntimeError) as err:
+            cli._run_split(exiting_in_child, list(range(4)), 2, lambda share: f"running {share}")
+        assert str(err.value) == "the process running [1, 3] ended without a result"
+        assert isinstance(err.value.__cause__, EOFError)
         _no_child_left()
 
     @pytest.mark.parametrize("has_fork", [True, False])

@@ -418,6 +418,18 @@ class TestAdmmSolve:
         with np.errstate(all="ignore"), pytest.raises(SolverError, match="non-finite objective"):
             admm_solve(pair, lam, start=np.full((3, 3), 1e200))
 
+    def test_non_finite_step_stops_the_continuation(self, monkeypatch):
+        # From 1e200 the first step's squared norm leaves float64: the
+        # continuation returns that iterate at once, and its non-finite
+        # objective is refused after 1 iteration, not after max_iter.
+        without_prediction(monkeypatch)
+        runs = record_accelerations(monkeypatch)
+        pair = make_pair(3, np.random.default_rng(13))
+        with np.errstate(all="ignore"), pytest.raises(
+                SolverError, match="^non-finite objective after 1 iterations$"):
+            admm_solve(pair, 0.5 * lambda_max(pair), start=np.full((3, 3), 1e200))
+        assert runs == [(np.float64, 1)]
+
     def test_negative_lambda_rejected(self):
         rng = np.random.default_rng(14)
         with pytest.raises(ValueError, match="nonnegative"):
@@ -930,14 +942,22 @@ class TestThresholdBracket:
         assert exact <= bracket.upper * (1 + 1e-9)
         assert bracket.upper - bracket.lower <= 1e-8 * exact
 
-    def test_certificates(self):
+    def test_certificates(self, monkeypatch):
         # lower is <D, S> / ||S||_1 for its S in N; upper is ||a||_inf for
-        # its a in D + N^perp.
+        # an a in D + N^perp, one of the matrices whose max-norm was taken.
         pair = sampled_pair(20, 10, 5)
         diff = pair.sigma_x - pair.sigma_y
+        sized, linf = [], solver.norm_entrywise_linf
+
+        def recording_linf(a):
+            sized.append((linf(a), a))
+            return sized[-1][0]
+
+        monkeypatch.setattr(solver, "norm_entrywise_linf", recording_linf)
         bracket = factor_pair(pair).bracket
         close(bracket, 200)
-        s, a = bracket.direction, bracket.dual
+        s = bracket.direction
+        a = next(a for size, a in reversed(sized) if size == bracket.upper)
         ranges = numerical_ranges(pair)
         assert np.linalg.norm(ranges[0].T @ s @ ranges[1]) <= 1e-13 * np.linalg.norm(s)
         assert np.vdot(diff, s) == pytest.approx(bracket.lower, rel=1e-12)
