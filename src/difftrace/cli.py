@@ -71,67 +71,48 @@ class InputError(ValueError):
     """Bad user input: malformed file, inconsistent shapes, invalid flags."""
 
 
-def _parse_numeric_line(line: str):
-    """(delimiter, values) of a numeric line, or None.
-
-    The delimiter is the first of comma, tab and whitespace (``None``) that
-    splits the line into floats; comma and tab must give at least two.
-    Empty fields are dropped, except that a comma line whose other fields
-    are floats raises ValueError at an empty one before its last value.
-    """
-    for delim in (",", "\t", None):
-        fields = [item.strip() for item in line.split(delim)]
-        while fields and not fields[-1]:
-            fields.pop()
-        parts = [item for item in fields if item]
-        gap = delim == "," and len(parts) < len(fields)
-        if len(parts) > 1 or delim is None or gap:
-            try:
-                values = [float(item) for item in parts]
-            except ValueError:
-                continue
-            if gap:
-                raise ValueError("empty field")
-            return delim, values
-    return None
+def _loadtxt(lines, delim) -> np.ndarray:
+    # The one parser that turns input text into numbers.
+    return np.loadtxt(lines, dtype=float, delimiter=delim, comments=None, ndmin=2)
 
 
 def _trimmed_lines(lines, delim):
-    # Blank lines and trailing delimiters are ignored by the line-by-line
-    # reader but read as empty fields by np.loadtxt. A line of delimiters
-    # alone is kept whole, so that it is still refused.
+    # Blank lines and trailing delimiters and whitespace, which np.loadtxt
+    # would read as empty fields, are dropped. A line of delimiters alone is
+    # kept whole, so that it is still refused.
     for line in lines:
         if not line.strip():
             continue
-        trimmed = line.rstrip().rstrip(delim)
-        yield trimmed if trimmed else line
+        trimmed = line.rstrip()
+        while delim and trimmed.endswith(delim):
+            trimmed = trimmed[:-1].rstrip()
+        yield trimmed or line
 
 
-def _load_numeric(fh, allow_header: bool) -> np.ndarray:
-    """Parse a well-formed file in one ``np.loadtxt`` call.
+def _row(line: str, delim) -> Optional[np.ndarray]:
+    """One non-blank line's values as ``_loadtxt`` reads them in ``delim``
+    (None: runs of whitespace), trimmed as the streamed parse trims it;
+    None when refused. A refused line that reads once its empty fields are
+    dropped raises ValueError: dropping them would shift the values after."""
+    try:
+        return _loadtxt(_trimmed_lines([line], delim), delim)[0]
+    except ValueError:
+        fields = line.split(delim) if delim else []
+    kept = [field for field in fields if field.strip()]
+    if kept and len(kept) < len(fields) and _row(delim.join(kept), delim) is not None:
+        raise ValueError("has an empty field")
+    return None
 
-    Skips blank lines (and, when allowed, non-numeric lines) up to the first
-    numeric line, takes the delimiter from it, and parses it together with
-    the rest of the handle, less blank lines and trailing delimiters. Raises
-    ValueError on anything this one call does not cover, a width mismatch
-    included.
-    """
-    for line in fh:
-        if not line.strip():
-            continue
-        parsed = _parse_numeric_line(line)
-        if parsed is None:
-            if allow_header:
-                continue
-            raise ValueError("non-numeric line")
-        return np.loadtxt(
-            _trimmed_lines(itertools.chain([line], fh), parsed[0]),
-            dtype=float,
-            delimiter=parsed[0],
-            comments=None,
-            ndmin=2,
-        )
-    raise ValueError("no numeric line")
+
+def _first_row(line: str):
+    """(delimiter, width) of a file's first numeric line: the first of
+    comma, tab and whitespace (None) in which ``_row`` reads it, comma and
+    tab with two fields at least; None for a line that is not numeric."""
+    for delim in (",", "\t", None):
+        row = _row(line, delim)
+        if row is not None and (row.size > 1 or delim is None):
+            return delim, row.size
+    return None
 
 
 def _read_lines(path: Path) -> List[Tuple[int, str]]:
@@ -152,31 +133,26 @@ def _read_lines(path: Path) -> List[Tuple[int, str]]:
     return [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip()]
 
 
-def _read_rows(path: Path, allow_header: bool) -> np.ndarray:
-    # Line-by-line parse: accepts ragged spacing, mixed delimiters, trailing
-    # or tab empty fields and "1_0" literals, and names the first bad line.
-    rows: List[List[float]] = []
-    width: Optional[int] = None
-    for lineno, raw in _read_lines(path):
+def _refuse_first_bad_line(path: Path, allow_header: bool) -> None:
+    """Raise the InputError naming the first line of ``path`` that ``_row``
+    refuses in the file's delimiter, or reads to another width than the
+    first numeric line's; header lines are skipped where allowed."""
+    first = None
+    for lineno, line in _read_lines(path):
         try:
-            parsed = _parse_numeric_line(raw)
-        except ValueError:
-            raise InputError(f"{path}: line {lineno} has an empty field") from None
-        if parsed is None:
-            if allow_header and not rows:
+            if first is None:
+                first = _first_row(line)
+                if first is None and not allow_header:
+                    raise ValueError("is not numeric")
                 continue
-            raise InputError(f"{path}: line {lineno} is not numeric")
-        values = parsed[1]
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise InputError(
-                f"{path}: line {lineno} has {len(values)} fields, expected {width}"
-            )
-        rows.append(values)
-    if not rows:
+            row = _row(line, first[0])
+            if row is None or row.size != first[1]:
+                raise ValueError("is not numeric" if row is None
+                                 else f"has {row.size} fields, expected {first[1]}")
+        except ValueError as err:
+            raise InputError(f"{path}: line {lineno} {err}") from None
+    if first is None:
         raise InputError(f"{path}: no numeric rows found")
-    return np.asarray(rows, dtype=float)
 
 
 def read_matrix_csv(path, allow_header: bool = False) -> np.ndarray:
@@ -187,17 +163,25 @@ def read_matrix_csv(path, allow_header: bool = False) -> np.ndarray:
     Raises InputError naming the offending line on ragged or non-numeric
     input.
 
-    A well-formed file streams through numpy's parser; any file it rejects
-    is re-read line by line, which gives the same array for every file it
-    accepts and the error message for every file it rejects.
+    Blank lines and, where allowed, header lines are skipped up to the
+    first numeric line, which fixes the file's delimiter; from there the
+    file streams through one ``_loadtxt`` call. When that refuses the file,
+    ``_refuse_first_bad_line`` names the line it refuses.
     """
     path = Path(path)
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            return _load_numeric(fh, allow_header)
-    except (OSError, ValueError):
-        pass
-    return _read_rows(path, allow_header)
+            for line in filter(str.strip, fh):
+                first = _first_row(line)
+                if first is not None:
+                    return _loadtxt(_trimmed_lines(itertools.chain([line], fh), first[0]),
+                                    first[0])
+                if not allow_header:
+                    break
+        raise ValueError("no numeric line")
+    except (OSError, ValueError) as err:
+        _refuse_first_bad_line(path, allow_header)
+        raise InputError(f"{path}: {err}") from err
 
 
 def read_support_csv(path, p: int) -> set:
@@ -207,13 +191,15 @@ def read_support_csv(path, p: int) -> set:
     support = set()
     lines = _read_lines(path)
     for lineno, raw in lines:
-        parts = [item.strip() for item in raw.split(",")]
         try:
-            i, j = float(parts[0]), float(parts[1])
-        except (ValueError, IndexError):
+            row = _row(raw, ",")
+        except ValueError:
+            row = None
+        if row is None or not 2 <= row.size <= 3:
             if lineno == lines[0][0]:
                 continue
             raise InputError(f"{path}: line {lineno} is not an 'i,j[,value]' row")
+        i, j = row[:2]
         if not (i.is_integer() and j.is_integer()):
             raise InputError(f"{path}: line {lineno} has a non-integer index")
         i, j = int(i), int(j)
@@ -343,14 +329,14 @@ def _run_split(run, items: list, workers: int, task) -> list:
 def _load_pair(args) -> Tuple[CovariancePair, SolverConfig]:
     """Covariance pair of the --x/--y files and the flags' solver settings.
 
-    Where the platform has ``os.fork``, this process parses --x while a
-    forked child parses --y, on a second core (``_run_split``). Either way,
-    --x's error is raised before --y's. A group's constant columns, which
+    Where the platform has ``os.fork`` and a second CPU is usable, this
+    process parses --x while a forked child parses --y (``_run_split``).
+    Either way, --x's error is raised before --y's. A group's constant columns, which
     make its covariance singular, are named on stderr; they are found on the
     raw data, since rounding in the mean can leave their variance positive.
     """
-    x, y = _run_split(lambda path: read_matrix_csv(path, allow_header=True), [args.x, args.y], 2,
-                      lambda paths: "reading " + ", ".join(paths))
+    x, y = _run_split(lambda path: read_matrix_csv(path, allow_header=True), [args.x, args.y],
+                      min(2, _cpus()), lambda paths: "reading " + ", ".join(paths))
     pair = build_pair(x, y)
     for group, data in (("X", x), ("Y", y)):
         constant = np.flatnonzero((data == data[0]).all(axis=0)) + 1
@@ -439,12 +425,17 @@ def _environment() -> dict:
             "blas_version": blas.get("version"), "blas_threads": _blas_threads()}
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else (os.cpu_count() or 1)
+
+
 def _workers(reps: int) -> int:
     """Processes for ``reps`` replicates: as many as the usable CPUs hold
     at the pinned BLAS thread count, and no more than ``reps``; with BLAS
     threads not pinned, one."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else (os.cpu_count() or 1)
+    cpus = _cpus()
     return max(1, min(reps, cpus // (_blas_threads() or cpus)))
 
 

@@ -27,13 +27,21 @@ def sample_covariance(data, name: str = "data") -> np.ndarray:
 
     Columns are mean-centered in a C-ordered copy, so that the bits do not
     depend on the input's layout; the normalization is 1/n (maximum
-    likelihood), and the output is symmetrized exactly.
+    likelihood), and the output is symmetrized exactly. Refused: an entry
+    that overflows float64, or a variance below its smallest normal in a
+    column whose raw values (not the rounded centered ones) are not all equal.
     """
     data = np.ascontiguousarray(check_observations(data, name))
     n = data.shape[0]
-    centered = data - data.mean(axis=0)
-    cov = centered.T @ centered / n
-    return (cov + cov.T) / 2.0
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        centered = data - data.mean(axis=0)
+        cov = centered.T @ centered / n
+        cov = (cov + cov.T) / 2.0
+    small = np.diag(cov) < np.finfo(float).tiny
+    if not np.isfinite(cov).all() or (data[:, small] != data[0, small]).any():
+        raise ValueError(f"{name} has a sample covariance outside float64's range: "
+                         "rescale the data")
+    return cov
 
 
 @dataclass(frozen=True)

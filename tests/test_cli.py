@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from difftrace import cli, model_selection
-from difftrace.cli import InputError, _read_rows, main, read_matrix_csv, read_support_csv
+from difftrace.cli import InputError, main, read_matrix_csv, read_support_csv
 from difftrace.evaluation import irrepresentability_alpha
 from difftrace.linalg import SolverError
 from difftrace.covariance import build_pair
@@ -87,6 +88,17 @@ class TestReadMatrixCsv:
             read_support_csv(f, p=4)
 
     @pytest.mark.parametrize(
+        "row", ["1,2,x", "1,2,0.5,7", "1_0,2", "1,,2", "1\t2"],
+        ids=["non-numeric-value", "four-fields", "underscore-literal", "empty-field", "tab"],
+    )
+    def test_support_row_is_read_by_numpy(self, tmp_path, row):
+        f = tmp_path / "support.csv"
+        f.write_text(f"i,j,value\n2,1\n{row}\n")
+        with pytest.raises(InputError) as err:
+            read_support_csv(f, p=12)
+        assert str(err.value) == f"{f}: line 3 is not an 'i,j[,value]' row"
+
+    @pytest.mark.parametrize(
         "text, allow_header, expected",
         [
             ("1,2\n3,4\n", False, [[1.0, 2.0], [3.0, 4.0]]),
@@ -97,8 +109,8 @@ class TestReadMatrixCsv:
             ("1.5,-2e-3,7\n", False, [[1.5, -0.002, 7.0]]),
             ("1\n2\n3\n", False, [[1.0], [2.0], [3.0]]),
             ("1,2,\n3,4,\n", False, [[1.0, 2.0], [3.0, 4.0]]),
-            ("1,2\n3\t4\n5 6\n", False, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
-            ("1_0,2\n3,4\n", False, [[10.0, 2.0], [3.0, 4.0]]),
+            ("1,2\n3\t4\n5 6\n", False, "line 2 is not numeric"),
+            ("1_0,2\n3,4\n", False, "line 1 is not numeric"),
             ("# comment\n1,2\n", True, [[1.0, 2.0]]),
             ("1 2\x0c3 4\n", False, [[1.0, 2.0, 3.0, 4.0]]),
             ("\u00b5g,ng\n1,2\n", True, [[1.0, 2.0]]),
@@ -118,7 +130,7 @@ class TestReadMatrixCsv:
             (",1,2\n", False, "line 1 has an empty field"),
             ("1,2\n3, ,4\n", False, "line 2 has an empty field"),
             ("1,2,,\n3,4, ,\n", False, [[1.0, 2.0], [3.0, 4.0]]),
-            ("1\t\t2\n3\t4\n", False, [[1.0, 2.0], [3.0, 4.0]]),
+            ("1\t\t2\n3\t4\n", False, "line 1 has an empty field"),
             ("g1,,g3\n1,2,3\n", True, [[1.0, 2.0, 3.0]]),
         ],
         ids=[
@@ -168,44 +180,70 @@ class TestReadMatrixCsv:
         f = tmp_path / "m.csv"
         np.savetxt(f, matrix, delimiter=",")
         assert read_matrix_csv(f).tobytes() == matrix.tobytes()
-        # The line-by-line reader stays the reference for the streamed parse.
-        assert _read_rows(f, allow_header=False).tobytes() == matrix.tobytes()
 
     @pytest.mark.parametrize(
-        "text",
-        ["1,2\n   \n3,4\n", "1,2,\n", "1\t2\t\n\n3\t4\t\n"],
-        ids=["whitespace-only-line", "trailing-comma", "trailing-tab"],
+        "text, expected",
+        [("1,2\n   \n3,4\n", [[1.0, 2.0], [3.0, 4.0]]), ("1,2,\n", [[1.0, 2.0]]),
+         ("1\t2\t\n\n3\t4\t\n", [[1.0, 2.0], [3.0, 4.0]]),
+         ("1,2,,\n3,4, ,\n", [[1.0, 2.0], [3.0, 4.0]])],
+        ids=["whitespace-only-line", "trailing-comma", "trailing-tab", "trailing-empty-fields"],
     )
     def test_blank_lines_and_trailing_delimiters_stay_streamed(
-        self, tmp_path, monkeypatch, text
+        self, tmp_path, monkeypatch, text, expected
     ):
         f = tmp_path / "m.csv"
         f.write_text(text, encoding="utf-8", newline="")
-        expected = _read_rows(f, allow_header=False)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("fell back to the line-by-line reader")
+            raise AssertionError("fell back to the line pass")
 
-        monkeypatch.setattr(cli, "_read_rows", refuse)
+        monkeypatch.setattr(cli, "_refuse_first_bad_line", refuse)
         data = read_matrix_csv(f)
-        assert data.tobytes() == expected.tobytes()
-        assert data.shape == expected.shape
+        assert data.tobytes() == np.array(expected).tobytes()
+        assert data.shape == np.shape(expected)
 
-    def test_streamed_parse_matches_line_reader(self, tmp_path):
-        # Random near-well-formed files: same array, or same error, as the
-        # line-by-line reader.
+    def test_refusal_no_line_explains_is_an_input_error(self, tmp_path, monkeypatch):
+        f = tmp_path / "m.csv"
+        f.write_text("1,2\n3\n")
+        monkeypatch.setattr(cli, "_refuse_first_bad_line", lambda path, allow_header: None)
+        with pytest.raises(InputError) as err:
+            read_matrix_csv(f)
+        assert str(err.value).startswith(f"{f}: the number of columns changed")
+
+    def test_read_is_numpys_parse_or_names_a_refused_line(self, tmp_path):
+        # Random near-well-formed files. read_matrix_csv returns np.loadtxt's
+        # parse of the data lines in the delimiter of the first numeric
+        # line, or names a line that a one-line np.loadtxt in that delimiter
+        # refuses or reads to another width.
         rng = np.random.default_rng(0)
         fields = ["1", "-2.5e3", "0", "-0", "nan", "1_0", "x", "#", "\uff11"]
-        seps = [",", "\t", " ", ", ", "\x0c", "\xa0", "\x85", "\u2028", ",,"]
+        seps = [",", "\t", " ", ", ", "\x0c", "\xa0", "\x85", "\u2028", ",,", "\t\t"]
         ends = ["\n", "\r\n", "\r", ",\n", "\n  \n", "\x0b"]
         f = tmp_path / "m.csv"
 
-        def outcome(read, allow_header):
+        def loads(line, delim):
+            # One line, less its trailing delimiters and whitespace; None
+            # when numpy refuses it.
+            trimmed = re.sub(r"[\s%s]+$" % re.escape(delim or " "), "", line) or line
             try:
-                data = read(f, allow_header=allow_header)
-            except InputError as err:
-                return str(err)
-            return data.shape, data.tobytes()
+                return np.loadtxt([trimmed], delimiter=delim, comments=None, ndmin=1)
+            except ValueError:
+                return None
+
+        def delimiter(line):
+            # [the first of comma, tab and whitespace in which the line
+            # reads, whole (comma and tab: two fields at least) or, where
+            # whole it does not, less its empty fields], or [] when none does.
+            for delim in (",", "\t", None):
+                whole = loads(line, delim)
+                if whole is not None and (whole.size > 1 or delim is None):
+                    return [delim]
+                split = line.split(delim) if delim else []
+                kept = [field for field in split if field.strip()]
+                if whole is None and 0 < len(kept) < len(split) and (
+                        loads(delim.join(kept), delim) is not None):
+                    return [delim]
+            return []
 
         for _ in range(400):
             width = rng.integers(1, 4)
@@ -216,11 +254,44 @@ class TestReadMatrixCsv:
             for _ in range(rng.integers(0, 5)):
                 row = [fields[rng.integers(0, 4 if rng.random() < 0.9 else 9)]
                        for _ in range(width + (rng.random() < 0.1))]
-                line = (sep if rng.random() < 0.9 else seps[rng.integers(0, 9)]).join(row)
+                line = (sep if rng.random() < 0.9 else seps[rng.integers(0, 10)]).join(row)
                 lines.append(line + ("\n" if rng.random() < 0.8 else ends[rng.integers(0, 6)]))
-            f.write_text("".join(lines), encoding="utf-8", newline="")
+            text = "".join(lines)
+            f.write_text(text, encoding="utf-8", newline="")
+            text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+            numbered = [(n, line) for n, line in enumerate(text.split("\n"), start=1)
+                        if line.strip()]
+            numeric = [(n, line, delimiter(line)[0]) for n, line in numbered if delimiter(line)]
             for allow_header in (False, True):
-                assert outcome(read_matrix_csv, allow_header) == outcome(_read_rows, allow_header)
+                try:
+                    data = read_matrix_csv(f, allow_header=allow_header)
+                except InputError as err:
+                    message = str(err).removeprefix(f"{f}: ")
+                    if message == "no numeric rows found":
+                        assert not numbered or (allow_header and not numeric)
+                        continue
+                    named = int(message.split()[1])
+                    bad = dict(numbered)[named]
+                    if numeric and numeric[0][0] < named:
+                        first, _, delim = numeric[0]
+                        width = loads(dict(numbered)[first], delim).size
+                        between = [line for n, line in numbered if first < n < named]
+                        assert all(getattr(loads(line, delim), "size", None) == width
+                                   for line in between)
+                        row = loads(bad, delim)
+                        assert row is None or row.size != width
+                    elif delimiter(bad):
+                        # The first numeric line reads only less its empty fields.
+                        assert loads(bad, delimiter(bad)[0]) is None
+                    else:
+                        assert not allow_header and named == numbered[0][0]
+                else:
+                    assert numeric and (allow_header or numeric[0][0] == numbered[0][0])
+                    first, _, delim = numeric[0]
+                    rows = [loads(line, delim) for n, line in numbered if n >= first]
+                    assert all(row is not None and row.size == rows[0].size for row in rows)
+                    assert data.shape == (len(rows), rows[0].size)
+                    assert data.tobytes() == np.array(rows).tobytes()
 
 
 # The characters that str.splitlines() breaks a line at and a text-mode
@@ -241,15 +312,14 @@ class TestLineModel:
     def test_character_stays_inside_its_line(self, tmp_path, char, line, expected):
         f = tmp_path / "m.csv"
         f.write_text("1 2 3\n" + line.format(char), encoding="utf-8", newline="")
-        for read in (read_matrix_csv, _read_rows):
-            if isinstance(expected, str):
-                with pytest.raises(InputError) as err:
-                    read(f, allow_header=False)
-                assert str(err.value) == f"{f}: {expected}"
-            else:
-                data = read(f, allow_header=False)
-                assert data.tobytes() == np.array(expected).tobytes()
-                assert data.shape == (2, 3)
+        if isinstance(expected, str):
+            with pytest.raises(InputError) as err:
+                read_matrix_csv(f, allow_header=False)
+            assert str(err.value) == f"{f}: {expected}"
+        else:
+            data = read_matrix_csv(f, allow_header=False)
+            assert data.tobytes() == np.array(expected).tobytes()
+            assert data.shape == (2, 3)
 
     @pytest.mark.parametrize("char", INLINE_BREAKS, ids=lambda char: f"U+{ord(char):04X}")
     def test_support_line_keeps_its_number(self, tmp_path, char):
@@ -308,6 +378,16 @@ class TestEstimate:
         code = main(["estimate", "--x", str(bad), "--y", str(good), "--lambda", "0.1"])
         assert code == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_empty_tab_field_exit_code_2(self, tmp_path, capsys):
+        # Read with the empty fields dropped, this would be [[1,2,3],[4,5,6]].
+        tsv = tmp_path / "gap.tsv"
+        tsv.write_text("1\t\t2\t3\n4\t5\t\t6\n")
+        out = tmp_path / "out"
+        code = main(["estimate", "--x", str(tsv), "--y", str(tsv), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {tsv}: line 1 has an empty field\n"
+        assert not out.exists()
 
     def test_nonconverged_solve_exit_code_1(self, tmp_path, sim_data):
         _, x_path, y_path = sim_data
@@ -924,7 +1004,12 @@ def _no_child_left():
 
 
 class TestConcurrentRead:
-    """estimate parses --y in a forked child while it parses --x."""
+    """estimate parses --y in a forked child while it parses --x, when a
+    second CPU is usable."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
     def test_pair_is_bitwise_the_serial_pair(self, sim_data, monkeypatch):
         _, x_path, y_path = sim_data
@@ -1021,6 +1106,26 @@ class TestConcurrentRead:
             del record["wallclock_ms"]
             files = [(out / name).read_bytes() for name in ("delta.csv", "support.csv", "path.csv")]
             runs.append((files, record))
+        assert runs[1] == runs[0]
+
+    def test_one_cpu_reads_without_forking(self, tmp_path, sim_data, monkeypatch):
+        _, x_path, y_path = sim_data
+
+        def refuse():
+            raise AssertionError("forked on one CPU")
+
+        runs = []
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            if len(cpus) == 1:
+                monkeypatch.setattr(os, "fork", refuse)
+            out = tmp_path / f"out-{len(cpus)}"
+            assert main(["estimate", "--x", str(x_path), "--y", str(y_path),
+                         "--grid-count", "8", "--out", str(out)]) == 0
+            record = json.loads((out / "run.json").read_text())
+            del record["wallclock_ms"]
+            runs.append(([(out / name).read_bytes() for name in ("delta.csv", "support.csv",
+                                                                 "path.csv")], record))
         assert runs[1] == runs[0]
 
 
@@ -1450,6 +1555,25 @@ class TestDataScale:
             f"error: sigma_x has largest eigenvalue {top}, outside the solvable scale "
             "[1e-50, 1e+50]: rescale the data\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fixed", [False, True], ids=["path", "fixed-penalty"])
+    @pytest.mark.parametrize("c", [1e160, 1e-170], ids=["1e160", "1e-170"])
+    def test_covariance_outside_float64_exit_code_2(self, tmp_path, c, fixed):
+        # Refused where the covariance is built, before a warning or a NaN
+        # grid: under -W error the message is all of stderr.
+        out = tmp_path / "out"
+        penalty = ["--lambda", "1"] if fixed else []
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "difftrace.cli", "estimate",
+             *self._files(tmp_path, c), *penalty, "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: group X has a sample covariance outside float64's range: rescale the data\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -51,6 +51,27 @@ class TestSampleCovariance:
         with pytest.raises(ValueError, match="row 2, column 3"):
             sample_covariance(data)
 
+    @pytest.mark.parametrize(
+        "scale, column", [(1e160, 1), (1e-170, 1), (1e-170, 3), (1e308, 2)],
+        ids=["overflow", "underflow", "underflow-last-column", "mean-overflows"],
+    )
+    def test_covariance_outside_float64_is_refused(self, scale, column):
+        # A column of +-scale; at 1e308 its mean is inf - inf.
+        data = np.random.default_rng(4).standard_normal((20, 3))
+        data[:, column - 1] = scale * np.sign(data[:, column - 1])
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError) as err:
+                sample_covariance(data, name="group Y")
+        assert str(err.value) == (
+            "group Y has a sample covariance outside float64's range: rescale the data")
+
+    def test_tiny_constant_column_is_not_refused(self):
+        # The mean of 20 copies of 3e-170 can round, leaving the centered
+        # column nonzero with a variance that underflows; it is constant.
+        data = np.random.default_rng(4).standard_normal((20, 3))
+        data[:, 1] = 3e-170
+        assert sample_covariance(data)[1, 1] < np.finfo(float).tiny
+
     def test_centering_invariance(self):
         rng = np.random.default_rng(3)
         data = rng.standard_normal((30, 4))
