@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .covariance import CovariancePair, build_pair
+from .covariance import CovariancePair, build_pair, constant_columns
 from .evaluation import (
     MAX_SUPPORT,
     curve_from_path,
@@ -331,15 +331,15 @@ def _load_pair(args) -> Tuple[CovariancePair, SolverConfig]:
 
     Where the platform has ``os.fork`` and a second CPU is usable, this
     process parses --x while a forked child parses --y (``_run_split``).
-    Either way, --x's error is raised before --y's. A group's constant columns, which
-    make its covariance singular, are named on stderr; they are found on the
-    raw data, since rounding in the mean can leave their variance positive.
+    Either way, --x's error is raised before --y's. A group's constant
+    columns (``constant_columns``), which make its covariance singular, are
+    named on stderr.
     """
     x, y = _run_split(lambda path: read_matrix_csv(path, allow_header=True), [args.x, args.y],
                       min(2, _cpus()), lambda paths: "reading " + ", ".join(paths))
     pair = build_pair(x, y)
     for group, data in (("X", x), ("Y", y)):
-        constant = np.flatnonzero((data == data[0]).all(axis=0)) + 1
+        constant = np.flatnonzero(constant_columns(data)) + 1
         if constant.size:
             print(f"warning: group {group} is constant in columns {', '.join(map(str, constant))}"
                   f" (1-based), so its covariance is singular", file=sys.stderr)

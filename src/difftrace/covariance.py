@@ -22,6 +22,12 @@ def check_observations(data, name: str = "data") -> np.ndarray:
     return data
 
 
+def constant_columns(data: np.ndarray) -> np.ndarray:
+    """Mask of the constant columns of an observation matrix: those whose raw
+    values all equal the first row's, whatever rounding leaves of them centered."""
+    return (data == data[0]).all(axis=0)
+
+
 def sample_covariance(data, name: str = "data") -> np.ndarray:
     """Sample covariance of an n x p observation matrix.
 
@@ -29,7 +35,7 @@ def sample_covariance(data, name: str = "data") -> np.ndarray:
     depend on the input's layout; the normalization is 1/n (maximum
     likelihood), and the output is symmetrized exactly. Refused: an entry
     that overflows float64, or a variance below its smallest normal in a
-    column whose raw values (not the rounded centered ones) are not all equal.
+    column that is not constant (``constant_columns``).
     """
     data = np.ascontiguousarray(check_observations(data, name))
     n = data.shape[0]
@@ -38,7 +44,7 @@ def sample_covariance(data, name: str = "data") -> np.ndarray:
         cov = centered.T @ centered / n
         cov = (cov + cov.T) / 2.0
     small = np.diag(cov) < np.finfo(float).tiny
-    if not np.isfinite(cov).all() or (data[:, small] != data[0, small]).any():
+    if not np.isfinite(cov).all() or not constant_columns(data[:, small]).all():
         raise ValueError(f"{name} has a sample covariance outside float64's range: "
                          "rescale the data")
     return cov

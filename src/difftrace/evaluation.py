@@ -118,28 +118,24 @@ def threshold_curve(delta, truth) -> Tuple[List[CurvePoint], float]:
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
     hits = np.cumsum(actual[order])
-    detections = np.arange(1, scores.size + 1)
     # last index of each distinct score = detection set for threshold just below it
     distinct = np.nonzero(np.diff(sorted_scores))[0]
-    cut_points = np.append(distinct, scores.size - 1)
+    cut_points = np.append(distinct, scores.size - 1).tolist()
     points = []
     for idx in cut_points:
-        k = detections[idx]
-        h = int(hits[idx])
+        detected, h = idx + 1, int(hits[idx])
         tp = h / nnz_true if nnz_true else 1.0
-        fp = (k - h) / true_zeros if true_zeros else 0.0
-        points.append(CurvePoint(float(sorted_scores[idx]), tp, fp, h / k))
+        fp = (detected - h) / true_zeros if true_zeros else 0.0
+        points.append(CurvePoint(float(sorted_scores[idx]), tp, fp, h / detected))
     return points, _roc_auc(points)
 
 
 def write_curve_csv(points: Sequence[CurvePoint], fileobj) -> None:
-    """Export a sweep, one row per tuning value."""
+    """Export a sweep, one row per tuning value. Points hold Python floats,
+    which csv writes as their ``repr``."""
     writer = csv.writer(fileobj)
     writer.writerow(CURVE_CSV_COLUMNS)
-    for pt in points:
-        writer.writerow(
-            [repr(pt.lam), repr(pt.tp_rate), repr(pt.fp_rate), repr(pt.precision)]
-        )
+    writer.writerows((pt.lam, pt.tp_rate, pt.fp_rate, pt.precision) for pt in points)
 
 
 def irrepresentability_alpha(

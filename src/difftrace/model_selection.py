@@ -78,15 +78,14 @@ def bic_score(delta, pair: CovariancePair, grad=None) -> Tuple[float, float]:
 @dataclass
 class RegPath:
     """Solutions along a descending penalty grid with both BIC variants.
-    ``lam_max`` is the pair's lambda_max. ``no_minimizer_at`` is the grid's
-    first penalty certified to have no minimizer, where the path stops,
-    None when every penalty was solved. Each penalty's lambda, nnz, KKT
-    residual and predictor iterations are read from its estimate."""
+    ``no_minimizer_at`` is the grid's first penalty certified to have no
+    minimizer, where the path stops, None when every penalty was solved.
+    Each penalty's lambda, nnz, unit-free KKT residual and predictor
+    iterations are read from its estimate."""
 
     estimates: List[DeltaEstimate]
     bic_f: np.ndarray
     bic_inf: np.ndarray
-    lam_max: float
     no_minimizer_at: Optional[float] = None
 
     def __len__(self) -> int:
@@ -102,10 +101,7 @@ class RegPath:
 
     @property
     def kkt(self) -> np.ndarray:
-        """Each ``kkt_check`` residual over its penalty, or over lambda_max
-        at lambda = 0, the scale its certificate used: unit-free throughout."""
-        return np.array([est.kkt / (est.lam or self.lam_max) for est in self.estimates],
-                        dtype=float)
+        return np.array([est.kkt for est in self.estimates], dtype=float)
 
     @property
     def predict_iterations(self) -> np.ndarray:
@@ -152,7 +148,7 @@ def solve_path(
         estimates.append(est)
         scores.append(bic_score(est.delta, pair, grad))
     bic_f, bic_inf = np.array(scores).T
-    return RegPath(estimates, bic_f, bic_inf, factors.lam_max, no_minimizer_at)
+    return RegPath(estimates, bic_f, bic_inf, no_minimizer_at)
 
 
 def _extrapolate(estimates: List[DeltaEstimate], lam: float) -> Optional[np.ndarray]:
@@ -177,9 +173,10 @@ def select_by_bic(path: RegPath, norm: str = "frobenius") -> Tuple[int, DeltaEst
 
 
 def write_path_csv(path: RegPath, fileobj) -> None:
-    """Export the path summary (one row per penalty)."""
+    """Export the path summary (one row per penalty). Rows hold Python
+    floats, which csv writes as their ``repr``."""
     writer = csv.writer(fileobj)
     writer.writerow(PATH_CSV_COLUMNS)
-    for est, bic_f, bic_inf, kkt in zip(path.estimates, path.bic_f, path.bic_inf, path.kkt):
-        writer.writerow([repr(float(est.lam)), est.nnz, repr(float(bic_f)), repr(float(bic_inf)),
-                         est.converged, est.iterations, repr(float(kkt)), est.predict_iterations])
+    for est, bic_f, bic_inf in zip(path.estimates, path.bic_f.tolist(), path.bic_inf.tolist()):
+        writer.writerow([est.lam, est.nnz, bic_f, bic_inf, est.converged, est.iterations,
+                         est.kkt, est.predict_iterations])

@@ -102,8 +102,9 @@ def gen_sim1(p: int) -> GroundTruth:
     return _finalize(omega_x, omega_y, PD_MARGIN)
 
 
-def _preferential_edges(n: int, n_edges: int, rng: np.random.Generator) -> Set[Tuple[int, int]]:
-    """Scale-free-style edge set with an exact edge budget.
+def _preferential_edges(n: int, n_edges: int, rng: np.random.Generator) -> Tuple[set, np.ndarray]:
+    """Scale-free-style edge set with an exact edge budget, and each node's
+    degree in it.
 
     Nodes attach one at a time to an existing node chosen proportionally to
     degree; remaining budget is spent on degree-weighted extra edges.
@@ -133,7 +134,7 @@ def _preferential_edges(n: int, n_edges: int, rng: np.random.Generator) -> Set[T
         attempts += 1
         if attempts > 1_000_000:
             raise RuntimeError("edge sampling failed to reach the edge budget")
-    return edges
+    return edges, degree
 
 
 def _signed_uniform(rng: np.random.Generator, size: int, low: float, high: float) -> np.ndarray:
@@ -158,7 +159,7 @@ def gen_sim2(p: int, seed: int) -> GroundTruth:
     omega_x = np.zeros((p, p))
     omega_y = np.zeros((p, p))
     for start in range(0, p, block_size):
-        edges = _preferential_edges(block_size, n_edges, rng)
+        edges, degree = _preferential_edges(block_size, n_edges, rng)
         block = np.zeros((block_size, block_size))
         for (u, v), value in zip(sorted(edges), _signed_uniform(rng, n_edges, 0.2, 0.5)):
             block[u, v] = value
@@ -167,17 +168,8 @@ def gen_sim2(p: int, seed: int) -> GroundTruth:
         np.fill_diagonal(block, 1.0)
         block = (block + block.T) / 2.0
 
-        degree = np.zeros(block_size, dtype=int)
-        for u, v in edges:
-            degree[u] += 1
-            degree[v] += 1
-        hubs = np.lexsort((np.arange(block_size), -degree))[:2]
-        flipped = block.copy()
-        hub_mask = np.zeros(block_size, dtype=bool)
-        hub_mask[hubs] = True
-        off_diag = ~np.eye(block_size, dtype=bool)
-        flip = (hub_mask[:, None] | hub_mask[None, :]) & off_diag
-        flipped[flip] *= -1.0
+        hub = np.isin(np.arange(block_size), np.argsort(-degree, kind="stable")[:2])
+        flipped = np.where((hub[:, None] | hub) & ~np.eye(block_size, dtype=bool), -block, block)
 
         sl = slice(start, start + block_size)
         omega_x[sl, sl] = block

@@ -107,7 +107,7 @@ class DeltaEstimate:
     converged: bool
     objective: float
     predict_iterations: int  # fista_predict iterations
-    kkt: float  # kkt_check residual at delta
+    kkt: float  # kkt_check residual at delta over lam (lambda_max at lam = 0): unit-free
 
     @property
     def nnz(self) -> int:
@@ -254,6 +254,7 @@ class PairFactors(NamedTuple):
     # np.float32 and np.float64 -> the predictor's operands in that dtype,
     # (sigma_x / 2a_1, sigma_y / b_1, D / c); halving commutes with rounding.
     operands: Dict[type, Tuple[np.ndarray, np.ndarray, np.ndarray]]
+    pair: CovariancePair  # the pair these constants were derived from
 
 
 def factor_pair(pair: CovariancePair) -> PairFactors:
@@ -275,7 +276,7 @@ def factor_pair(pair: CovariancePair) -> PairFactors:
     scaled = 0.5 * (pair.sigma_x / a), pair.sigma_y / b, diff / c
     return PairFactors(
         eig_x, eig_y, None if null is None else ThresholdBracket(null, diff),
-        diff=diff, lam_max=norm_entrywise_linf(diff), scale=c,
+        diff=diff, lam_max=norm_entrywise_linf(diff), scale=c, pair=pair,
         operands={t: tuple(m.astype(t, copy=False) for m in scaled)
                   for t in (np.float32, np.float64)},
     )
@@ -316,9 +317,10 @@ def admm_solve(
     zero when ``start`` is None; on an undecided bracket the start is kept.
     One product m = sigma_x delta sigma_y of the start serves the rest. Its
     gradient (m + m^T)/2 - D, D = sigma_x - sigma_y, gives the one
-    certificate: the ``kkt_check`` residual at most ``cfg.tol`` * ``lam``,
-    with lambda_max in place of ``lam`` at 0, where tol * 0 cannot be met.
-    A certified start is returned with ``iterations`` 0 and
+    certificate, a unit-free number: the ``kkt_check`` residual over
+    ``lam``, or over lambda_max at 0, where tol * 0 cannot be met. The
+    estimate records it as ``kkt``, and ``converged`` is ``kkt <=
+    cfg.tol``. A certified start is returned with ``iterations`` 0 and
     ``converged=True``, and the same gradient gives the objective.
 
     A start that misses the certificate at ``lam`` > 0 -- a float32
@@ -333,16 +335,18 @@ def admm_solve(
 
     ``factors`` is ``factor_pair(pair)``, the pair's solve context, passed
     by callers that solve it at several penalties; computed here otherwise.
+    A context built from another pair object raises ValueError.
 
-    Returns the estimate, with its ``kkt_check`` residual in ``kkt``,
-    together with the loss gradient at it, bit for bit ``dtrace_gradient``:
-    that of its certificate.
+    Returns the estimate together with the loss gradient at it, bit for
+    bit ``dtrace_gradient``: that of its certificate.
     """
     if not lam >= 0:
         raise ValueError(f"penalty must be nonnegative, got {lam}")
     cfg = cfg or SolverConfig()
     sx, sy = pair.sigma_x, pair.sigma_y
     factors = factors or factor_pair(pair)
+    if factors.pair is not pair:
+        raise ValueError("factors is the solve context of another pair")
     eig_x, eig_y, bracket, diff = factors.x, factors.y, factors.bracket, factors.diff
 
     if lam >= factors.lam_max:
@@ -371,13 +375,13 @@ def admm_solve(
     elif bracket is None or lam >= bracket.upper:
         delta, predicted = fista_predict(factors, lam, delta, cfg)
     # At lam = 0, where tol * lam cannot be met, lambda_max stands in for lam.
-    bound = cfg.tol * (lam or factors.lam_max)
+    unit = float(lam) or factors.lam_max
 
     def certify(delta):
         m = _product(delta, sx, sy)
         grad = 0.5 * (m + m.T) - diff
-        kkt = kkt_check(delta, pair, lam, grad)
-        return grad, kkt, kkt <= bound
+        kkt = kkt_check(delta, pair, lam, grad) / unit
+        return grad, kkt, kkt <= cfg.tol
 
     grad, kkt, converged = certify(delta)
     iterations = 0

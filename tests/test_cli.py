@@ -650,6 +650,28 @@ class TestPath:
         assert (record["bic_f"], record["bic_inf"]) == (float(row[2]), float(row[3]))
         assert not calls
 
+    @pytest.mark.parametrize("n, flags, stops, misses", [
+        (80, ["--tol", "1e-4"], False, False),
+        (6, [], True, False),
+        (80, ["--max-iter", "3"], False, True),
+    ], ids=["full-rank", "no-minimizer", "capped"])
+    def test_converged_is_kkt_at_most_tol_on_every_row(self, tmp_path, n, flags, stops, misses):
+        # path.csv's kkt is the certificate's unit-free number, and its
+        # converged column is that number's comparison with the run's tol.
+        rng = np.random.default_rng(8)
+        for name in ("x", "y"):
+            np.savetxt(tmp_path / f"{name}.csv", rng.standard_normal((n, 12)), delimiter=",")
+        out = tmp_path / "out"
+        code = main(["estimate", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+                     *flags, "--out", str(out)])
+        record = json.loads((out / "run.json").read_text())
+        with open(out / "path.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(row["converged"] == str(float(row["kkt"]) <= record["tol"])
+                            for row in rows)
+        assert (record["no_minimizer_at"] is not None) == stops
+        assert ("False" in [row["converged"] for row in rows]) == misses == (code == 1)
+
     def test_nan_tol_exit_code_2(self, tmp_path, sim_data, capsys):
         _, x_path, y_path = sim_data
         out = tmp_path / "out"

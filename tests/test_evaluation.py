@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from difftrace.evaluation import (
     naive_baseline,
     support_metrics,
     threshold_curve,
+    write_curve_csv,
 )
 from difftrace.linalg import as_symmetric
 from difftrace.model_selection import RegPath, lambda_grid, solve_path
@@ -22,7 +25,7 @@ def fake_path(deltas):
         DeltaEstimate(d, float(lam), 1, True, 0.0, 0, 0.0) for d, lam in zip(deltas, lams)
     ]
     zeros = np.zeros(len(deltas))
-    return RegPath(ests, zeros, zeros, 1.0)
+    return RegPath(ests, zeros, zeros)
 
 
 class TestSupportMetrics:
@@ -142,6 +145,19 @@ class TestNaiveBaseline:
         truth = gen_sim1(20).delta_star
         points, auc = threshold_curve(rng.standard_normal((20, 20)), truth)
         assert 0.3 < auc < 0.7
+
+    def test_threshold_curve_csv_reads_back(self):
+        # Every point holds Python floats, so csv writes each as its repr,
+        # and the written curve reads back as the points' values.
+        truth = np.zeros((4, 4))
+        truth[0, 1] = truth[1, 0] = 1.0
+        points, _ = threshold_curve(np.random.default_rng(0).standard_normal((4, 4)), truth)
+        buf = io.StringIO()
+        write_curve_csv(points, buf)
+        buf.seek(0)
+        written = np.loadtxt(buf, delimiter=",", skiprows=1)
+        assert written.tolist() == [[pt.lam, pt.tp_rate, pt.fp_rate, pt.precision]
+                                    for pt in points]
 
 
 class TestIrrepresentability:

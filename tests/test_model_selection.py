@@ -306,7 +306,6 @@ class TestSolvePath:
         for c in (1.0, 1e3):
             pair = pair_from_covariances(c * sx, c * sy, 30, 30)
             path = solve_path(pair, [lambda_max(pair), 0.0])
-            assert path.lam_max == lambda_max(pair)
             assert path.kkt[1] == kkt_check(path.estimates[1].delta, pair, 0.0) / lambda_max(pair)
             assert path.kkt[1] <= 1e-14
 
@@ -375,7 +374,7 @@ class TestSelectByBic:
             DeltaEstimate(np.zeros((2, 2)), lam, 0, True, 0.0, 0, 0.0)
             for lam in (0.4, 0.3, 0.2, 0.1)
         ]
-        path = RegPath(estimates, bic_f=scores, bic_inf=scores, lam_max=0.4)
+        path = RegPath(estimates, bic_f=scores, bic_inf=scores)
         best, est = select_by_bic(path, "frobenius")
         assert best == 1 and est.lam == 0.3
         assert est is estimates[1]
@@ -390,7 +389,7 @@ class TestSelectByBic:
 
     def test_empty_path_rejected(self):
         empty = np.array([])
-        path = RegPath([], empty, empty, 1.0)
+        path = RegPath([], empty, empty)
         with pytest.raises(ValueError, match="empty"):
             select_by_bic(path)
 
@@ -420,7 +419,7 @@ class TestPathCsv:
                 assert (f, inf) == bic_score(est.delta, pair)
                 assert row["converged"] == str(est.converged)
                 assert int(row["iterations"]) == est.iterations
-                assert float(row["kkt"]) == est.kkt / est.lam
+                assert float(row["kkt"]) == est.kkt
                 assert int(row["predict_iterations"]) == est.predict_iterations
             predicted = [int(row["predict_iterations"]) for row in rows]
             assert predicted[0] == 0 and sum(predicted) > 0

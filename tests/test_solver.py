@@ -161,7 +161,8 @@ def strong_convexity(pair):
 
 def assert_within_certificates(pair, est, ref):
     gap = np.linalg.norm(est.delta - ref.delta)
-    assert gap <= pair.p * (est.kkt + ref.kkt) / strong_convexity(pair)
+    residuals = (kkt_check(e.delta, pair, e.lam) for e in (est, ref))
+    assert gap <= pair.p * sum(residuals) / strong_convexity(pair)
 
 
 def reference_admm_solve(pair, lam, rho, cfg=None, start=None):
@@ -228,7 +229,7 @@ def reference_admm_solve(pair, lam, rho, cfg=None, start=None):
     delta = (d3 + d3.T) / 2.0
     objective = penalized_objective(delta, sx, sy, lam)
     state = (d1, d2, d3, l1, l2, l3)
-    kkt = kkt_check(delta, pair, lam)
+    kkt = kkt_check(delta, pair, lam) / (lam or norm_entrywise_linf(diff))
     return DeltaEstimate(delta, float(lam), iterations, converged, objective, 0, kkt), state
 
 
@@ -481,15 +482,15 @@ class TestFallback:
     in float64, with a fresh budget and the predictor's stop: a float32
     miss, a prediction stopped at its cap and a start kept on an undecided
     bracket alike. ``converged`` holds exactly when the result's KKT
-    residual is at most tol * lambda, and every penalty the paper's ADMM
+    residual over lambda is at most tol, and every penalty the paper's ADMM
     (``reference_admm_solve``) certifies from the same start is certified,
     within both certificates of its estimate."""
 
     def assert_continued(self, pair, est, runs, cfg):
         # The last run is the continuation, in float64.
         assert runs[-1] == (np.dtype(np.float64), est.iterations) and est.iterations > 0
-        assert est.converged == (kkt_check(est.delta, pair, est.lam) <= cfg.tol * est.lam)
-        assert est.kkt == kkt_check(est.delta, pair, est.lam)
+        assert est.converged == (est.kkt <= cfg.tol)
+        assert est.kkt == kkt_check(est.delta, pair, est.lam) / est.lam
 
     def test_float32_miss(self, monkeypatch):
         # A float32 stop 100 times above tol * lam misses the float64
@@ -1071,6 +1072,18 @@ class TestSolveContext:
                 assert built.dtype == old.dtype == dtype
                 assert built.tobytes() == old.tobytes()
 
+    def test_context_of_another_pair_is_refused(self):
+        # Two draws of one shape: the second's context would certify an
+        # estimate of the first against the second's D.
+        pair, other = (build_pair(rng.standard_normal((200, 10)),
+                                  1.3 * rng.standard_normal((200, 10)))
+                       for rng in (np.random.default_rng(1), np.random.default_rng(2)))
+        lam = 0.3 * lambda_max(pair)
+        with pytest.raises(ValueError, match="another pair"):
+            admm_solve(pair, lam, factors=factor_pair(other))
+        est, _ = admm_solve(pair, lam, factors=factor_pair(pair))
+        assert est.converged and est.kkt == kkt_check(est.delta, pair, lam) / lam
+
     def test_path_penalty_spends_one_budget(self, monkeypatch):
         # The solve asks the bracket about this penalty once, which spends
         # max_iter = 5 iterations and leaves it undecided: the start is
@@ -1599,11 +1612,13 @@ class TestWarmCertificate:
 class TestReturnedGradient:
     """``admm_solve`` returns the loss gradient at its estimate, bit for
     bit ``dtrace_gradient``, and the estimate's ``kkt``, bit for bit
-    ``kkt_check``, however the estimate was reached."""
+    ``kkt_check`` over lambda (lambda_max at 0), however the estimate was
+    reached."""
 
     def assert_gradient(self, pair, est, grad):
         assert grad.tobytes() == dtrace_gradient(est.delta, pair.sigma_x, pair.sigma_y).tobytes()
-        assert est.kkt == kkt_check(est.delta, pair, est.lam, grad)
+        unit = est.lam or lambda_max(pair)
+        assert est.kkt == kkt_check(est.delta, pair, est.lam, grad) / unit
 
     def test_at_lambda_max(self):
         pair = sampled_pair(12, 80, 23)
