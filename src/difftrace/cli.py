@@ -377,7 +377,13 @@ def cmd_estimate(args) -> int:
         **_environment(),
     }
     (out / "run.json").write_text(json.dumps(record, indent=2) + "\n")
-    return 0 if all(est.converged for est in path.estimates) else 1
+    missed = [est for est in path.estimates if not est.converged]
+    if missed:
+        worst = max(missed, key=lambda est: est.kkt)
+        print(f"warning: {len(missed)} of {len(path)} path penalties are not certified at tol "
+              f"{cfg.tol:g}; the largest kkt is {worst.kkt:.3g}, at lambda {worst.lam:.6g}",
+              file=sys.stderr)
+    return 1 if missed else 0
 
 
 def _replicate_data(spec: SimulationSpec, truth, rep: int):
@@ -488,7 +494,11 @@ def cmd_simulate(args) -> int:
     _write_table(out / "pr.csv", ("index", "mean_recall", "mean_precision"),
                  zip(index, tp, precision))
 
-    return 0 if all(row["converged"] for row in rows) else 1
+    missed = [str(row["replicate"]) for row in rows if not row["converged"]]
+    if missed:
+        print(f"warning: replicates {', '.join(missed)} of {len(rows)} have path penalties "
+              f"not certified at tol {cfg.tol:g}", file=sys.stderr)
+    return 1 if missed else 0
 
 
 def cmd_evaluate(args) -> int:

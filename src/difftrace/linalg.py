@@ -5,7 +5,7 @@ Everything here is a pure function of its inputs; no shared mutable state.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -73,21 +73,6 @@ def psd_eig(a, name: str = "matrix") -> EigenPair:
     return EigenPair(np.maximum(values, 0.0), vectors)
 
 
-class SolvePlan(NamedTuple):
-    """Precomputed factors for solving A X B + gamma X = C on the numerical
-    ranges of A and B (see ``solve_axb_plus_gx``).
-
-    ``left`` (p, r) and ``right`` (p, s) hold, as contiguous copies, the
-    eigenvectors of the r and s eigenvalues of A and B that count as
-    nonzero; ``scale`` (r, s) holds a_i b_j / (gamma (a_i b_j + gamma)).
-    """
-
-    left: np.ndarray
-    right: np.ndarray
-    scale: np.ndarray
-    gamma: float
-
-
 def range_size(values: np.ndarray) -> int:
     """Numerical rank from descending ``psd_eig`` eigenvalues, by
     np.linalg.matrix_rank's default rule: an eigenvalue at most p * eps *
@@ -97,39 +82,7 @@ def range_size(values: np.ndarray) -> int:
     return int(np.count_nonzero(values > tol))
 
 
-def range_values(a_eig: EigenPair, b_eig: EigenPair) -> Tuple[np.ndarray, np.ndarray]:
-    """The descending eigenvalues of A and of B that ``solve_plan`` keeps,
-    from their ``psd_eig`` results; a matrix with none (an exactly zero
-    one) takes the other's, and both are [1] when neither has any."""
-    a, b = (eig.values[: range_size(eig.values)] for eig in (a_eig, b_eig))
-    a, b = (a if a.size else b), (b if b.size else a)
-    return (a, b) if a.size else (np.ones(1), np.ones(1))
-
-
-def solve_plan(a_eig: EigenPair, b_eig: EigenPair, gamma: float) -> SolvePlan:
-    """Factors shared by every solve of A X B + gamma X = C with the same
-    A, B and gamma, from their ``psd_eig`` results."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    r, s = range_size(a_eig.values), range_size(b_eig.values)
-    ab = np.multiply.outer(a_eig.values[:r], b_eig.values[:s])
-    scale = ab / (gamma * (ab + gamma))
-    return SolvePlan(
-        np.ascontiguousarray(a_eig.vectors[:, :r]),
-        np.ascontiguousarray(b_eig.vectors[:, :s]),
-        scale,
-        float(gamma),
-    )
-
-
-def solve_axb_plus_gx(
-    a,
-    b,
-    c,
-    gamma: float,
-    *,
-    plan: Optional[SolvePlan] = None,
-) -> np.ndarray:
+def solve_axb_plus_gx(a, b, c, gamma: float) -> np.ndarray:
     """Solve A X B + gamma X = C for symmetric nonnegative-definite A, B.
 
     Writing A = Ua diag(a) Ua^T and B = Ub diag(b) Ub^T, the equation is
@@ -140,10 +93,9 @@ def solve_axb_plus_gx(
         X = C / gamma - U_r [ E o (U_r^T C V_s) ] V_s^T,
 
     where U_r and V_s are the eigenvectors of the r and s eigenvalues of A
-    and B that count as nonzero (at most p * eps times the largest counts
-    as zero). E vanishes wherever an eigenvalue does, so only the two
-    numerical ranges enter, and a solve costs p^2 (r + s) + 2 p r s
-    multiply-adds: 4 p^3 at full rank, 2 p^2 r + 2 p r^2 when r = s.
+    and B that count as nonzero (``range_size``). E vanishes wherever an
+    eigenvalue does, so past the two eigendecompositions only the numerical
+    ranges enter: p^2 (r + s) + 2 p r s multiply-adds, 4 p^3 at full rank.
 
     The residual ||A X B + gamma X - C||_inf <= 1e-8 * max(1, ||C||_inf) is
     the normative contract; the test suite verifies it on every solve.
@@ -153,19 +105,17 @@ def solve_axb_plus_gx(
     a, b : (p, p) symmetric nonnegative-definite arrays.
     c : (p, p) array, any values.
     gamma : positive scalar, so every divisor a_i b_j + gamma is positive.
-    plan : optional ``solve_plan(psd_eig(a), psd_eig(b), gamma)``, passed
-        by a caller that solves with the same A, B and gamma many times, as
-        the paper's ADMM does once per sweep, so the factors are built once.
-        When given, a and b are not read.
     """
-    if plan is None:
-        plan = solve_plan(psd_eig(a, "A"), psd_eig(b, "B"), gamma)
-    elif plan.gamma != gamma:
-        raise ValueError(f"plan was built for gamma {plan.gamma}, got {gamma}")
+    if gamma <= 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    a_eig, b_eig = psd_eig(a, "A"), psd_eig(b, "B")
+    r, s = range_size(a_eig.values), range_size(b_eig.values)
+    left = np.ascontiguousarray(a_eig.vectors[:, :r])
+    right = np.ascontiguousarray(b_eig.vectors[:, :s])
+    ab = np.multiply.outer(a_eig.values[:r], b_eig.values[:s])
     c = np.asarray(c, dtype=float)
-    left, right = plan.left, plan.right
     y = left.T @ c @ right
-    y *= plan.scale
+    y *= ab / (gamma * (ab + gamma))
     x = c / gamma
     x -= left @ y @ right.T
     return x
@@ -189,9 +139,9 @@ class NullSpace(NamedTuple):
 
 
 def null_space(a_eig: EigenPair, b_eig: EigenPair) -> Optional[NullSpace]:
-    """``NullSpace`` of A, B from their ``psd_eig`` results, on the ranges
-    that ``solve_plan`` keeps; None when both have full numerical rank,
-    where N = {0}."""
+    """``NullSpace`` of A, B from their ``psd_eig`` results, on their
+    numerical ranges (``range_size``); None when both have full numerical
+    rank, where N = {0}."""
     p = a_eig.values.size
     r, s = range_size(a_eig.values), range_size(b_eig.values)
     if r == s == p:

@@ -33,7 +33,6 @@ from .linalg import (
     project_null,
     psd_eig,
     range_size,
-    range_values,
     soft_threshold,
 )
 from .linalg import solve_axb_plus_gx  # noqa: F401  unused here, but perfbench/traced.py rebinds it
@@ -250,7 +249,7 @@ class PairFactors(NamedTuple):
     bracket: Optional[ThresholdBracket]  # None at full numerical rank
     diff: np.ndarray  # D = sigma_x - sigma_y
     lam_max: float  # ||D||_inf, the smallest penalty at which zero is optimal
-    scale: float  # the predictor's c = sqrt(a_1) sqrt(b_1), from range_values(x, y)
+    scale: float  # the predictor's c = sqrt(a_1) sqrt(b_1) (top eigenvalues), 1 when both are 0
     # np.float32 and np.float64 -> the predictor's operands in that dtype,
     # (sigma_x / 2a_1, sigma_y / b_1, D / c); halving commutes with rounding.
     operands: Dict[type, Tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -271,7 +270,8 @@ def factor_pair(pair: CovariancePair) -> PairFactors:
                 f"[{1.0 / SCALE_LIMIT:g}, {SCALE_LIMIT:g}]: rescale the data"
             )
     null, diff = null_space(eig_x, eig_y), pair.sigma_x - pair.sigma_y
-    a, b = (float(values[0]) for values in range_values(eig_x, eig_y))
+    a, b = float(eig_x.values[0]), float(eig_y.values[0])
+    a, b = a or b or 1.0, b or a or 1.0  # a zero covariance takes the other's top eigenvalue
     c = a**0.5 * b**0.5
     scaled = 0.5 * (pair.sigma_x / a), pair.sigma_y / b, diff / c
     return PairFactors(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from difftrace.linalg import psd_eig, range_values
+from difftrace.linalg import psd_eig, range_size
 
 
 def assert_solve_residual(a, b, c, gamma, x):
@@ -69,9 +69,12 @@ def reference_solve_axb_plus_gx(a, b, c, gamma):
 
 def spectral_scale(a_eig, b_eig):
     """Geometric mean sqrt(a_1 b_1 a_r b_s) of the extreme curvatures a_i
-    b_j of X -> A X B on the ``range_values`` of A and B, so always
-    positive; scaling A and B by c scales it by c^2. The weight the
-    paper's ADMM ran at inside ``admm_solve``, and the one the tests'
-    reference ADMM runs at."""
-    a, b = range_values(a_eig, b_eig)
+    b_j of X -> A X B on the numerical ranges (``range_size``) of A and B,
+    so always positive: a matrix with an empty range (an exactly zero one)
+    takes the other's, and both are [1] when neither has one. Scaling A and
+    B by c scales it by c^2. The weight the paper's ADMM ran at inside
+    ``admm_solve``, and the one the tests' reference ADMM runs at."""
+    a, b = (eig.values[: range_size(eig.values)] for eig in (a_eig, b_eig))
+    a, b = (a if a.size else b), (b if b.size else a)
+    a, b = (a, b) if a.size else (np.ones(1), np.ones(1))
     return float(np.sqrt(a[0]) * np.sqrt(a[-1]) * np.sqrt(b[0]) * np.sqrt(b[-1]))

@@ -347,7 +347,7 @@ class TestEstimate:
         assert record["converged"] is True
         assert record["nnz"] == 0
 
-    def test_bic_tuned_run_writes_outputs(self, tmp_path, sim_data):
+    def test_bic_tuned_run_writes_outputs(self, tmp_path, sim_data, capsys):
         _, x_path, y_path = sim_data
         out = tmp_path / "out"
         code = main(
@@ -355,6 +355,7 @@ class TestEstimate:
              "--bic", "frobenius", "--grid-count", "8", "--out", str(out)]
         )
         assert code == 0
+        assert capsys.readouterr().err == ""  # every penalty is certified
         record = json.loads((out / "run.json").read_text())
         for key in ("lambda", "tol", "iterations", "converged",
                     "objective", "bic_f", "bic_inf", "nnz", "wallclock_ms",
@@ -389,7 +390,7 @@ class TestEstimate:
         assert capsys.readouterr().err == f"error: {tsv}: line 1 has an empty field\n"
         assert not out.exists()
 
-    def test_nonconverged_solve_exit_code_1(self, tmp_path, sim_data):
+    def test_nonconverged_solve_exit_code_1(self, tmp_path, sim_data, capsys):
         _, x_path, y_path = sim_data
         out = tmp_path / "out"
         code = main(
@@ -399,11 +400,17 @@ class TestEstimate:
         assert code == 1
         record = json.loads((out / "run.json").read_text())
         assert record["converged"] is False
+        with open(out / "path.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert capsys.readouterr().err == (
+            "warning: 1 of 1 path penalties are not certified at tol 0.001; "
+            f"the largest kkt is {float(row['kkt']):.3g}, at lambda 0.0001\n"
+        )
 
-    def test_unconverged_path_exit_code_1(self, tmp_path, sim_data):
+    def test_unconverged_path_exit_code_1(self, tmp_path, sim_data, capsys):
         # BIC selects lambda_max, which converges without an iteration;
         # every other penalty stops after one predictor and one float64
-        # continuation iteration.
+        # continuation iteration. The exit code is explained on stderr.
         _, x_path, y_path = sim_data
         out = tmp_path / "out"
         code = main(
@@ -414,8 +421,16 @@ class TestEstimate:
         record = json.loads((out / "run.json").read_text())
         assert record["converged"] is True
         with open(out / "path.csv", newline="") as fh:
-            converged = [row["converged"] for row in csv.DictReader(fh)]
+            rows = list(csv.DictReader(fh))
+        converged = [row["converged"] for row in rows]
         assert converged[0] == "True" and "False" in converged
+        missed = [row for row in rows if row["converged"] == "False"]
+        worst = max(missed, key=lambda row: float(row["kkt"]))
+        assert capsys.readouterr().err == (
+            f"warning: {len(missed)} of 8 path penalties are not certified at tol 0.001; "
+            f"the largest kkt is {float(worst['kkt']):.3g}, "
+            f"at lambda {float(worst['lambda']):.6g}\n"
+        )
 
     def test_module_run_exits_with_main_code(self, tmp_path, sim_data):
         _, x_path, y_path = sim_data
@@ -740,13 +755,14 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_summary_rows(self, tmp_path):
+    def test_summary_rows(self, tmp_path, capsys):
         out = tmp_path / "sim"
         code = main(
             ["simulate", "--scenario", "sim1", "--p", "12", "--n", "60",
              "--reps", "3", "--seed", "5", "--grid-count", "5", "--out", str(out)]
         )
         assert code == 0
+        assert capsys.readouterr().err == ""  # every penalty is certified
         with open(out / "replicates.csv", newline="") as fh:
             reps = list(csv.DictReader(fh))
         with open(out / "summary.csv", newline="") as fh:
@@ -760,6 +776,25 @@ class TestSimulate:
                 sd = f"{100.0 * float(np.std(values, ddof=1)):.1f}"
                 assert next(rows) == [norm, metric, mean, sd, f"{mean}({sd})"]
         assert next(rows, None) is None
+
+    def test_unconverged_replicates_exit_code_1(self, tmp_path, capsys):
+        # The iteration cap leaves penalties uncertified on some paths; the
+        # exit code is explained by one line naming their replicates.
+        spec = SimulationSpec("sim1", 12, 60, 60, 5)
+        truth = generate(spec)
+        missed = []
+        for rep in range(4):
+            pair = build_pair(*cli._replicate_data(spec, truth, rep))
+            path = model_selection.solve_path(pair, lambda_grid(pair, count=5),
+                                              SolverConfig(max_iter=20))
+            if not all(est.converged for est in path.estimates):
+                missed.append(str(rep))
+        assert missed
+        assert main(_sim(4, tmp_path / "sim", "--max-iter", "20")) == 1
+        assert capsys.readouterr().err == (
+            f"warning: replicates {', '.join(missed)} of 4 have path penalties "
+            "not certified at tol 0.001\n"
+        )
 
     def test_negative_lambda_exit_code_2(self, tmp_path, capsys):
         f = tmp_path / "d.csv"

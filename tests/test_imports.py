@@ -1,0 +1,38 @@
+import ast
+from pathlib import Path
+
+import difftrace
+
+PACKAGE = Path(difftrace.__file__).resolve().parent
+
+# Imported only so that perfbench/traced.py can rebind them, each marked
+# "# noqa: F401" where it is imported.
+REBOUND = {("cli", "admm_solve"), ("cli", "bic_score"), ("solver", "solve_axb_plus_gx")}
+
+
+def unused_imports(source):
+    """(name, line) of each name that ``source`` imports and never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {(name, line) for name, line in imported.items() if name not in used}
+
+
+def test_every_imported_name_is_used():
+    # __init__.py imports to re-export; every other module imports only
+    # what it reads, apart from the names the benchmark's traced run rebinds.
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        for name, line in unused_imports(source):
+            found.add((path.stem, name))
+            assert "# noqa: F401" in source.splitlines()[line - 1], f"{path.name}:{line} {name}"
+    assert found == REBOUND

@@ -16,7 +16,6 @@ from difftrace.linalg import (
     range_size,
     soft_threshold,
     solve_axb_plus_gx,
-    solve_plan,
 )
 from difftrace.model_selection import lambda_grid, lambda_max, select_by_bic, solve_path
 from difftrace.simulation import SimulationSpec, gen_sim1, generate, sample_gaussian
@@ -182,11 +181,8 @@ def reference_admm_solve(pair, lam, rho, cfg=None, start=None):
         state = zero_state(pair)
         return DeltaEstimate(state[2].copy(), float(lam), 0, True, 0.0, 0, 0.0), state
 
-    factors = factor_pair(pair)
-    eig_x, eig_y = factors.x, factors.y
     state = zero_state(pair) if start is None else fixed_point(pair, start)
     d1, d2, d3, l1, l2, l3 = state
-    plan1, plan2 = solve_plan(eig_x, eig_y, 4 * rho), solve_plan(eig_y, eig_x, 4 * rho)
     solve = checked(solve_axb_plus_gx)
 
     converged = False
@@ -194,9 +190,9 @@ def reference_admm_solve(pair, lam, rho, cfg=None, start=None):
     for k in range(cfg.max_iter):
         iterations = k + 1
         c1 = 2 * rho * d3 + 2 * rho * d2 + diff + 2 * l1 - 2 * l3
-        d1_new = solve(sx, sy, c1, 4 * rho, plan=plan1)
+        d1_new = solve(sx, sy, c1, 4 * rho)
         c2 = 2 * rho * d3 + 2 * rho * d1_new + diff + 2 * l3 - 2 * l2
-        d2_new = solve(sy, sx, c2, 4 * rho, plan=plan2)
+        d2_new = solve(sy, sx, c2, 4 * rho)
         d3_new = reference_soft_threshold(
             (rho * d1_new + rho * d2_new - l1 + l2) / (2 * rho), lam / (2 * rho)
         )
@@ -621,11 +617,6 @@ class TestFallback:
             assert_within_certificates(pair, est, ref)
 
 
-def reference_kernel(a, b, c, gamma, *, plan=None):
-    # The old kernel takes no plan; it refactors A and B on every call.
-    return reference_solve_axb_plus_gx(a, b, c, gamma)
-
-
 def constant_column_pair(p, n, seed):
     rng = np.random.default_rng(seed)
     x, y = rng.standard_normal((n, p)), rng.standard_normal((n, p))
@@ -683,7 +674,7 @@ class TestPathMatchesReferenceKernel:
         assert np.linalg.matrix_rank(pair.sigma_x) == rank_x
         grid = lambda_grid(pair, count=8, ratio=ratio)
         path, cert = solve_path(pair, grid), certificate(pair, grid, stop)
-        monkeypatch.setattr(solver, "solve_axb_plus_gx", reference_kernel)
+        monkeypatch.setattr(solver, "solve_axb_plus_gx", reference_solve_axb_plus_gx)
         ref, ref_cert = solve_path(pair, grid), certificate(pair, grid, stop)
         work = sum(est.iterations for est in path.estimates)
         if stop is None:
@@ -1053,12 +1044,16 @@ class TestSolveContext:
             lambda: sim2_replicate_zero(),
             lambda: constant_group_pair(8, 30, 39),
             lambda: scaled_wide_pair(1e-24),
+            lambda: pair_from_covariances(np.zeros((6, 6)), np.zeros((6, 6)), 30, 30),
         ],
-        ids=["full-rank", "n-below-p", "zero-sigma-x", "tiny-scale"],
+        ids=["full-rank", "n-below-p", "zero-sigma-x", "tiny-scale", "zero-pair"],
     )
     def test_constants_are_the_per_penalty_formulas(self, make_pair):
         pair = make_pair()
         factors = factor_pair(pair)
+        if not (pair.sigma_x.any() or pair.sigma_y.any()):
+            # Both top eigenvalues are zero, so both weights are 1.
+            assert (factors.scale, factors.lam_max) == (1.0, 0.0)
         diff = pair.sigma_x - pair.sigma_y
         assert factors.diff.tobytes() == diff.tobytes()
         full = [range_size(e.values) == pair.p for e in (factors.x, factors.y)]

@@ -157,3 +157,15 @@ def test_path_csv_leads_with_the_columns_the_benchmark_reads():
     # perfbench/run.py's check_estimate reads path.csv's lambda, nnz and
     # bic_f by position.
     assert model_selection.PATH_CSV_COLUMNS[:3] == ("lambda", "nnz", "bic_f")
+
+
+def test_replicates_csv_holds_the_columns_the_benchmark_reads():
+    # perfbench/run.py reads simulate's replicates.csv by position:
+    # check_simulate checks the rates at 2-4, 7-9 and 11, simulate_quality
+    # reads 2, 4, 5 and 11. So BIC-inf's columns cannot be deleted before
+    # the benchmark reads the columns by name.
+    columns = cli.REPLICATE_COLUMNS
+    assert len(columns) == 12
+    assert columns[2:6] == ("tp_f", "tn_f", "td_f", "nnz_f")
+    assert columns[7:10] == ("tp_inf", "tn_inf", "td_inf")
+    assert columns[11] == "auc"
