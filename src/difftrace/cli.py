@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import codecs
 import csv
+import dataclasses
 import gc
 import io
 import itertools
@@ -56,15 +57,15 @@ from .solver import admm_solve  # noqa: F401  unused here, but perfbench/traced.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # The BIC norms that simulate scores, each with its column-name suffix.
-_NORM_TAGS = (("frobenius", "f"), ("max", "inf"))
+_NORM_TAGS = tuple(zip(BIC_NORMS, ("f", "inf")))
+
+# What simulate records of each BIC pick; summary.csv averages the rates.
+_PICK_RATES = ("tp", "tn", "td")
+_PICK_FIELDS = ("lambda", *_PICK_RATES, "nnz")
 
 # Columns of simulate's replicates.csv, one row per replicate.
-REPLICATE_COLUMNS = (
-    "replicate",
-    "lambda_f", "tp_f", "tn_f", "td_f", "nnz_f",
-    "lambda_inf", "tp_inf", "tn_inf", "td_inf", "nnz_inf",
-    "auc",
-)
+REPLICATE_COLUMNS = ("replicate", *(f"{field}_{tag}" for _, tag in _NORM_TAGS
+                                    for field in _PICK_FIELDS), "auc")
 
 
 class InputError(ValueError):
@@ -402,11 +403,8 @@ def _simulate_replicate(spec: SimulationSpec, truth, rep: int, cfg: SolverConfig
     for norm, tag in _NORM_TAGS:
         _, est = select_by_bic(path, norm)
         report = support_metrics(est.delta, truth.delta_star)
-        row[f"lambda_{tag}"] = est.lam
-        row[f"tp_{tag}"] = report.tp_rate
-        row[f"tn_{tag}"] = report.tn_rate
-        row[f"td_{tag}"] = report.td_rate
-        row[f"nnz_{tag}"] = report.nnz_est
+        values = (est.lam, report.tp_rate, report.tn_rate, report.td_rate, report.nnz_est)
+        row.update((f"{field}_{tag}", value) for field, value in zip(_PICK_FIELDS, values))
     row["converged"] = all(est.converged for est in path.estimates)
     return row
 
@@ -479,7 +477,7 @@ def cmd_simulate(args) -> int:
                  ([row[column] for column in REPLICATE_COLUMNS] for row in rows))
     _write_table(out / "summary.csv", ("norm", "metric", "mean_pct", "sd_pct", "formatted"),
                  ((norm, metric, *_format_mean_sd([row[f"{metric}_{tag}"] for row in rows]))
-                  for norm, tag in _NORM_TAGS for metric in ("tp", "tn", "td")))
+                  for norm, tag in _NORM_TAGS for metric in _PICK_RATES))
 
     for row in rows:
         with open(out / f"curve_{row['replicate']:03d}.csv", "w", newline="") as fh:
@@ -506,15 +504,7 @@ def cmd_evaluate(args) -> int:
     truth = read_matrix_csv(args.truth)
     report = support_metrics(est, truth)
     out = _out_dir(args)
-    record = {
-        "tp_rate": report.tp_rate,
-        "tn_rate": report.tn_rate,
-        "td_rate": report.td_rate,
-        "sign_consistent": report.sign_consistent,
-        "nnz_est": report.nnz_est,
-        "nnz_true": report.nnz_true,
-    }
-    (out / "metrics.json").write_text(json.dumps(record, indent=2) + "\n")
+    (out / "metrics.json").write_text(json.dumps(dataclasses.asdict(report), indent=2) + "\n")
     print(
         f"TP={100 * report.tp_rate:.1f}% TN={100 * report.tn_rate:.1f}% "
         f"TD={100 * report.td_rate:.1f}% sign_consistent={report.sign_consistent}"

@@ -4,7 +4,7 @@ diagnostic, which builds only the on-support block of its operator."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -76,8 +76,6 @@ def _roc_auc(points: Sequence[CurvePoint]) -> float:
 
 def curve_from_path(path: RegPath, truth) -> Tuple[List[CurvePoint], float]:
     """ROC / precision points along a solved path, plus the ROC area."""
-    if len(path) == 0:
-        raise ValueError("empty path")
     points = []
     for est in path.estimates:
         report = support_metrics(est.delta, truth)
@@ -131,11 +129,11 @@ def threshold_curve(delta, truth) -> Tuple[List[CurvePoint], float]:
 
 
 def write_curve_csv(points: Sequence[CurvePoint], fileobj) -> None:
-    """Export a sweep, one row per tuning value. Points hold Python floats,
-    which csv writes as their ``repr``."""
+    """Export a sweep, one row of a point's fields per tuning value. Points
+    hold Python floats, which csv writes as their ``repr``."""
     writer = csv.writer(fileobj)
     writer.writerow(CURVE_CSV_COLUMNS)
-    writer.writerows((pt.lam, pt.tp_rate, pt.fp_rate, pt.precision) for pt in points)
+    writer.writerows(map(astuple, points))
 
 
 def irrepresentability_alpha(

@@ -77,16 +77,20 @@ def bic_score(delta, pair: CovariancePair, grad=None) -> Tuple[float, float]:
 
 @dataclass
 class RegPath:
-    """Solutions along a descending penalty grid with both BIC variants.
-    ``no_minimizer_at`` is the grid's first penalty certified to have no
-    minimizer, where the path stops, None when every penalty was solved.
-    Each penalty's lambda, nnz, unit-free KKT residual and predictor
-    iterations are read from its estimate."""
+    """Solutions along a descending penalty grid, at least one, with both
+    BIC variants. ``no_minimizer_at`` is the grid's first penalty
+    certified to have no minimizer, where the path stops, None when every
+    penalty was solved. Each penalty's lambda, nnz, unit-free KKT residual
+    and predictor iterations are read from its estimate."""
 
     estimates: List[DeltaEstimate]
     bic_f: np.ndarray
     bic_inf: np.ndarray
     no_minimizer_at: Optional[float] = None
+
+    def __post_init__(self):
+        if not self.estimates:
+            raise ValueError("empty path")
 
     def __len__(self) -> int:
         return len(self.estimates)
@@ -121,15 +125,17 @@ def solve_path(
     returns, so a certified penalty takes one float64 Hessian product. The
     path stops at the first penalty certified to have no minimizer
     (``NoMinimizerError``), since no smaller one has one either; the error
-    propagates when that is the first penalty. Bad input raises
-    ValueError; a failed solve raises SolverError naming its penalty."""
+    propagates when that is the first penalty. A bad grid raises
+    ValueError before any solve; a failed solve's SolverError names its lambda."""
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.size == 0:
         raise ValueError("empty penalty grid")
-    if lambdas.size > 1 and not np.all(np.diff(lambdas) < 0):
-        raise ValueError("penalties must be strictly descending")
     if np.isinf(lambdas).any():
         raise ValueError(f"penalty must be finite, got {lambdas[np.isinf(lambdas)][0]}")
+    if not np.all(lambdas >= 0):
+        raise ValueError(f"penalty must be nonnegative, got {lambdas[~(lambdas >= 0)][0]}")
+    if not np.all(np.diff(lambdas) < 0):
+        raise ValueError("penalties must be strictly descending")
     estimates: List[DeltaEstimate] = []
     scores: List[Tuple[float, float]] = []
     factors = factor_pair(pair)
@@ -165,8 +171,6 @@ def select_by_bic(path: RegPath, norm: str = "frobenius") -> Tuple[int, DeltaEst
     go to the larger penalty (sparser model)."""
     if norm not in BIC_NORMS:
         raise ValueError(f"norm must be one of {BIC_NORMS}, got {norm!r}")
-    if len(path) == 0:
-        raise ValueError("empty path")
     scores = path.bic_f if norm == "frobenius" else path.bic_inf
     best = int(np.argmin(scores))
     return best, path.estimates[best]

@@ -14,7 +14,7 @@ import pytest
 
 from difftrace import cli, model_selection
 from difftrace.cli import InputError, main, read_matrix_csv, read_support_csv
-from difftrace.evaluation import irrepresentability_alpha
+from difftrace.evaluation import irrepresentability_alpha, support_metrics
 from difftrace.linalg import SolverError
 from difftrace.covariance import build_pair
 from difftrace.model_selection import bic_score, lambda_grid, lambda_max
@@ -906,20 +906,28 @@ class TestSimulate:
 
 class TestEvaluate:
     def test_metrics_json(self, tmp_path):
-        truth = gen_sim1(10)
+        # metrics.json is the whole MetricsReport, in field order. The
+        # estimate misses one true edge and adds one false one, so no rate
+        # is 1.
+        truth = gen_sim1(10).delta_star
+        est = truth.copy()
+        missed = tuple(np.argwhere(truth != 0)[0])
+        est[missed] = est[missed[::-1]] = 0.0
+        est[0, 9] = est[9, 0] = 0.5
+        assert truth[0, 9] == 0.0
         t_path = tmp_path / "truth.csv"
-        np.savetxt(t_path, truth.delta_star, delimiter=",")
+        np.savetxt(t_path, truth, delimiter=",")
         e_path = tmp_path / "est.csv"
-        np.savetxt(e_path, truth.delta_star, delimiter=",")
+        np.savetxt(e_path, est, delimiter=",")
         out = tmp_path / "out"
         code = main(
             ["evaluate", "--delta", str(e_path), "--truth", str(t_path), "--out", str(out)]
         )
         assert code == 0
         record = json.loads((out / "metrics.json").read_text())
-        assert record["tp_rate"] == 1.0
-        assert record["td_rate"] == 1.0
-        assert record["sign_consistent"] is True
+        expected = dataclasses.asdict(support_metrics(est, truth))
+        assert list(record.items()) == list(expected.items())
+        assert all(0.0 < expected[rate] < 1.0 for rate in ("tp_rate", "tn_rate", "td_rate"))
 
     @pytest.mark.parametrize(
         "flag, text, message",

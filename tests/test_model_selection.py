@@ -319,21 +319,28 @@ class TestSolvePath:
         with pytest.raises(ValueError, match="empty"):
             solve_path(pair, [])
 
-    @pytest.mark.parametrize("grid", [[np.inf], [np.inf, 0.5]], ids=["alone", "leading"])
-    def test_rejects_infinite_penalty_before_solving(self, monkeypatch, grid):
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([np.inf], "penalty must be finite, got inf"),
+            ([np.inf, 0.5], "penalty must be finite, got inf"),
+            ([0.5, np.inf], "penalty must be finite, got inf"),
+            ([0.5, -0.1], "penalty must be nonnegative, got -0.1"),
+            ([0.5, np.nan], "penalty must be nonnegative, got nan"),
+            ([np.nan, 0.1], "penalty must be nonnegative, got nan"),
+        ],
+        ids=["alone", "leading", "trailing", "negative", "trailing-nan", "leading-nan"],
+    )
+    def test_rejects_infinite_penalty_before_solving(self, monkeypatch, grid, message):
+        # The whole grid is checked before its first solve: infinity first,
+        # then NaN and negatives in admm_solve's wording, then the order.
         def unreachable(*args, **kwargs):
-            raise AssertionError("a grid holding inf was solved")
+            raise AssertionError("a grid holding a bad penalty was solved")
 
         monkeypatch.setattr(model_selection, "admm_solve", unreachable)
         with pytest.raises(ValueError) as err:
             solve_path(sampled_pair(10, 50, 14), grid)
-        assert str(err.value) == "penalty must be finite, got inf"
-
-    def test_bad_penalty_raises_value_error(self):
-        pair = sampled_pair(10, 50, 14)
-        with pytest.raises(ValueError) as err:
-            solve_path(pair, [0.5, -0.1])
-        assert str(err.value) == "penalty must be nonnegative, got -0.1"
+        assert str(err.value) == message
 
     def test_failed_solve_names_its_penalty(self, monkeypatch):
         def failing(pair, lam, cfg, start, factors):
@@ -388,10 +395,11 @@ class TestSelectByBic:
             assert scores[best] == scores.min()
 
     def test_empty_path_rejected(self):
+        # A path holds one estimate at least, so select_by_bic and
+        # curve_from_path need no check of their own.
         empty = np.array([])
-        path = RegPath([], empty, empty)
-        with pytest.raises(ValueError, match="empty"):
-            select_by_bic(path)
+        with pytest.raises(ValueError, match="^empty path$"):
+            RegPath([], empty, empty)
 
 
 class TestPathCsv:
