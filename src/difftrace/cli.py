@@ -41,7 +41,6 @@ from .model_selection import (
     GRID_COUNT,
     GRID_RATIO,
     bic_score,  # noqa: F401  unused here, but perfbench/traced.py rebinds it
-    check_grid,
     lambda_grid,
     select_by_bic,
     solve_path,
@@ -458,14 +457,14 @@ def cmd_simulate(args) -> int:
     cfg = _solver_config(args)
     if args.reps < 1:
         raise InputError(f"--reps must be at least 1, got {args.reps}")
-    check_grid(args.grid_count, args.grid_ratio)
     truth = generate(spec)
-    out = _out_dir(args)
-    write_ground_truth(truth, out)
-
     rows = _run_split(lambda rep: _simulate_replicate(spec, truth, rep, cfg, args),
                       list(range(args.reps)), _workers(args.reps),
                       lambda reps: f"running replicates {reps}")
+
+    # After the replicates, so that a failed or refused one leaves no --out behind.
+    out = _out_dir(args)
+    write_ground_truth(truth, out)
 
     if args.save_data:
         # The first replicate's data, re-drawn from its seeds: replicates

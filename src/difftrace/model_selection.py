@@ -17,6 +17,7 @@ from .solver import (
     admm_solve,
     dtrace_gradient,
     factor_pair,
+    lambda_max,
 )
 
 # Residual norms of the two information criteria: Frobenius and max-abs.
@@ -31,29 +32,14 @@ GRID_COUNT = 50
 GRID_RATIO = 0.01
 
 
-def lambda_max(pair: CovariancePair) -> float:
-    """Smallest penalty at which the all-zero matrix is optimal.
-
-    The loss gradient at zero is sigma_y - sigma_x, so zero satisfies the
-    stationarity conditions exactly when the penalty dominates its largest
-    entry.
-    """
-    return norm_entrywise_linf(pair.sigma_x - pair.sigma_y)
-
-
-def check_grid(count: int, ratio: float) -> None:
-    """Validate a penalty grid's point count and end-to-start ratio."""
-    if count < 2:
-        raise ValueError(f"grid needs at least 2 points, got {count}")
-    if not 0.0 < ratio < 1.0:
-        raise ValueError(f"grid ratio must lie in (0, 1), got {ratio}")
-
-
 def lambda_grid(
     pair: CovariancePair, count: int = GRID_COUNT, ratio: float = GRID_RATIO
 ) -> np.ndarray:
     """Log-spaced descending penalties from lambda_max down to ratio * lambda_max."""
-    check_grid(count, ratio)
+    if count < 2:
+        raise ValueError(f"grid needs at least 2 points, got {count}")
+    if not 0.0 < ratio < 1.0:
+        raise ValueError(f"grid ratio must lie in (0, 1), got {ratio}")
     top = lambda_max(pair)
     if top == 0.0:
         raise ValueError("groups indistinguishable: lambda_max is zero")

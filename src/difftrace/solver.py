@@ -126,6 +126,16 @@ def dtrace_gradient(delta, sigma_x, sigma_y) -> np.ndarray:
     return _hessian(delta, sigma_x, sigma_y) - (sigma_x - sigma_y)
 
 
+def lambda_max(pair: CovariancePair) -> float:
+    """Smallest penalty at which the all-zero matrix is optimal.
+
+    The loss gradient at zero is sigma_y - sigma_x, so zero satisfies the
+    stationarity conditions exactly when the penalty dominates its largest
+    entry; ``admm_solve`` returns zero there without iterating.
+    """
+    return norm_entrywise_linf(pair.sigma_x - pair.sigma_y)
+
+
 def _hessian(delta, sigma_x, sigma_y) -> np.ndarray:
     """H(D) = (Sx D Sy + Sy D Sx)/2. For symmetric D the second product is
     the first's transpose, so two matrix products make it rather than four."""
@@ -248,7 +258,7 @@ class PairFactors(NamedTuple):
     y: EigenPair  # psd_eig of sigma_y
     bracket: Optional[ThresholdBracket]  # None at full numerical rank
     diff: np.ndarray  # D = sigma_x - sigma_y
-    lam_max: float  # ||D||_inf, the smallest penalty at which zero is optimal
+    lam_max: float  # lambda_max(pair) = ||D||_inf, the smallest penalty at which zero is optimal
     scale: float  # the predictor's c = sqrt(a_1) sqrt(b_1) (top eigenvalues), 1 when both are 0
     # np.float32 and np.float64 -> the predictor's operands in that dtype,
     # (sigma_x / 2a_1, sigma_y / b_1, D / c); halving commutes with rounding.
@@ -276,7 +286,7 @@ def factor_pair(pair: CovariancePair) -> PairFactors:
     scaled = 0.5 * (pair.sigma_x / a), pair.sigma_y / b, diff / c
     return PairFactors(
         eig_x, eig_y, None if null is None else ThresholdBracket(null, diff),
-        diff=diff, lam_max=norm_entrywise_linf(diff), scale=c, pair=pair,
+        diff=diff, lam_max=lambda_max(pair), scale=c, pair=pair,
         operands={t: tuple(m.astype(t, copy=False) for m in scaled)
                   for t in (np.float32, np.float64)},
     )

@@ -1443,8 +1443,10 @@ class TestReplicateFailure:
         for has_fork in (True, False):
             if not has_fork:
                 monkeypatch.delattr(os, "fork")
-            got = main(_sim(4, tmp_path / f"out-{has_fork}"))
+            out = tmp_path / f"out-{has_fork}"
+            got = main(_sim(4, out))
             outcomes.append((got, capsys.readouterr().err))
+            assert not out.exists()  # the truth is written only after every replicate
         assert forks == [os.getpid()]
         assert outcomes[0] == outcomes[1]
         assert outcomes[0] == (code, f"error: {refusal(min(failing))}\n")

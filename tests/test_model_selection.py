@@ -15,6 +15,7 @@ from difftrace.model_selection import (
     solve_path,
     write_path_csv,
 )
+import difftrace
 from difftrace import model_selection, solver
 from difftrace.simulation import gen_sim1, sample_gaussian
 from difftrace.solver import (
@@ -53,6 +54,16 @@ class TestLambdaMax:
         est, _ = admm_solve(pair, lam)
         assert est.nnz == 0
         assert kkt_check(est.delta, pair, lam) == 0.0
+
+    @pytest.mark.parametrize("n, singular", [(50, False), (8, True)], ids=["full-rank", "singular"])
+    def test_grid_top_is_the_solver_shortcut(self, n, singular):
+        # One definition, in the solver: the grid starts at the penalty
+        # where admm_solve returns zero without iterating, bit for bit.
+        assert difftrace.lambda_max is model_selection.lambda_max is solver.lambda_max
+        pair = sampled_pair(12, n, 21)
+        factors = solver.factor_pair(pair)
+        assert (factors.bracket is not None) == singular
+        assert lambda_grid(pair)[0] == factors.lam_max == lambda_max(pair)
 
 
 class TestLambdaGrid:
@@ -117,6 +128,11 @@ class TestBicScore:
         for small, large in zip(bic_score(delta, pair), bic_score(delta * 5.0, pair)):
             assert small - np.log(n) * 2 != large - np.log(n) * 2
             assert small != large
+
+    def test_refuses_fewer_than_two_samples(self):
+        pair = pair_from_covariances(np.eye(2), 2 * np.eye(2), 1, 0)
+        with pytest.raises(ValueError, match=r"need n_x \+ n_y >= 2"):
+            bic_score(np.zeros((2, 2)), pair)
 
     def test_transpose_invariance_for_symmetric_inputs(self):
         pair = sampled_pair(10, 60, 5)
